@@ -45,10 +45,7 @@ selects the batched tick path (``1`` = the bit-identical legacy loop),
 any worker count), and ``--store-dir``/``--resume`` persist finished cells
 so an interrupted sweep continues instead of restarting.  ``sweep
 --trace`` additionally writes each fresh cell's event stream under
-``<store>/traces/`` (requires ``--store-dir``), and ``sweep
---trial-batch`` advances all trials of each ``(algorithm, n)`` slice in
-one tensorized kernel pass (:mod:`repro.engine.tensor`) with identical
-results and store keys.
+``<store>/traces/`` (requires ``--store-dir``).
 
 Examples::
 
@@ -295,13 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --store-dir: write each fresh cell's structured event "
         "stream under <store>/traces/ (validate with 'repro replay')",
-    )
-    sweep.add_argument(
-        "--trial-batch",
-        action="store_true",
-        help="advance all trials of each (algorithm, n) slice in one "
-        "tensorized kernel pass where eligible (same results and store "
-        "keys; ineligible cells fall back per-cell with a warning)",
     )
 
     serve = sub.add_parser(
@@ -568,10 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--check-stride",
         type=_positive_int,
-        default=4,
-        help="engine error-check stride (default 4: stride 1 delegates "
-        "to the uninstrumented legacy loop, which records no engine "
-        "spans)",
+        default=1,
+        help="engine error-check stride (1 = legacy bit-identical loop; "
+        "every stride records window and check spans)",
     )
     _add_multifield_flags(profile)
     _add_fault_flags(profile)
@@ -676,6 +665,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 ["n", args.n],
                 ["converged", result.converged],
                 ["final error", result.error],
+                ["ticks", result.ticks],
                 ["transmissions", result.total_transmissions],
                 *[
                     [f"  {cat}", count]
@@ -1002,7 +992,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         check_stride=args.check_stride,
         store=store,
         trace=args.trace,
-        trial_batch=args.trial_batch,
     )
     _print_sweep_tables(args, config, sweep)
     if args.trace and store is not None:

@@ -657,6 +657,9 @@ class DynamicGossip(AsynchronousGossip):
             index = segment_end
         self._tick = start + total
 
+    def begin_run(self, epsilon: float) -> None:
+        self.inner.begin_run(epsilon)
+
     def tick_budget(self, epsilon: float) -> int:
         """The wrapped budget, doubled when faults are live.
 

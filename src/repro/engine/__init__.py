@@ -1,16 +1,18 @@
 """High-throughput simulation engine.
 
 The rest of the library describes *what* a gossip protocol does per clock
-tick; this package decides *how fast* the ticks get executed.  Three layers
+tick; this package decides *how fast* the ticks get executed.  Four layers
 stack to turn the paper's per-tick Python loop into something that can run
 large scaling sweeps:
 
-* :mod:`repro.engine.batching` — batched tick execution.  Poisson tick
-  owners are pre-sampled in vectorized NumPy blocks and the oracular
-  error check runs on a configurable stride, amortizing RNG and
-  error-check overhead across thousands of ticks.  ``check_stride=1`` is
-  the degenerate case and reproduces the legacy
-  :meth:`~repro.gossip.base.AsynchronousGossip.run` loop bit for bit.
+* :mod:`repro.engine.batching` — the entry to the one tick driver
+  (:func:`repro.gossip.base.drive_ticks`).  ``check_stride=1`` draws tick
+  owners from one interleaved stream and reproduces the legacy
+  :meth:`~repro.gossip.base.AsynchronousGossip.run` loop bit for bit;
+  strides ``>= 2`` pre-sample owners in vectorized NumPy blocks on a
+  split stream and check the oracular error less often, amortizing RNG
+  and error-check overhead across thousands of ticks.  Every stride
+  records the same window/check spans and engine metrics.
 * :mod:`repro.engine.executor` — a parallel sweep executor.  A sweep is
   expanded into independent ``(algorithm, n, trial)`` grid cells whose RNG
   streams are spawned deterministically from the experiment's root seed,
@@ -19,29 +21,18 @@ large scaling sweeps:
 * :mod:`repro.engine.store` — a persistent result store.  Completed cells
   append to a JSON-lines file under a content-keyed directory; re-running
   an interrupted sweep skips every finished cell instead of restarting.
-
-A fourth layer, :mod:`repro.engine.tensor`, tensorizes across *trials*:
-all trials of one ``(protocol, topology, n)`` sweep slice advance inside
-a single ``(trials, n[, k])`` state tensor, one batched NumPy call per
-tick window instead of ``trials`` independent Python loops.  Cells that
-cannot join a tensor slice (faulted, round-based, traced, per-column
-multi-field) fall back to the per-cell path with a
-:class:`~repro.engine.tensor.TrialBatchFallbackWarning`.  The array
-namespace the kernels use comes from :mod:`repro.engine.backend`.
-
-A fifth layer distributes the sweep across *processes that may die*:
-:mod:`repro.engine.queue` is a file-backed lease queue (claim via
-``O_CREAT | O_EXCL``, heartbeats, stale-lease reclamation) and
-:mod:`repro.engine.service` runs worker fleets against it, merging
-per-worker store shards back into one canonical store with byte-level
-divergence checking.  Because every cell's randomness derives from the
-root seed, a distributed sweep is bit-identical to a serial one.
+* :mod:`repro.engine.queue` and :mod:`repro.engine.service` distribute
+  the sweep across *processes that may die*: a file-backed lease queue
+  (claim via ``O_CREAT | O_EXCL``, heartbeats, stale-lease reclamation)
+  and worker fleets running against it, whose per-worker store shards
+  merge back into one canonical store with byte-level divergence
+  checking.  Because every cell's randomness derives from the root seed,
+  a distributed sweep is bit-identical to a serial one.
 
 ``repro.experiments.runner`` and the CLI sit on top of this package; the
 benchmarks route through them, so every experiment inherits the engine.
 """
 
-from repro.engine.backend import ArrayBackend, available_backends, get_backend
 from repro.engine.batching import (
     DEFAULT_BLOCK_SIZE,
     MultiFieldFallbackWarning,
@@ -61,7 +52,6 @@ from repro.engine.executor import (
     build_instance,
     build_values,
     execute_cell,
-    execute_trial_slice,
     expand_grid,
     run_sweep_records,
 )
@@ -79,14 +69,8 @@ from repro.engine.store import (
     canonical_record_bytes,
     content_key,
 )
-from repro.engine.tensor import (
-    TrialBatchFallbackWarning,
-    run_trials_batched,
-    trial_batch_capability,
-)
 
 __all__ = [
-    "ArrayBackend",
     "CellRecord",
     "DEFAULT_BLOCK_SIZE",
     "Lease",
@@ -98,9 +82,7 @@ __all__ = [
     "ScalarFallbackWarning",
     "ShardDivergenceError",
     "SweepCell",
-    "TrialBatchFallbackWarning",
     "UncenteredFieldWarning",
-    "available_backends",
     "batching_capability",
     "build_cell_algorithm",
     "build_faulted_algorithm",
@@ -112,17 +94,13 @@ __all__ = [
     "content_key",
     "diff_stores",
     "execute_cell",
-    "execute_trial_slice",
     "expand_grid",
-    "get_backend",
     "merge_shards",
     "multifield_capability",
     "run_batched",
     "run_distributed_sweep",
     "run_sweep_records",
-    "run_trials_batched",
     "run_worker",
     "split_streams",
-    "trial_batch_capability",
     "worker_store",
 ]

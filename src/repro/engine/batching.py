@@ -1,33 +1,33 @@
 """Batched tick execution: vectorized owner sampling, strided error checks.
 
-The legacy driver (:meth:`repro.gossip.base.AsynchronousGossip.run`) draws
-one tick owner at a time from the run's RNG and re-measures the oracular
-error every ``n // 4`` ticks.  At large ``n`` the scalar RNG calls and the
-bookkeeping around them dominate the runtime of the cheap protocols.
+Every tick-driven run goes through one loop,
+:func:`repro.gossip.base.drive_ticks`, which executes ticks in windows
+of ``check_stride * max(1, n // 4)`` and re-measures the oracular error
+at the end of each window.  :func:`run_batched` validates a run, picks
+its fallbacks (per-column multi-field state, round-based protocols) and
+hands the rest to that loop.  The stride decides where tick owners come
+from:
 
-:func:`run_batched` removes that overhead in two ways:
-
-* **Owner batching** — tick owners are pre-sampled in vectorized NumPy
-  blocks (one ``Generator.integers`` call per block instead of one per
-  tick) and handed to the protocol's
+* ``check_stride=1`` — one interleaved stream: each tick draws its owner
+  and then its protocol randomness from the caller's generator, the
+  legacy :meth:`~repro.gossip.base.AsynchronousGossip.run` order, so
+  results are bit-identical to it.
+* ``check_stride >= 2`` — **owner batching**: the caller's generator is
+  split into an *owner* stream and a *protocol* stream via deterministic
+  ``Generator.spawn``; owners are pre-sampled in vectorized NumPy blocks
+  (one ``Generator.integers`` call per block instead of one per tick)
+  and handed to the protocol's
   :meth:`~repro.gossip.base.AsynchronousGossip.tick_block` hook, which
   protocols may override to amortize their own per-tick randomness too.
-* **Check striding** — the error check (and trace sample) runs every
-  ``check_stride * max(1, n // 4)`` ticks instead of every ``n // 4``.
+  The error check runs ``check_stride`` times less often.
 
-Seed-handling contract: the batched path splits the caller's generator
-into an *owner* stream and a *protocol* stream via deterministic
-``Generator.spawn``.  Owner draws and protocol draws each consume their
-stream in tick order with a fixed number of draws per tick, so the result
-is a pure function of ``(rng state, check_stride)`` — independent of the
-internal ``block_size`` used to chunk the sampling (verified in the test
-suite).
-
-``check_stride=1`` is the degenerate case: it delegates to the legacy
-scalar loop so existing numerical results stay bit-identical.  Strides
-``>= 2`` use the batched path, whose trajectories are statistically
-equivalent but not bit-identical (the RNG stream is split, and the coarser
-stopping rule can only run *past* the crossing, never stop short of it).
+Owner draws and protocol draws each consume their stream in tick order
+with a fixed number of draws per tick, so a strided result is a pure
+function of ``(rng state, check_stride)`` — independent of the internal
+``block_size`` used to chunk the sampling (verified in the test suite).
+Strided trajectories are statistically equivalent to stride 1 but not
+bit-identical (the RNG stream is split, and the coarser stopping rule can
+only run *past* the crossing, never stop short of it).
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ import warnings
 import numpy as np
 
 from repro.gossip.base import (
+    DEFAULT_BLOCK_SIZE,
     AsynchronousGossip,
     GossipRunResult,
     check_state_shape,
+    drive_ticks,
+    split_streams,
 )
-from repro.metrics.error import normalized_error, result_column_errors
-from repro.metrics.trace import ConvergenceTrace
 from repro.observability import events as _events
-from repro.observability import metrics as _metrics
-from repro.observability import profile as _profile
 from repro.routing.cost import TransmissionCounter
 
 __all__ = [
@@ -58,11 +57,6 @@ __all__ = [
     "run_batched",
     "split_streams",
 ]
-
-#: Upper bound on one vectorized owner-sampling block.  Large enough to
-#: amortize the RNG call, small enough to keep peak memory trivial.
-DEFAULT_BLOCK_SIZE = 8192
-
 
 class ScalarFallbackWarning(UserWarning):
     """A ``check_stride > 1`` run hit the scalar per-tick fallback.
@@ -206,18 +200,6 @@ def multifield_capability(algorithm) -> str:
     )
 
 
-def split_streams(
-    rng: np.random.Generator,
-) -> tuple[np.random.Generator, np.random.Generator]:
-    """Split ``rng`` into deterministic (owner, protocol) child streams.
-
-    Spawning (rather than sharing one stream) is what lets the owner draws
-    be vectorized without perturbing the protocol's randomness.
-    """
-    owner_rng, protocol_rng = rng.spawn(2)
-    return owner_rng, protocol_rng
-
-
 def run_batched(
     algorithm: AsynchronousGossip,
     initial_values: np.ndarray,
@@ -359,17 +341,7 @@ def run_batched(
             return algorithm.run(
                 initial_values, epsilon, rng, trace_thinning=trace_thinning
             )
-    if check_stride == 1:
-        # Degenerate case: the legacy scalar loop, bit-identical.
-        return algorithm.run(
-            initial_values,
-            epsilon,
-            rng,
-            max_ticks=max_ticks,
-            trace_thinning=trace_thinning,
-        )
-
-    if batching_capability(algorithm) == "scalar":
+    if check_stride > 1 and batching_capability(algorithm) == "scalar":
         warnings.warn(
             f"{algorithm.name!r} does not override tick_block: "
             f"check_stride={check_stride} amortizes owner sampling and "
@@ -382,95 +354,20 @@ def run_batched(
             ScalarFallbackWarning,
             stacklevel=stacklevel,
         )
-
     n = algorithm.n
     initial_values = check_state_shape(initial_values, n)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-    period = check_stride * max(1, n // 4)
-    budget = algorithm.tick_budget(epsilon) if max_ticks is None else max_ticks
-    owner_rng, protocol_rng = split_streams(rng)
-
-    values = initial_values.copy()
-    counter = TransmissionCounter()
-    trace = ConvergenceTrace(thinning=trace_thinning)
-    error = normalized_error(values, initial_values)
-    trace.force_record(0, 0, error)
-    recorder = _events.active()
-    if recorder is not None:
-        recorder.emit(
-            _events.start_event(algorithm, initial_values, epsilon, check_stride)
-        )
-    # Metrics and spans are window-granular: one registry update and one
-    # span pair per ``period`` ticks (thousands), never per tick — the
-    # E22 benchmark holds the enabled overhead to ≤1.05× on this basis.
-    # Instruments are resolved once, out here; the loop only increments.
-    registry = _metrics.active()
-    if registry is not None:
-        registry.counter(
-            "repro_engine_runs_total", "Batched engine runs started."
-        ).inc(algorithm=algorithm.name)
-        ticks_counter = registry.counter(
-            "repro_engine_ticks_total", "Ticks executed by the engine."
-        )
-        checks_counter = registry.counter(
-            "repro_engine_checks_total", "Strided error checks run."
-        )
-        error_gauge = registry.gauge(
-            "repro_engine_error", "Normalized error at the last check."
-        )
-    ticks = 0
-    converged = error <= epsilon
-    while not converged and ticks < budget:
-        window = min(period, budget - ticks)
-        with _profile.span("window"):
-            done = 0
-            while done < window:
-                block = min(block_size, window - done)
-                owners = owner_rng.integers(n, size=block)
-                algorithm.tick_block(owners, values, counter, protocol_rng)
-                done += block
-                if recorder is not None:
-                    recorder.emit({"e": "batch", "ticks": block})
-        ticks += window
-        with _profile.span("check"):
-            error = normalized_error(values, initial_values)
-        trace.record(counter.total, ticks, error)
-        converged = error <= epsilon
-        if recorder is not None:
-            recorder.emit(
-                {"e": "check", "ticks": ticks, "tx": counter.total, "error": error}
-            )
-        if registry is not None:
-            ticks_counter.inc(window, algorithm=algorithm.name)
-            checks_counter.inc(algorithm=algorithm.name)
-            error_gauge.set(error, algorithm=algorithm.name)
-    error = normalized_error(values, initial_values)
-    converged = error <= epsilon
-    trace.force_record(counter.total, ticks, error)
-    if recorder is not None:
-        recorder.emit(
-            {
-                "e": "end",
-                "ticks": ticks,
-                "tx": counter.snapshot(),
-                "error": error,
-                "converged": converged,
-                "values": values.tolist(),
-            }
-        )
-    return GossipRunResult(
-        algorithm=algorithm.name,
-        values=values,
-        initial_values=initial_values,
-        transmissions=counter.snapshot(),
-        ticks=ticks,
-        converged=converged,
-        epsilon=epsilon,
-        error=error,
-        trace=trace,
-        column_errors=result_column_errors(values, initial_values),
+    return drive_ticks(
+        algorithm,
+        initial_values,
+        epsilon,
+        rng,
+        period=check_stride * max(1, n // 4),
+        check_stride=check_stride,
+        max_ticks=max_ticks,
+        block_size=block_size,
+        trace_thinning=trace_thinning,
     )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "cell_trace_path",
     "cell_traceable",
     "execute_cell",
-    "execute_trial_slice",
     "expand_grid",
     "run_sweep_records",
 ]
@@ -191,9 +190,7 @@ def build_graph(config: ExperimentConfig, n: int, trial: int):
     so flat-RGG instances are stable across engine versions and identical
     for every algorithm cell of the same ``(n, trial)``; other families
     include the topology name in their graph-seed tag so no two families
-    ever share a placement stream.  Those same tags are the trial-batch
-    grouping predicate: two cells may share one graph object only when
-    their tag tuples coincide.
+    ever share a placement stream.
     """
     # Imported here, not at module top: repro.experiments sits above the
     # engine (its runner imports this package), so the engine only reaches
@@ -441,153 +438,6 @@ def execute_cell(
     )
 
 
-def execute_trial_slice(
-    config: ExperimentConfig,
-    cells: list[SweepCell],
-    check_stride: int = 1,
-) -> list[CellRecord]:
-    """Run one slice — all pending trials of one ``(algorithm, n)`` — batched.
-
-    Builds each trial's graph, field and algorithm from the exact
-    per-cell seed tags, then hands the whole slice to
-    :func:`repro.engine.tensor.run_trials_batched` and splits the
-    per-trial results back into :class:`CellRecord`\\ s.  Graphs are
-    memoized by their seed-tag tuples (the grouping predicate): under
-    every registered topology family the tags include the trial, so each
-    trial builds its own substrate — but a family whose placement
-    streams coincided across trials would share one graph object here
-    rather than silently duplicating it.
-
-    ``wall_clock`` is the slice's elapsed time split evenly across its
-    cells (per-trial attribution inside one kernel pass is meaningless);
-    both timing fields are excluded from record equality, so
-    trial-batched records compare equal to per-cell ones.
-    """
-    from repro.engine.tensor import run_trials_batched
-    from repro.experiments.seeds import spawn_rng
-    from repro.graphs.generators import topology_seed_tags
-
-    graphs: dict[tuple, object] = {}
-    algorithms = []
-    states = []
-    rngs = []
-    for cell in cells:
-        tags = ("graph",) + tuple(
-            topology_seed_tags(config.topology, cell.n, cell.trial)
-        )
-        if tags not in graphs:
-            graphs[tags] = build_graph(config, cell.n, cell.trial)
-        graph = graphs[tags]
-        states.append(build_values(config, graph, cell.n, cell.trial))
-        algorithms.append(
-            build_cell_algorithm(config, graph, cell.algorithm, cell.n, cell.trial)
-        )
-        rngs.append(
-            spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)
-        )
-    started = time.perf_counter()
-    results = run_trials_batched(
-        algorithms, states, config.epsilon, rngs, check_stride=check_stride
-    )
-    wall_clock = (time.perf_counter() - started) / len(cells)
-    records = []
-    for cell, algorithm, result in zip(cells, algorithms, results):
-        telemetry = collect_telemetry(
-            algorithm,
-            wall_clock=wall_clock,
-            ticks=result.ticks,
-            scalar_fallback=(
-                check_stride > 1 and batching_capability(algorithm) == "scalar"
-            ),
-            trial_batch=True,
-        )
-        records.append(
-            CellRecord(
-                algorithm=cell.algorithm,
-                n=cell.n,
-                trial=cell.trial,
-                epsilon=config.epsilon,
-                transmissions=dict(result.transmissions),
-                ticks=result.ticks,
-                converged=result.converged,
-                error=result.error,
-                faults=None,
-                field_errors=(
-                    None
-                    if result.column_errors is None
-                    else tuple(float(v) for v in result.column_errors)
-                ),
-                wall_clock=wall_clock,
-                telemetry=telemetry,
-            )
-        )
-    return records
-
-
-def _plan_trial_batches(
-    config: ExperimentConfig,
-    pending: list[SweepCell],
-    trace: bool,
-    stacklevel: int,
-) -> tuple[list[list[SweepCell]], list[SweepCell]]:
-    """Split pending cells into tensorizable slices and per-cell fallbacks.
-
-    A slice is every pending trial of one ``(algorithm, n)``.  Whole-sweep
-    fallbacks (fault dynamics, tracing) and per-protocol fallbacks
-    (round-based execution, per-column multi-field) route their cells to
-    the legacy per-cell path behind one
-    :class:`~repro.engine.tensor.TrialBatchFallbackWarning` each.
-    """
-    import warnings
-
-    from repro.engine.tensor import TrialBatchFallbackWarning
-    from repro.experiments.config import multifield_support, protocol_batching
-
-    def _warn(message: str) -> None:
-        warnings.warn(
-            message, TrialBatchFallbackWarning, stacklevel=stacklevel + 2
-        )
-
-    if config.fault_spec().enabled:
-        _warn(
-            "trial_batch: fault dynamics carry per-trial substrate state "
-            "the shared window schedule cannot interleave; every cell "
-            "runs per-cell"
-        )
-        return [], list(pending)
-    if trace:
-        _warn(
-            "trial_batch: tensor kernels emit no per-cell event stream; "
-            "traced sweeps run per-cell"
-        )
-        return [], list(pending)
-    names = list(dict.fromkeys(cell.algorithm for cell in pending))
-    batching = protocol_batching(names)
-    multifield = multifield_support(names)
-    fallback_names = set()
-    for name in names:
-        if batching[name] == "rounds":
-            _warn(
-                f"trial_batch: {name!r} is round-based (no tick loop to "
-                "run in lockstep); its cells run per-cell"
-            )
-            fallback_names.add(name)
-        elif config.fields > 1 and multifield[name] != "native":
-            _warn(
-                f"trial_batch: {name!r} runs multi-field state per column "
-                "(k nested runs per cell); its cells run per-cell"
-            )
-            fallback_names.add(name)
-    slices: dict[tuple[str, int], list[SweepCell]] = {}
-    fallback_cells = []
-    for cell in pending:
-        if cell.algorithm in fallback_names:
-            fallback_cells.append(cell)
-        else:
-            slices.setdefault((cell.algorithm, cell.n), []).append(cell)
-    return list(slices.values()), fallback_cells
-
-
 def run_sweep_records(
     config: ExperimentConfig,
     *,
@@ -596,7 +446,6 @@ def run_sweep_records(
     store: "ResultStore | None" = None,
     on_record: Callable[[CellRecord, bool], None] | None = None,
     trace: bool = False,
-    trial_batch: bool = False,
     stacklevel: int = 2,
 ) -> dict[CellKey, CellRecord]:
     """Execute (or resume) a sweep grid; returns records keyed by cell.
@@ -627,16 +476,6 @@ def run_sweep_records(
         ``store`` — traces live alongside the cells they explain, under
         the same content key).  Cells resumed from the store are not
         re-run and get no trace.
-    trial_batch:
-        Group pending cells into per-``(algorithm, n)`` slices and run
-        each slice through :func:`repro.engine.tensor.run_trials_batched`
-        (one tensor pass over all trials) instead of per-cell tick
-        loops.  Records, store layout, resume/skip semantics and content
-        keys are unchanged — ``trial_batch`` is an execution mode, like
-        ``workers``, not part of the sweep's identity.  Faulted, traced,
-        round-based and per-column multi-field cells fall back to the
-        per-cell path behind a
-        :class:`~repro.engine.tensor.TrialBatchFallbackWarning`.
     stacklevel:
         Warning attribution depth: engine fallback warnings point at
         this function's caller by default; wrappers add their own frame.
@@ -673,39 +512,6 @@ def run_sweep_records(
             store.append(record)
         if on_record is not None:
             on_record(record, True)
-
-    if trial_batch and pending:
-        slices, fallback_cells = _plan_trial_batches(
-            config, pending, trace, stacklevel
-        )
-        if workers == 1 or len(pending) <= 1:
-            for cells in slices:
-                for record in execute_trial_slice(config, cells, check_stride):
-                    _finish(record)
-            for cell in fallback_cells:
-                _finish(
-                    execute_cell(
-                        config, cell, check_stride, trace_dir, stacklevel + 1
-                    )
-                )
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                slice_futures = [
-                    pool.submit(execute_trial_slice, config, cells, check_stride)
-                    for cells in slices
-                ]
-                cell_futures = [
-                    pool.submit(execute_cell, config, cell, check_stride, trace_dir)
-                    for cell in fallback_cells
-                ]
-                for future in as_completed(slice_futures + cell_futures):
-                    outcome = future.result()
-                    if isinstance(outcome, list):
-                        for record in outcome:
-                            _finish(record)
-                    else:
-                        _finish(outcome)
-        return records
 
     if workers == 1 or len(pending) <= 1:
         for cell in pending:

@@ -121,7 +121,6 @@ def run_scaling_sweep(
     check_stride: int = 1,
     store: ResultStore | None = None,
     trace: bool = False,
-    trial_batch: bool = False,
 ) -> dict[str, list[ScalingPoint]]:
     """The E7 sweep: transmissions-to-ε for every algorithm and size.
 
@@ -141,13 +140,6 @@ def run_scaling_sweep(
         Write each freshly executed cell's structured event trace under
         ``<store.directory>/traces/`` (requires ``store``); see
         :func:`repro.engine.executor.run_sweep_records`.
-    trial_batch:
-        Run each ``(algorithm, n)`` slice's trials through the
-        trial-tensorized kernel path (:mod:`repro.engine.tensor`) where
-        eligible; ineligible cells fall back per-cell with a
-        :class:`~repro.engine.tensor.TrialBatchFallbackWarning`.  An
-        execution mode like ``workers``: results and store keys are
-        unchanged.
     """
     records = run_sweep_records(
         config,
@@ -155,7 +147,6 @@ def run_scaling_sweep(
         check_stride=check_stride,
         store=store,
         trace=trace,
-        trial_batch=trial_batch,
         stacklevel=3,
     )
     return aggregate_records(config, records)

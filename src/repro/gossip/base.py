@@ -3,8 +3,11 @@
 All gossip algorithms in this library share the paper's execution model
 (Section 2): a global rate-``n`` Poisson clock assigns ticks to uniformly
 random nodes; the owner of a tick performs one protocol action.  Subclasses
-implement :meth:`AsynchronousGossip.tick`; the base class provides the
-run-until-ε loop, transmission accounting, tracing, and the stopping rule.
+implement :meth:`AsynchronousGossip.tick`; this module provides the one
+run-until-ε loop (:func:`drive_ticks`, behind both
+:meth:`AsynchronousGossip.run` and :func:`repro.engine.batching.run_batched`)
+with transmission accounting, tracing, instrumentation and the stopping
+rule.
 
 The stopping rule is *oracular* (DESIGN.md, D7): the simulator measures the
 true normalized error and stops when it crosses ε.  Deployed systems would
@@ -26,9 +29,22 @@ from repro.metrics.error import (
 )
 from repro.metrics.trace import ConvergenceTrace
 from repro.observability import events as _events
+from repro.observability import metrics as _metrics
+from repro.observability import profile as _profile
 from repro.routing.cost import TransmissionCounter
 
-__all__ = ["GossipRunResult", "AsynchronousGossip", "check_state_shape"]
+__all__ = [
+    "DEFAULT_BLOCK_SIZE",
+    "AsynchronousGossip",
+    "GossipRunResult",
+    "check_state_shape",
+    "drive_ticks",
+    "split_streams",
+]
+
+#: Upper bound on one vectorized owner-sampling block.  Large enough to
+#: amortize the RNG call, small enough to keep peak memory trivial.
+DEFAULT_BLOCK_SIZE = 8192
 
 
 def check_state_shape(initial_values: np.ndarray, n: int) -> np.ndarray:
@@ -163,7 +179,7 @@ class AsynchronousGossip(ABC):
     ) -> None:
         """Execute a pre-sampled block of tick owners, in order, in place.
 
-        The batched engine driver (:func:`repro.engine.batching.run_batched`)
+        At strides ``>= 2`` the tick driver (:func:`drive_ticks`)
         pre-samples owners in vectorized blocks and calls this hook instead
         of :meth:`tick`.  Subclasses may override it to amortize per-tick
         protocol randomness across the block; an override must stay
@@ -174,6 +190,14 @@ class AsynchronousGossip(ABC):
         """
         for node in owners:
             self.tick(int(node), values, counter, rng)
+
+    def begin_run(self, epsilon: float) -> None:
+        """Per-run setup, called once before :meth:`tick_budget`.
+
+        Protocols whose state or budget depends on the run's ε (or must
+        be reset between runs) override this; the default does nothing.
+        It must not consume randomness.
+        """
 
     def tick_budget(self, epsilon: float) -> int:
         """Default safety budget of clock ticks for :meth:`run`.
@@ -231,59 +255,160 @@ class AsynchronousGossip(ABC):
             )
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        values = initial_values.copy()
-        counter = TransmissionCounter()
-        trace = ConvergenceTrace(thinning=trace_thinning)
-        budget = self.tick_budget(epsilon) if max_ticks is None else max_ticks
         period = max(1, self.n // 4) if check_every is None else max(1, check_every)
+        return drive_ticks(
+            self,
+            initial_values,
+            epsilon,
+            rng,
+            period=period,
+            check_stride=1,
+            max_ticks=max_ticks,
+            trace_thinning=trace_thinning,
+        )
 
-        error = normalized_error(values, initial_values)
-        trace.force_record(0, 0, error)
-        recorder = _events.active()
-        if recorder is not None:
-            recorder.emit(_events.start_event(self, initial_values, epsilon, 1))
-        ticks = 0
-        converged = error <= epsilon
-        while not converged and ticks < budget:
-            node = int(rng.integers(self.n))
-            self.tick(node, values, counter, rng)
-            ticks += 1
-            if ticks % period == 0:
-                error = normalized_error(values, initial_values)
-                trace.record(counter.total, ticks, error)
-                converged = error <= epsilon
+
+def split_streams(
+    rng: np.random.Generator,
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """Split ``rng`` into deterministic (owner, protocol) child streams.
+
+    Spawning (rather than sharing one stream) is what lets the owner draws
+    be vectorized without perturbing the protocol's randomness.
+    """
+    owner_rng, protocol_rng = rng.spawn(2)
+    return owner_rng, protocol_rng
+
+
+def drive_ticks(
+    algorithm: AsynchronousGossip,
+    initial_values: np.ndarray,
+    epsilon: float,
+    rng: np.random.Generator,
+    *,
+    period: int,
+    check_stride: int,
+    max_ticks: int | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    trace_thinning: float = 0.02,
+) -> GossipRunResult:
+    """The one tick loop: run ``period``-tick windows until ε or the budget.
+
+    Callers validate their arguments first
+    (:meth:`AsynchronousGossip.run`,
+    :func:`repro.engine.batching.run_batched`).  Each window executes its
+    ticks, then the oracular error is checked, traced and compared with
+    ``epsilon``.  Only the source of tick owners depends on
+    ``check_stride``:
+
+    * ``1`` — one interleaved stream: each tick draws its owner from
+      ``rng`` and hands ``rng`` to :meth:`AsynchronousGossip.tick`, the
+      legacy draw order.  A window cut short by the budget ends the run
+      without a check, as the per-tick loop always did.
+    * ``>= 2`` — :func:`split_streams`: owners come in vectorized blocks
+      of at most ``block_size`` from the owner stream and run through
+      :meth:`AsynchronousGossip.tick_block` on the protocol stream; every
+      window ends with a check.
+
+    Windows, checks, spans, metrics and trace events all live here, so
+    every stride is instrumented alike.  Metrics and spans are
+    window-granular — a few registry updates and two spans per window,
+    never per tick — which keeps their enabled overhead inside E22's
+    ≤1.05× bar.
+    """
+    algorithm.begin_run(epsilon)
+    budget = algorithm.tick_budget(epsilon) if max_ticks is None else max_ticks
+    n = algorithm.n
+    values = initial_values.copy()
+    counter = TransmissionCounter()
+    recorder = _events.active()
+    if check_stride == 1:
+        tick, draw = algorithm.tick, rng.integers
+
+        def advance(count: int) -> None:
+            for _ in range(count):
+                tick(int(draw(n)), values, counter, rng)
+
+    else:
+        owner_rng, protocol_rng = split_streams(rng)
+
+        def advance(count: int) -> None:
+            done = 0
+            while done < count:
+                block = min(block_size, count - done)
+                owners = owner_rng.integers(n, size=block)
+                algorithm.tick_block(owners, values, counter, protocol_rng)
+                done += block
                 if recorder is not None:
-                    recorder.emit(
-                        {
-                            "e": "check",
-                            "ticks": ticks,
-                            "tx": counter.total,
-                            "error": error,
-                        }
-                    )
-        error = normalized_error(values, initial_values)
+                    recorder.emit({"e": "batch", "ticks": block})
+
+    trace = ConvergenceTrace(thinning=trace_thinning)
+    error = normalized_error(values, initial_values)
+    trace.force_record(0, 0, error)
+    if recorder is not None:
+        recorder.emit(
+            _events.start_event(algorithm, initial_values, epsilon, check_stride)
+        )
+    # Instruments are resolved once, out here; the loop only increments.
+    registry = _metrics.active()
+    if registry is not None:
+        registry.counter(
+            "repro_engine_runs_total", "Engine runs started."
+        ).inc(algorithm=algorithm.name)
+        ticks_counter = registry.counter(
+            "repro_engine_ticks_total", "Ticks executed by the engine."
+        )
+        checks_counter = registry.counter(
+            "repro_engine_checks_total", "Error checks run."
+        )
+        error_gauge = registry.gauge(
+            "repro_engine_error", "Normalized error at the last check."
+        )
+    ticks = 0
+    converged = error <= epsilon
+    while not converged and ticks < budget:
+        window = min(period, budget - ticks)
+        with _profile.span("window"):
+            advance(window)
+        ticks += window
+        if registry is not None:
+            ticks_counter.inc(window, algorithm=algorithm.name)
+        if window < period and check_stride == 1:
+            break  # the per-tick loop checked on period boundaries only
+        with _profile.span("check"):
+            error = normalized_error(values, initial_values)
+        trace.record(counter.total, ticks, error)
         converged = error <= epsilon
-        trace.force_record(counter.total, ticks, error)
         if recorder is not None:
             recorder.emit(
-                {
-                    "e": "end",
-                    "ticks": ticks,
-                    "tx": counter.snapshot(),
-                    "error": error,
-                    "converged": converged,
-                    "values": values.tolist(),
-                }
+                {"e": "check", "ticks": ticks, "tx": counter.total, "error": error}
             )
-        return GossipRunResult(
-            algorithm=self.name,
-            values=values,
-            initial_values=initial_values,
-            transmissions=counter.snapshot(),
-            ticks=ticks,
-            converged=converged,
-            epsilon=epsilon,
-            error=error,
-            trace=trace,
-            column_errors=result_column_errors(values, initial_values),
+        if registry is not None:
+            checks_counter.inc(algorithm=algorithm.name)
+            error_gauge.set(error, algorithm=algorithm.name)
+    error = normalized_error(values, initial_values)
+    converged = error <= epsilon
+    trace.force_record(counter.total, ticks, error)
+    if recorder is not None:
+        recorder.emit(
+            {
+                "e": "end",
+                "ticks": ticks,
+                "tx": counter.snapshot(),
+                "error": error,
+                "converged": converged,
+                "values": values.tolist(),
+            }
         )
+    return GossipRunResult(
+        algorithm=algorithm.name,
+        values=values,
+        initial_values=initial_values,
+        transmissions=counter.snapshot(),
+        ticks=ticks,
+        converged=converged,
+        epsilon=epsilon,
+        error=error,
+        trace=trace,
+        column_errors=result_column_errors(values, initial_values),
+    )

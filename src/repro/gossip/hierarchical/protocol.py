@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip, GossipRunResult
+from repro.gossip.base import AsynchronousGossip
 from repro.gossip.hierarchical.parameters import ProtocolParameters
 from repro.gossip.hierarchical.rounds import CoefficientMode
 from repro.graphs.rgg import RandomGeometricGraph
@@ -90,7 +90,7 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
         Substrate and hierarchy (tree defaults to the practical build).
     parameters:
         Schedules; defaults to ``ProtocolParameters.practical`` with the
-        run's ε at :meth:`run` time.
+        run's ε, chosen in :meth:`begin_run`.
     separation:
         The practical stand-in for the paper's ``n^a`` rate-separation
         factor between a square's `Far` rate and its subordinate latency.
@@ -151,16 +151,13 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
 
     # -- driver integration --------------------------------------------------
 
-    def run(
-        self,
-        initial_values: np.ndarray,
-        epsilon: float,
-        rng: np.random.Generator,
-        max_ticks: int | None = None,
-        check_every: int | None = None,
-        trace_thinning: float = 0.02,
-    ) -> GossipRunResult:
-        """Initialise states (root's ``global.state ← on``) and run."""
+    def begin_run(self, epsilon: float) -> None:
+        """Initialise states (root's ``global.state ← on``) for one run.
+
+        Time budgets and the ε schedule depend on the run's ε, and
+        :meth:`tick_budget` reads them, so the driver calls this first at
+        every stride.
+        """
         parameters = self.parameters or ProtocolParameters.practical(
             self.graph.n, epsilon
         )
@@ -181,14 +178,6 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
         self.far_exchanges = 0
         self.routing_failures = 0
         self.busy_aborts = 0
-        return super().run(
-            initial_values,
-            epsilon,
-            rng,
-            max_ticks=max_ticks,
-            check_every=check_every,
-            trace_thinning=trace_thinning,
-        )
 
     def tick_budget(self, epsilon: float) -> int:
         # The root round lasts ~time_budget[0] root ticks ≈ n·budget ticks.

@@ -117,9 +117,8 @@ def result_column_errors(
     Matrix state yields :func:`column_errors`; scalar state yields
     ``None`` (scalar results never grew the field, so pre-multi-field
     consumers see exactly what they always saw).  Every run-result build
-    site — the legacy scalar loop, the batched engine, the hierarchical
-    executor — goes through here so the rule can never desynchronize
-    between them.
+    site — the tick driver and the trace replayer — goes through here so
+    the rule can never desynchronize between them.
     """
     values = np.asarray(values)
     if values.ndim != 2:

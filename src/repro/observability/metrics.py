@@ -604,7 +604,7 @@ def cache_collector(registry: "MetricsRegistry", cache) -> None:
     extends a cache's lifetime; once the cache is garbage collected the
     registry prunes the collector on the next scrape (exported counters
     hold their high-water marks).  Counts from multiple live caches
-    (e.g. several trials of a tensor slice) sum.
+    (e.g. the protocols of one in-process sweep) sum.
     """
     ref = weakref.ref(cache)
 

@@ -60,7 +60,6 @@ def collect_telemetry(
     multifield_fallback: bool = False,
     multifield_runs: "int | None" = None,
     trace_events: "int | None" = None,
-    trial_batch: bool = False,
     metrics: "dict[str, float] | None" = None,
 ) -> dict[str, float]:
     """One cell's flat telemetry mapping.
@@ -70,8 +69,7 @@ def collect_telemetry(
     multi-field fallback — the run is correct but missed a fast path).
     Added when applicable: the route-cache counters of
     :func:`cache_stats`, ``trace_events`` (events captured when the cell
-    ran traced), ``trial_batch`` (``1.0`` when the cell executed inside
-    a trial-tensorized slice), and ``multifield_fallback_runs`` — the
+    ran traced), and ``multifield_fallback_runs`` — the
     number of nested runs a per-column fallback cell executed on *one*
     protocol instance, which is the factor by which its cumulative
     counters (the route-cache hits/misses above) are inflated relative
@@ -93,8 +91,6 @@ def collect_telemetry(
         telemetry.update(stats)
     if trace_events is not None:
         telemetry["trace_events"] = float(trace_events)
-    if trial_batch:
-        telemetry["trial_batch"] = 1.0
     if metrics:
         telemetry.update(metrics)
     return telemetry

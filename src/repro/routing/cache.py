@@ -17,7 +17,7 @@ arithmetic and the same first-minimum tie-breaking as the scalar
 transmission charges to the uncached router (tested).  It exists so the
 engine's batched tick path (`tick_block` in the routed protocols) can
 charge routed transmission costs without re-walking greedy paths; the
-legacy scalar loop keeps using the plain router.
+per-tick ``tick`` path (stride 1) keeps using the plain router.
 
 Memory is one ``n``-vector of node indices per distinct target ever
 routed to — at most O(n²) integers, and in practice bounded by the
@@ -192,91 +192,38 @@ class CachedGreedyRouter:
         )
         return forward, backward
 
-    def route_stats(
-        self, target_node: int, *, account: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def route_stats(self, target_node: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-source ``(hops, destination)`` vectors towards ``target_node``.
 
         ``hops[u]`` is exactly ``len(path) - 1`` of
         :meth:`route_to_node`'s walk from ``u`` and ``destination[u]`` its
         fixed point (``destination[u] == target_node`` means delivered),
         derived from the next-hop column by pointer doubling — O(n log
-        diameter) for all ``n`` sources at once.  This is the lookup layer
-        the trial-tensorized kernels (:mod:`repro.engine.tensor`) resolve
-        whole owner windows against instead of walking paths one hop at a
-        time.
+        diameter) for all ``n`` sources at once.
 
         Accounting mirrors :meth:`route_to_node`'s ledger: the call is a
         miss when the target's column had to be built, a hit otherwise
         (deriving stats from an already-cached column answers from cached
-        routing work).  Kernels that resolve many lookups against one
-        stats row account the rest through :meth:`charge_lookups`.  With
-        ``account=False`` the ledger is left untouched — the
-        shared-substrate tensor path computes stats once on one trial's
-        router and mirrors each trial's hit/miss totals explicitly via
-        :meth:`charge_misses` / :meth:`charge_lookups`.
+        routing work).
 
         The returned arrays are cached internals — callers must not
         mutate them.
         """
         stats = self._stats.get(target_node)
         if stats is not None:
-            if account:
-                self.hits += 1
+            self.hits += 1
             return stats
         column = self._columns.get(target_node)
         if column is None:
-            if account:
-                self.misses += 1
+            self.misses += 1
             array = self._build_column(target_node)
             self._columns[target_node] = array.tolist()
         else:
-            if account:
-                self.hits += 1
+            self.hits += 1
             array = np.asarray(column, dtype=np.int64)
         stats = self._column_stats(array)
         self._stats[target_node] = stats
         return stats
-
-    def cached_column(self, target_node: int) -> list[int]:
-        """The raw next-hop column for ``target_node``, with no accounting.
-
-        Kernel-layer accessor: the path-averaging tensor kernel walks the
-        column to recover the exact node sequence (already accounted for
-        through :meth:`route_stats` / :meth:`charge_lookups`), so this
-        lookup must not count a second hit for the same route.
-        """
-        column = self._columns.get(target_node)
-        if column is None:
-            column = self._build_column(target_node).tolist()
-            self._columns[target_node] = column
-        return column
-
-    def charge_lookups(self, count: int) -> None:
-        """Account ``count`` route-level lookups served from cached columns.
-
-        The tensor kernels call :meth:`route_stats` once per *distinct*
-        target of a window and resolve every remaining route of the
-        window against the returned vectors; charging those resolutions
-        here keeps the hit/miss ledger equal to what the per-cell path
-        (one :meth:`route_to_node` call per route) would have recorded.
-        """
-        if count < 0:
-            raise ValueError(f"lookup count must be >= 0, got {count}")
-        self.hits += count
-
-    def charge_misses(self, count: int) -> None:
-        """Account ``count`` first-time route lookups as cache misses.
-
-        Counterpart of :meth:`charge_lookups` for the shared-substrate
-        tensor path: column builds happen once on a designated router
-        (via ``route_stats(..., account=False)``), and each trial charges
-        the misses its own per-cell run would have recorded — one per
-        target it routes towards for the first time.
-        """
-        if count < 0:
-            raise ValueError(f"miss count must be >= 0, got {count}")
-        self.misses += count
 
     @staticmethod
     def _column_stats(

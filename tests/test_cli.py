@@ -340,11 +340,12 @@ class TestCommands:
         assert callable(module.main)
 
 
-class TestTrialBatch:
-    def test_flag_defaults_off(self):
-        assert build_parser().parse_args(["sweep"]).trial_batch is False
-        args = build_parser().parse_args(["sweep", "--trial-batch"])
-        assert args.trial_batch is True
+class TestSweepFlags:
+    def test_trial_batch_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", "--trial-batch"])
+        assert excinfo.value.code == 2
+        assert "--trial-batch" in capsys.readouterr().err
 
     def test_fields_zero_is_a_usage_error(self, capsys):
         """--fields 0 exits 2 with a clean message, never a traceback."""
@@ -356,42 +357,6 @@ class TestTrialBatch:
             main(["run", "--fields", "0"])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_sweep_trial_batch_matches_per_cell(self, capsys, tmp_path):
-        flags = [
-            "sweep",
-            "--sizes", "24,32",
-            "--epsilon", "0.3",
-            "--trials", "2",
-            "--algorithms", "randomized,geographic",
-            "--check-stride", "4",
-        ]
-        assert main(flags) == 0
-        per_cell = capsys.readouterr().out
-        assert main([*flags, "--trial-batch"]) == 0
-        batched = capsys.readouterr().out
-        # Identical numbers up to the timing table (wall clock is the
-        # one column allowed to differ between execution modes).
-        marker = "mean wall clock"
-        assert per_cell.split(marker)[0] == batched.split(marker)[0]
-        assert marker in per_cell and marker in batched
-
-    def test_sweep_trial_batch_resume_roundtrip(self, capsys, tmp_path):
-        flags = [
-            "sweep",
-            "--sizes", "24",
-            "--epsilon", "0.3",
-            "--trials", "2",
-            "--algorithms", "randomized",
-            "--check-stride", "4",
-            "--store-dir", str(tmp_path),
-        ]
-        assert main([*flags, "--trial-batch"]) == 0
-        capsys.readouterr()
-        # Per-cell resume of a trial-batch store: every cell reused.
-        assert main([*flags, "--resume"]) == 0
-        assert "resuming past 2 finished cells" in capsys.readouterr().out
-
 
 class TestSweepService:
     def test_serve_sweep_parser_defaults(self):

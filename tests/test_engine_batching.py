@@ -479,22 +479,3 @@ class TestWarningAttribution:
         assert filenames and all(
             name.endswith("test_engine_batching.py") for name in filenames
         ), filenames
-
-    def test_trial_batch_fallback_attributes_to_caller(self):
-        from repro.engine.executor import run_sweep_records
-        from repro.engine.tensor import TrialBatchFallbackWarning
-        from repro.experiments.config import ExperimentConfig
-
-        config = ExperimentConfig(
-            sizes=(24,),
-            trials=1,
-            epsilon=0.3,
-            algorithms=("hierarchical",),
-        )
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            run_sweep_records(config, trial_batch=True)
-        filenames = self._filenames(captured, TrialBatchFallbackWarning)
-        assert filenames and all(
-            name.endswith("test_engine_batching.py") for name in filenames
-        ), filenames

@@ -398,70 +398,8 @@ class TestMergeRecords:
         assert payload["algorithm"] == "randomized"
 
 
-class TestTrialBatchStoreCompat:
-    """trial_batch is an execution mode: stores written either way are
-    interchangeable, and the content key never mentions it."""
-
-    @pytest.fixture
-    def sweep_config(self):
-        return ExperimentConfig(
-            sizes=(32,),
-            epsilon=0.3,
-            trials=3,
-            radius_constant=3.0,
-            algorithms=("randomized", "geographic"),
-        )
-
-    def test_per_cell_store_resumes_under_trial_batch(
-        self, tmp_path, sweep_config
-    ):
-        store = ResultStore(tmp_path, sweep_config, check_stride=4)
-        per_cell = run_sweep_records(sweep_config, check_stride=4, store=store)
-        fresh = []
-        resumed = run_sweep_records(
-            sweep_config,
-            check_stride=4,
-            store=ResultStore(tmp_path, sweep_config, check_stride=4),
-            trial_batch=True,
-            on_record=lambda record, is_fresh: fresh.append(is_fresh),
-        )
-        assert resumed == per_cell
-        assert fresh == [False] * len(expand_grid(sweep_config))
-
-    def test_trial_batch_store_resumes_per_cell(self, tmp_path, sweep_config):
-        store = ResultStore(tmp_path, sweep_config, check_stride=4)
-        batched = run_sweep_records(
-            sweep_config, check_stride=4, store=store, trial_batch=True
-        )
-        fresh = []
-        resumed = run_sweep_records(
-            sweep_config,
-            check_stride=4,
-            store=ResultStore(tmp_path, sweep_config, check_stride=4),
-            on_record=lambda record, is_fresh: fresh.append(is_fresh),
-        )
-        assert resumed == batched
-        assert fresh == [False] * len(expand_grid(sweep_config))
-
-    def test_content_key_ignores_trial_batch_and_stays_pinned(
-        self, sweep_config
-    ):
-        """Execution modes (workers, trial_batch) are not sweep identity:
-        one config has exactly one key, still the pinned default."""
-        assert content_key(sweep_config) == content_key(sweep_config)
+class TestContentKeyPin:
+    def test_default_content_key_stays_pinned(self):
+        """Execution modes (workers, stride source) are not sweep identity:
+        the default config keeps its pinned key."""
         assert content_key(ExperimentConfig()) == "379068f1d8668c31"
-
-    def test_partial_store_completes_under_trial_batch(
-        self, tmp_path, sweep_config
-    ):
-        reference = run_sweep_records(sweep_config, check_stride=4)
-        store = ResultStore(tmp_path, sweep_config, check_stride=4)
-        first_key = expand_grid(sweep_config)[0].key
-        store.append(reference[first_key])
-        resumed = run_sweep_records(
-            sweep_config,
-            check_stride=4,
-            store=ResultStore(tmp_path, sweep_config, check_stride=4),
-            trial_batch=True,
-        )
-        assert resumed == reference

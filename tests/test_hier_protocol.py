@@ -1,8 +1,13 @@
 """Unit tests for repro.gossip.hierarchical.protocol (async state machine)."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.dynamics import DynamicGossip, DynamicSubstrate, FaultSpec
+from repro.engine.batching import ScalarFallbackWarning, run_batched
 from repro.gossip.hierarchical import AsyncHierarchicalProtocol
 from repro.graphs import RandomGeometricGraph
 from repro.hierarchy import HierarchyTree
@@ -90,3 +95,61 @@ class TestExecution:
         budgets = proto._time_budgets
         assert all(b > 0 for b in budgets)
         assert budgets[0] > budgets[-1]
+
+
+class TestEngineStrides:
+    """Per-run setup happens in ``begin_run``, which the one tick driver
+    calls at every stride (a strided run used to skip it and index an
+    empty time-budget list)."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        rng = np.random.default_rng(97)
+        graph = RandomGeometricGraph.sample_connected(
+            128, rng, radius_constant=2.5
+        )
+        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
+        field = np.random.default_rng(101).normal(size=graph.n)
+        return graph, tree, field
+
+    def _run(self, world, check_stride):
+        graph, tree, field = world
+        proto = AsyncHierarchicalProtocol(graph, tree=tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalarFallbackWarning)
+            result = run_batched(
+                proto, field, 0.3, np.random.default_rng(17),
+                check_stride=check_stride,
+            )
+        return proto, result
+
+    def test_stride1_numbers_unchanged(self, world):
+        _, result = self._run(world, 1)
+        assert result.converged
+        assert result.ticks == 33248
+        assert result.transmissions == {
+            "activation": 373, "near": 39150, "far": 22, "total": 39545,
+        }
+        digest = hashlib.sha256(result.values.tobytes()).hexdigest()
+        assert digest.startswith("14682978bf628119")
+
+    def test_stride4_runs_the_per_run_setup(self, world):
+        proto, result = self._run(world, 4)
+        assert result.converged
+        assert proto._time_budgets
+        assert proto.far_exchanges > 0
+        graph, _, field = world
+        assert result.values.sum() == pytest.approx(field.sum(), abs=1e-9)
+
+    def test_fault_free_wrapper_forwards_the_per_run_setup(self, world):
+        graph, tree, field = world
+        substrate = DynamicSubstrate(graph, FaultSpec(), seed=1)
+        wrapped = DynamicGossip(
+            AsyncHierarchicalProtocol(substrate, tree=tree), substrate
+        )
+        result = run_batched(wrapped, field, 0.3, np.random.default_rng(17))
+        _, plain = self._run(world, 1)
+        assert (result.ticks, result.transmissions) == (
+            plain.ticks, plain.transmissions,
+        )
+        np.testing.assert_array_equal(result.values, plain.values)

@@ -468,6 +468,25 @@ def test_metrics_on_runs_are_bit_identical(name, check_stride):
         assert len(profiler) > 0
 
 
+@pytest.mark.parametrize("check_stride", [1, 4])
+def test_every_stride_records_spans_and_engine_metrics(check_stride):
+    """One tick driver serves every stride, so the CLI's default stride 1
+    is instrumented exactly like the strided path."""
+    case = CASES["geographic-uniform"]
+    with metrics.expose() as registry, profile.capture() as profiler:
+        result = run_engine(case, seed=7, check_stride=check_stride)
+    name = case.factory().name
+    checks = registry.counter("repro_engine_checks_total").value(algorithm=name)
+    assert registry.counter("repro_engine_runs_total").value(algorithm=name) == 1
+    assert (
+        registry.counter("repro_engine_ticks_total").value(algorithm=name)
+        == result.ticks
+    )
+    assert checks >= 1
+    spans = {row["span"]: row["count"] for row in profiler.hotpath_table()}
+    assert spans["window"] >= checks and spans["check"] == checks
+
+
 @pytest.mark.parametrize("name", ["path-averaging-faulted", "randomized-faulted"])
 def test_fault_counters_populate_under_churn(name):
     with metrics.expose() as registry:
@@ -758,6 +777,29 @@ class TestProfileCommand:
             return out
 
         assert numbers(profiled) == numbers(plain)
+
+    def test_profile_defaults_match_run_defaults(self, capsys):
+        """Both commands default to stride 1, so their numbers agree
+        without any stride flag (profile's default algorithm is passed
+        to 'run', whose own default is hierarchical)."""
+        from repro.cli import main
+
+        assert main(["profile"]) == 0
+        profiled = capsys.readouterr().out
+        assert main(["run", "--algorithm", "geographic"]) == 0
+        plain = capsys.readouterr().out
+
+        def numbers(text: str) -> dict:
+            out = {}
+            for field in ("converged", "transmissions", "ticks"):
+                match = re.search(rf"^\s*{field}\s+\|\s+(\S+)", text, re.M)
+                assert match, f"{field} row missing"
+                out[field] = match.group(1)
+            return out
+
+        assert numbers(profiled) == numbers(plain)
+        for span in ("run.window", "run.check"):
+            assert re.search(rf"^{re.escape(span)}\s", profiled, re.M), span
 
     def test_profile_leaves_observability_off_afterwards(self):
         from repro.cli import main

@@ -171,3 +171,45 @@ class TestInvalidate:
         for source in range(graph.n):
             path = cached.route_to_node(source, 59).path
             assert victim not in path[1:], (source, path)
+
+
+class TestRouteStatsVectors:
+    """The per-target ``(hops, destination)`` vectors of ``route_stats``."""
+
+    @pytest.fixture()
+    def cache(self):
+        graph = RandomGeometricGraph.sample_connected(
+            40, np.random.default_rng(11), radius_constant=3.0
+        )
+        return graph, CachedGreedyRouter(graph)
+
+    def test_stats_match_walked_routes(self, cache):
+        graph, router = cache
+        reference = CachedGreedyRouter(graph)
+        for target in range(0, 40, 7):
+            hops, dest = router.route_stats(target)
+            for source in range(40):
+                walked = reference.route_to_node(source, target)
+                assert dest[source] == walked.path[-1]
+                assert hops[source] == walked.hops
+
+    def test_accounting_one_hit_or_miss_per_call(self, cache):
+        _, router = cache
+        router.route_stats(3)
+        assert (router.hits, router.misses) == (0, 1)
+        router.route_stats(3)
+        assert (router.hits, router.misses) == (1, 1)
+        # A column warmed by the scalar API counts as a hit for stats.
+        router.route_to_node(0, 9)
+        hits, misses = router.hits, router.misses
+        router.route_stats(9)
+        assert (router.hits, router.misses) == (hits + 1, misses)
+
+    def test_invalidate_discards_stats(self, cache):
+        _, router = cache
+        hops_before, _ = router.route_stats(3)
+        router.invalidate()
+        hops_after, dest_after = router.route_stats(3)
+        assert hops_after is not hops_before
+        np.testing.assert_array_equal(hops_after, hops_before)
+        assert int(dest_after[3]) == 3
