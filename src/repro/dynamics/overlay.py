@@ -193,9 +193,13 @@ class DynamicSubstrate:
         The cache must have been built over this substrate (its columns
         snapshot ``self.neighbors``); on every epoch transition it is
         patched at exactly the changed nodes, or dropped wholesale after
-        a jitter rebuild.
+        a jitter rebuild.  Registration is idempotent per cache object:
+        protocols built on one substrate share its cache
+        (:meth:`CachedGreedyRouter.for_graph`), which must be invalidated
+        once per epoch transition, not once per protocol.
         """
-        self._caches.append(cache)
+        if not any(known is cache for known in self._caches):
+            self._caches.append(cache)
 
     # -- time ----------------------------------------------------------------
 

@@ -51,6 +51,7 @@ from repro.engine.executor import (
     build_graph,
     build_instance,
     build_values,
+    cell_substrate,
     execute_cell,
     expand_grid,
     run_sweep_records,
@@ -91,6 +92,7 @@ __all__ = [
     "build_values",
     "canonical_record_bytes",
     "cell_id",
+    "cell_substrate",
     "content_key",
     "diff_stores",
     "execute_cell",

@@ -4,10 +4,17 @@ A scaling sweep is a grid of independent cells, one per
 ``(algorithm, n, trial)``.  Each cell derives every RNG stream it needs —
 placement, field, run — from the experiment's root seed via the same
 :func:`repro.experiments.seeds.spawn_rng` tag paths the serial runner has
-always used.  Cells therefore share *nothing at run time*, which makes the
-parallel schedule irrelevant to the numbers: a sweep fanned across
-``concurrent.futures.ProcessPoolExecutor`` workers produces records
-identical to a serial sweep on the same seeds (tested).
+always used, so a cell's numbers never depend on which cells ran before
+it, or where.  What cells *do* share is work: the protocols of one
+``(n, trial)`` run on the same graph and field, so each process builds
+that substrate once (:func:`cell_substrate`, a one-entry memo that
+``expand_grid``'s trial-adjacent order keeps warm), hands every protocol
+the same read-only field, and lets the routed protocols share one exact
+route table (:meth:`repro.routing.cache.CachedGreedyRouter.for_graph`).
+Sharing is invisible in the numbers: a sweep fanned across
+``concurrent.futures.ProcessPoolExecutor`` workers, or run in any cell
+order, produces records identical to a serial sweep on the same seeds
+(tested).
 
 :func:`run_sweep_records` is the engine entry point.  It optionally pairs
 with a :class:`repro.engine.store.ResultStore`: finished cells are
@@ -34,7 +41,12 @@ from repro.gossip.base import AsynchronousGossip
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.observability import profile as _profile
-from repro.observability.telemetry import collect_telemetry, metric_deltas
+from repro.observability.telemetry import (
+    cache_stats,
+    collect_telemetry,
+    metric_deltas,
+)
+from repro.routing.cache import CachedGreedyRouter
 from repro.workloads.fields import FIELD_GENERATORS, build_field_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a layer cycle
@@ -50,6 +62,7 @@ __all__ = [
     "build_graph",
     "build_instance",
     "build_values",
+    "cell_substrate",
     "cell_trace_path",
     "cell_traceable",
     "execute_cell",
@@ -237,6 +250,51 @@ def build_instance(config: ExperimentConfig, n: int, trial: int):
     return graph, build_values(config, graph, n, trial)
 
 
+@dataclass
+class _Substrate:
+    """The memoized ``(n, trial)`` instance and the protocols run on it."""
+
+    key: tuple
+    graph: object
+    values: object
+    consumers: set[str]
+
+
+#: One-entry per-process memo behind :func:`cell_substrate`.
+_memo: "_Substrate | None" = None
+
+
+def cell_substrate(config: ExperimentConfig, cell: SweepCell):
+    """The ``(graph, values)`` instance ``cell`` runs on, built once per trial.
+
+    A one-entry per-process memo keyed by ``(config, n, trial)``: the
+    protocols of one trial are adjacent in :func:`expand_grid`'s order,
+    so the serial loop, each pool worker and each service worker build a
+    trial's graph and field once and hand them to every protocol of the
+    trial — together with the graph's shared route cache.  The field
+    array is marked read-only (every run works on its own copy), so no
+    cell can perturb the next one's input.
+
+    A cell that already ran on the memoized instance (the same sweep
+    executed again in one process) gets a fresh build instead, so a
+    cell never inherits route columns from its own earlier run.  On
+    eviction the old graph's shared cache is released, which frees its
+    route table immediately rather than at the next garbage collection.
+    """
+    global _memo
+    key = (config, cell.n, cell.trial)
+    if _memo is None or _memo.key != key or cell.algorithm in _memo.consumers:
+        if _memo is not None:
+            # Free the old route table before the new trial fills one.
+            CachedGreedyRouter.release(_memo.graph)
+            _memo = None
+        graph, values = build_instance(config, cell.n, cell.trial)
+        values.flags.writeable = False
+        _memo = _Substrate(key, graph, values, set())
+    _memo.consumers.add(cell.algorithm)
+    return _memo.graph, _memo.values
+
+
 def expand_grid(config: ExperimentConfig) -> list[SweepCell]:
     """All cells of a sweep, in the serial runner's historical order."""
     return [
@@ -348,10 +406,13 @@ def execute_cell(
     registry = _metrics.active()
     counters_before = registry.counter_totals() if registry is not None else None
     with _profile.span("build"):
-        graph, values = build_instance(config, cell.n, cell.trial)
+        graph, values = cell_substrate(config, cell)
         algorithm = build_cell_algorithm(
             config, graph, cell.algorithm, cell.n, cell.trial
         )
+    # The route cache may already hold columns (and counts) from the
+    # trial's earlier protocols: the cell reports only its own movement.
+    cache_before = cache_stats(algorithm)
     run_rng = spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)
     tracing = trace_dir is not None and cell_traceable(algorithm, values)
     trace_events = None
@@ -412,6 +473,7 @@ def execute_cell(
         multifield_runs=(values.shape[1] if multifield_fallback else None),
         trace_events=trace_events,
         metrics=cell_metrics,
+        cache_baseline=cache_before,
     )
     fault_metrics = getattr(algorithm, "fault_metrics", None)
     return CellRecord(

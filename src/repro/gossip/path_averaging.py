@@ -113,9 +113,10 @@ class PathAveragingGossip(AsynchronousGossip):
             )
         self.graph = graph
         self.router = GreedyRouter(graph)
-        # The batched tick path routes through the exact memoized router;
-        # the scalar loop keeps the plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter(self.router)
+        # The batched tick path routes through the exact memoized router
+        # every protocol on this graph shares; the scalar loop keeps the
+        # plain one (bit-identical legacy path).
+        self.route_cache = CachedGreedyRouter.for_graph(graph)
         self.target_mode = target_mode
         self.failed_exchanges = 0
 

@@ -60,9 +60,10 @@ class SpatialGossip(AsynchronousGossip):
         self.graph = graph
         self.rho = rho
         self.router = GreedyRouter(graph)
-        # Batched ticks route through the exact memoized router; the
-        # scalar loop keeps the plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter(self.router)
+        # The batched tick path routes through the exact memoized router
+        # every protocol on this graph shares; the scalar loop keeps the
+        # plain one (bit-identical legacy path).
+        self.route_cache = CachedGreedyRouter.for_graph(graph)
         self.failed_exchanges = 0
         self._cumulative = self._target_cdfs()
 

@@ -61,6 +61,7 @@ def collect_telemetry(
     multifield_runs: "int | None" = None,
     trace_events: "int | None" = None,
     metrics: "dict[str, float] | None" = None,
+    cache_baseline: "dict[str, float] | None" = None,
 ) -> dict[str, float]:
     """One cell's flat telemetry mapping.
 
@@ -76,6 +77,11 @@ def collect_telemetry(
     to a single run.  ``metrics`` (from :func:`metric_deltas`) merges
     registry counter movement attributed to this cell, each entry
     prefixed ``metric_``.
+
+    Route caches are shared by the protocols of one graph, so their
+    counters are cumulative across cells; ``cache_baseline`` (a
+    :func:`cache_stats` snapshot taken before the run) turns them into
+    this run's own movement.
     """
     telemetry = {
         "ticks_per_sec": (
@@ -88,6 +94,11 @@ def collect_telemetry(
         telemetry["multifield_fallback_runs"] = float(multifield_runs)
     stats = cache_stats(algorithm)
     if stats is not None:
+        if cache_baseline is not None:
+            stats = {
+                name: value - cache_baseline[name]
+                for name, value in stats.items()
+            }
         telemetry.update(stats)
     if trace_events is not None:
         telemetry["trace_events"] = float(trace_events)

@@ -5,9 +5,18 @@ towards target node ``t`` depends only on ``(u, t)`` and the fixed graph.
 The first time a target ``t`` is routed to, :class:`CachedGreedyRouter`
 builds the *entire* next-hop column for ``t`` — the greedy successor of
 every node — in one vectorized segment-min pass over the flattened
-adjacency (``np.minimum.reduceat``).  One column build costs about as
-much as a single scalar route walk, and afterwards every route towards
+adjacency (``np.minimum.reduceat``).  A column build is a handful of
+O(edges) array passes into buffers preallocated per adjacency snapshot
+(no per-build allocation at edge scale); afterwards every route towards
 ``t``, from any source, is a chain of O(1) array lookups.
+
+Columns depend only on the graph, so every protocol routed over one
+graph object shares one cache: :meth:`CachedGreedyRouter.for_graph`
+builds it on first request and stores it on the graph instance.  The
+sweep executor builds each ``(n, trial)`` graph once per process, so
+the geographic, spatial and path-averaging cells of a trial share one
+route table — the numbers are unaffected, because a column is the same
+whichever protocol built it.
 
 The cache is **exact**: the column applies the same elementwise IEEE
 arithmetic and the same first-minimum tie-breaking as the scalar
@@ -69,9 +78,12 @@ class CachedGreedyRouter:
 
     #: Above this many row-repairs (changed rows × cached columns) an
     #: :meth:`invalidate` call drops the columns instead of patching
-    #: them: one vectorized column rebuild costs about one route walk,
-    #: which beats a wide scalar repair sweep.
+    #: them: vectorized column rebuilds on demand beat a wide scalar
+    #: repair sweep.
     REPAIR_BUDGET = 20_000
+
+    #: Attribute :meth:`for_graph` stores a graph's shared cache under.
+    _SHARED_ATTR = "_shared_route_cache"
 
     def __init__(self, router: GreedyRouter | RandomGeometricGraph):
         if isinstance(router, RandomGeometricGraph):
@@ -105,8 +117,41 @@ class CachedGreedyRouter:
         if registry is not None:
             _metrics.cache_collector(registry, self)
 
+    @classmethod
+    def for_graph(cls, graph) -> "CachedGreedyRouter":
+        """The one cache shared by every protocol routed over ``graph``.
+
+        Built on the first request and stored on the graph instance, so
+        protocols built on the same graph object (the protocols of one
+        sweep ``(n, trial)``) reuse each other's next-hop columns.  A
+        :class:`~repro.dynamics.overlay.DynamicSubstrate` is its own
+        graph object, so a faulted cell gets its own cache.
+        """
+        cache = getattr(graph, cls._SHARED_ATTR, None)
+        if cache is None:
+            cache = cls(GreedyRouter(graph))
+            setattr(graph, cls._SHARED_ATTR, cache)
+        return cache
+
+    @classmethod
+    def release(cls, graph) -> None:
+        """Detach ``graph``'s shared cache, if any.
+
+        The cache references its graph, so a stored cache forms a
+        reference cycle; releasing it lets both be freed by reference
+        counting the moment their last user lets go, instead of at the
+        next cyclic garbage collection.  The sweep executor calls this
+        when it evicts a graph from its memo.
+        """
+        vars(graph).pop(cls._SHARED_ATTR, None)
+
     def _refresh_adjacency(self) -> None:
-        """Snapshot ``graph.neighbors`` into the flattened reduceat layout."""
+        """Snapshot ``graph.neighbors`` into the flattened reduceat layout.
+
+        Also (re)allocates :meth:`_build_column`'s work buffers, sized to
+        the snapshot's edge count, so column builds allocate nothing at
+        edge scale; :meth:`invalidate` re-sizes them through here.
+        """
         neighbors = self.graph.neighbors
         n = self.graph.n
         degrees = np.array([adj.size for adj in neighbors], dtype=np.int64)
@@ -117,17 +162,30 @@ class CachedGreedyRouter:
         )
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(degrees[:-1], out=offsets[1:])
-        self._degrees = degrees
         self._flat = flat
         #: Segment starts for ``reduceat`` over *sentinel-padded* value
-        #: arrays (:meth:`_build_column` appends one pad element).  A
+        #: arrays (the work buffers below end in one pad element).  A
         #: zero-degree node's offset equals its successor's — clipping it
         #: into range (the old scheme) would also truncate the *previous*
         #: node's segment end whenever trailing nodes are isolated, which
         #: time-varying substrates produce routinely; padding keeps every
         #: offset valid without moving any segment boundary.
         self._offsets = offsets
-        self._flat_index = np.arange(flat.size, dtype=np.int64)
+        self._has_neighbors = degrees > 0
+        edges = flat.size
+        self._flat_index = np.arange(edges, dtype=np.int64)
+        #: Owning node of every flat slot (gathers segment minima back
+        #: onto their edges without an ``np.repeat`` allocation).
+        self._segment = np.repeat(self._nodes, degrees)
+        # Work buffers with one trailing sentinel pad each, set once
+        # here: ``inf`` never wins a minimum, and index ``edges`` never
+        # beats a real slot.
+        self._neighbor_sq = np.empty(edges + 1, dtype=np.float64)
+        self._neighbor_sq[edges] = np.inf
+        self._masked_index = np.empty(edges + 1, dtype=np.int64)
+        self._masked_index[edges] = edges
+        self._edge_min = np.empty(edges, dtype=np.float64)
+        self._is_min = np.empty(edges, dtype=bool)
 
     def __len__(self) -> int:
         """Number of cached next-hop columns (distinct targets seen)."""
@@ -332,24 +390,25 @@ class CachedGreedyRouter:
         positions = self.router._positions
         diff = positions - positions[target_node]
         dist_sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        if self._flat.size == 0:
+        edges = self._flat.size
+        if edges == 0:
             return self._nodes.copy()
-        # One sentinel pad keeps every offset (including those of empty
-        # trailing segments, which equal flat.size) a valid reduceat
+        # The sentinel pad keeps every offset (including those of empty
+        # trailing segments, which equal the edge count) a valid reduceat
         # index; padded slots only ever land in zero-degree segments,
-        # which ``_degrees > 0`` masks out below.
-        neighbor_sq = np.append(dist_sq[self._flat], np.inf)
+        # which ``_has_neighbors`` masks out below.  ``mode="clip"`` lets
+        # ``take`` write straight into ``out`` (indices are in range).
+        neighbor_sq = self._neighbor_sq
+        np.take(dist_sq, self._flat, out=neighbor_sq[:edges], mode="clip")
         segment_min = np.minimum.reduceat(neighbor_sq, self._offsets)
         # First index attaining the per-segment minimum == np.argmin.
-        masked_index = np.append(
-            np.where(
-                neighbor_sq[:-1] == np.repeat(segment_min, self._degrees),
-                self._flat_index,
-                self._flat.size,
-            ),
-            self._flat.size,
-        )
+        np.take(segment_min, self._segment, out=self._edge_min, mode="clip")
+        np.equal(neighbor_sq[:edges], self._edge_min, out=self._is_min)
+        masked_index = self._masked_index
+        masked_index[:edges] = edges
+        np.copyto(masked_index[:edges], self._flat_index, where=self._is_min)
         first_index = np.minimum.reduceat(masked_index, self._offsets)
-        best_neighbor = self._flat[np.minimum(first_index, self._flat.size - 1)]
-        progress = (self._degrees > 0) & (segment_min < dist_sq)
+        np.minimum(first_index, edges - 1, out=first_index)
+        best_neighbor = self._flat[first_index]
+        progress = self._has_neighbors & (segment_min < dist_sq)
         return np.where(progress, best_neighbor, self._nodes)

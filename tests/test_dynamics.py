@@ -251,6 +251,30 @@ class TestDynamicSubstrate:
         assert substrate.epoch >= 2
         assert result.values.sum() == pytest.approx(values.sum(), abs=1e-9)
 
+    def test_shared_cache_is_repaired_once_per_epoch(self, graph):
+        """Two protocols on one substrate share its route cache, which
+        must be registered (and so repaired) once, not once per wrapper."""
+        spec = FaultSpec(churn_rate=0.2, recover_rate=0.0, epoch_ticks=16)
+        substrate = DynamicSubstrate(graph, spec, seed=5)
+        geographic = GeographicGossip(substrate)
+        averaging = PathAveragingGossip(substrate)
+        cache = geographic.route_cache
+        assert averaging.route_cache is cache
+        DynamicGossip(geographic, substrate)
+        DynamicGossip(averaging, substrate)
+        for target in (0, 11, 23, 47):
+            cache.route_to_node(5, target)
+        before = [adj.copy() for adj in substrate.neighbors]
+        substrate.advance_to(spec.epoch_ticks)
+        changed = sum(
+            not np.array_equal(old, new)
+            for old, new in zip(before, substrate.neighbors)
+        )
+        assert changed > 0, "churn should have crashed someone"
+        assert cache.invalidations == 1
+        assert cache.drops == 0
+        assert cache.repairs == changed * len(cache)
+
     def test_jitter_moves_positions_and_rebuilds(self, graph):
         spec = FaultSpec(jitter_sigma=0.05, epoch_ticks=16)
         substrate = DynamicSubstrate(graph, spec, seed=5)

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.engine.batching import run_batched
 from repro.engine.executor import (
     SweepCell,
+    build_cell_algorithm,
+    build_instance,
+    cell_substrate,
     execute_cell,
     expand_grid,
     run_sweep_records,
 )
+from repro.engine.service import diff_stores
+from repro.engine.store import ResultStore
 from repro.experiments import (
     ExperimentConfig,
     aggregate_records,
@@ -16,6 +22,18 @@ from repro.experiments import (
     run_convergence,
     run_scaling_sweep,
 )
+from repro.experiments.seeds import spawn_rng
+from repro.observability.telemetry import cache_stats
+
+#: A routed grid: the three protocols that share a trial's route table.
+ROUTED = ExperimentConfig(
+    sizes=(64, 96),
+    epsilon=0.3,
+    trials=2,
+    radius_constant=3.0,
+    algorithms=("geographic", "spatial", "path-averaging"),
+)
+STRIDE = 4
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +107,102 @@ class TestDeterminism:
                 expected = aggregate_trials(name, n, results)
                 point = next(p for p in sweep[name] if p.n == n)
                 assert point == expected
+
+
+def _isolated_run(config, cell, check_stride):
+    """Run ``cell`` on a substrate and route table nothing else touched."""
+    graph, values = build_instance(config, cell.n, cell.trial)
+    algorithm = build_cell_algorithm(
+        config, graph, cell.algorithm, cell.n, cell.trial
+    )
+    rng = spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)
+    result = run_batched(
+        algorithm, values, config.epsilon, rng, check_stride=check_stride
+    )
+    return result, algorithm
+
+
+class TestSharedSubstrate:
+    """A trial's protocols share one substrate and route table per process;
+    the numbers must not depend on who built what first."""
+
+    def test_execution_order_never_changes_records(self, tmp_path):
+        grid = expand_grid(ROUTED)
+        run_sweep_records(
+            ROUTED,
+            check_stride=STRIDE,
+            store=ResultStore(tmp_path / "grid", ROUTED, STRIDE),
+        )
+        reversed_store = ResultStore(tmp_path / "reversed", ROUTED, STRIDE).open()
+        for cell in reversed(grid):
+            reversed_store.append(execute_cell(ROUTED, cell, STRIDE))
+        run_sweep_records(
+            ROUTED,
+            workers=2,
+            check_stride=STRIDE,
+            store=ResultStore(tmp_path / "pool", ROUTED, STRIDE),
+        )
+        assert diff_stores(tmp_path / "grid", tmp_path / "reversed") == []
+        assert diff_stores(tmp_path / "grid", tmp_path / "pool") == []
+
+    def test_records_match_unshared_runs(self):
+        records = run_sweep_records(ROUTED, check_stride=STRIDE)
+        for cell in expand_grid(ROUTED):
+            result, _ = _isolated_run(ROUTED, cell, STRIDE)
+            record = records[cell.key]
+            assert dict(record.transmissions) == result.transmissions
+            assert (record.ticks, record.error) == (result.ticks, result.error)
+
+    def test_faulted_records_are_order_invariant(self):
+        faulted = ExperimentConfig(
+            sizes=(48,),
+            epsilon=0.3,
+            trials=2,
+            radius_constant=3.0,
+            algorithms=("geographic", "path-averaging"),
+            faults="churn=0.05,recover=0.3,loss=0.05,epoch=128",
+        )
+        grid = expand_grid(faulted)
+        forward = {
+            cell.key: execute_cell(faulted, cell, STRIDE) for cell in grid
+        }
+        backward = {
+            cell.key: execute_cell(faulted, cell, STRIDE)
+            for cell in reversed(grid)
+        }
+        assert forward == backward
+        for cell in grid:
+            result, _ = _isolated_run(faulted, cell, STRIDE)
+            assert dict(forward[cell.key].transmissions) == result.transmissions
+            assert forward[cell.key].faults is not None
+
+    def test_memoized_field_is_read_only(self):
+        cell = SweepCell("geographic", 64, 0)
+        graph, values = cell_substrate(ROUTED, cell)
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        # The next protocol of the trial gets the very same instance.
+        shared = cell_substrate(ROUTED, SweepCell("spatial", 64, 0))
+        assert shared[0] is graph and shared[1] is values
+
+    def test_route_cache_telemetry_is_per_cell(self):
+        records = run_sweep_records(ROUTED, check_stride=STRIDE)
+        for n in ROUTED.sizes:
+            for trial in range(ROUTED.trials):
+                cells = [records[(name, n, trial)] for name in ROUTED.algorithms]
+                misses = sum(r.telemetry["cache_misses"] for r in cells)
+                # One column build per distinct target across the trial.
+                assert 0 < misses <= n
+        for cell in expand_grid(ROUTED):
+            telemetry = records[cell.key].telemetry
+            _, algorithm = _isolated_run(ROUTED, cell, STRIDE)
+            alone = cache_stats(algorithm)
+            # The cell's lookups are its own, whoever built the columns.
+            assert (
+                telemetry["cache_hits"] + telemetry["cache_misses"]
+                == alone["cache_hits"] + alone["cache_misses"]
+            )
+            assert telemetry["cache_misses"] <= alone["cache_misses"]
 
 
 class TestAggregation:

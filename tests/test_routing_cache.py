@@ -173,6 +173,103 @@ class TestInvalidate:
             assert victim not in path[1:], (source, path)
 
 
+class TestSharedCache:
+    """``for_graph``: one route table per graph object."""
+
+    def test_protocols_on_one_graph_share_one_cache(self):
+        from repro.gossip.geographic import GeographicGossip
+        from repro.gossip.path_averaging import PathAveragingGossip
+        from repro.gossip.spatial import SpatialGossip
+
+        graph = RandomGeometricGraph.sample_connected(
+            30, np.random.default_rng(7), radius_constant=3.0
+        )
+        caches = {
+            id(protocol.route_cache)
+            for protocol in (
+                GeographicGossip(graph),
+                SpatialGossip(graph),
+                PathAveragingGossip(graph),
+            )
+        }
+        assert caches == {id(CachedGreedyRouter.for_graph(graph))}
+        other = RandomGeometricGraph.sample_connected(
+            30, np.random.default_rng(7), radius_constant=3.0
+        )
+        assert CachedGreedyRouter.for_graph(other) is not (
+            CachedGreedyRouter.for_graph(graph)
+        )
+
+    def test_release_detaches_the_shared_cache(self, graph):
+        shared = CachedGreedyRouter.for_graph(graph)
+        CachedGreedyRouter.release(graph)
+        assert CachedGreedyRouter.for_graph(graph) is not shared
+        CachedGreedyRouter.release(graph)
+
+
+class TestColumnBuildAfterResize:
+    """Column builds after ``invalidate`` re-sized the pad buffers."""
+
+    @staticmethod
+    def _assert_columns_match_scalar_rule(cache, graph):
+        positions = graph.positions
+        for target in range(graph.n):
+            column = cache._build_column(target)
+            expected = [
+                cache._next_hop(u, positions[target]) for u in range(graph.n)
+            ]
+            assert column.tolist() == expected, target
+
+    @staticmethod
+    def _isolate(graph, nodes):
+        """Cut ``nodes`` out of the adjacency in place; returns changed rows."""
+        changed = set(nodes)
+        for node in nodes:
+            for v in graph.neighbors[node]:
+                adj = graph.neighbors[int(v)]
+                graph.neighbors[int(v)] = adj[adj != node]
+                changed.add(int(v))
+            graph.neighbors[node] = np.empty(0, dtype=np.int64)
+        return sorted(changed)
+
+    def _graph(self):
+        return RandomGeometricGraph.sample_connected(
+            40, np.random.default_rng(31), radius_constant=3.0
+        )
+
+    def test_shrink_with_isolated_trailing_nodes(self):
+        graph = self._graph()
+        cache = CachedGreedyRouter(graph)
+        edges = cache._flat.size
+        changed = self._isolate(graph, [graph.n - 1, graph.n - 2, 7])
+        cache.invalidate(changed)
+        assert cache._flat.size < edges
+        assert cache._neighbor_sq.size == cache._flat.size + 1
+        self._assert_columns_match_scalar_rule(cache, graph)
+
+    def test_grow_back_from_isolated_trailing_nodes(self):
+        graph = self._graph()
+        pristine = list(graph.neighbors)
+        changed = self._isolate(graph, [graph.n - 1, graph.n - 3, 0])
+        cache = CachedGreedyRouter(graph)
+        for target in (1, 20, graph.n - 2):
+            cache.route_to_node(5, target)
+        edges = cache._flat.size
+        graph.neighbors[:] = pristine
+        cache.invalidate(changed)
+        assert cache._flat.size > edges
+        assert cache._masked_index.size == cache._flat.size + 1
+        self._assert_columns_match_scalar_rule(cache, graph)
+        # The columns repaired in place agree with fresh builds too.
+        fresh = CachedGreedyRouter(graph)
+        for target in (1, 20, graph.n - 2):
+            for source in range(graph.n):
+                assert (
+                    cache.route_to_node(source, target).path
+                    == fresh.route_to_node(source, target).path
+                )
+
+
 class TestRouteStatsVectors:
     """The per-target ``(hops, destination)`` vectors of ``route_stats``."""
 
