@@ -194,9 +194,10 @@ class DynamicSubstrate:
         snapshot ``self.neighbors``); on every epoch transition it is
         patched at exactly the changed nodes, or dropped wholesale after
         a jitter rebuild.  Registration is idempotent per cache object:
-        protocols built on one substrate share its cache
-        (:meth:`CachedGreedyRouter.for_graph`), which must be invalidated
-        once per epoch transition, not once per protocol.
+        protocols built on a substrate that shares its cache
+        (:meth:`CachedGreedyRouter.share`) all register that one cache,
+        which must be invalidated once per epoch transition, not once per
+        protocol.
         """
         if not any(known is cache for known in self._caches):
             self._caches.append(cache)

@@ -52,6 +52,7 @@ from repro.engine.executor import (
     build_instance,
     build_values,
     cell_substrate,
+    clear_substrate,
     execute_cell,
     expand_grid,
     run_sweep_records,
@@ -93,6 +94,7 @@ __all__ = [
     "canonical_record_bytes",
     "cell_id",
     "cell_substrate",
+    "clear_substrate",
     "content_key",
     "diff_stores",
     "execute_cell",

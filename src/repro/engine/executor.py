@@ -6,12 +6,13 @@ placement, field, run — from the experiment's root seed via the same
 :func:`repro.experiments.seeds.spawn_rng` tag paths the serial runner has
 always used, so a cell's numbers never depend on which cells ran before
 it, or where.  What cells *do* share is work: the protocols of one
-``(n, trial)`` run on the same graph and field, so each process builds
-that substrate once (:func:`cell_substrate`, a one-entry memo that
-``expand_grid``'s trial-adjacent order keeps warm), hands every protocol
-the same read-only field, and lets the routed protocols share one exact
-route table (:meth:`repro.routing.cache.CachedGreedyRouter.for_graph`).
-Sharing is invisible in the numbers: a sweep fanned across
+``(n, trial)`` run on the same graph and field, so a process that
+receives a trial's cells consecutively (the serial loop always does)
+builds that substrate once (:func:`cell_substrate`, a one-entry memo),
+hands every protocol the same read-only field, and lets the routed
+protocols share one exact route table
+(:meth:`repro.routing.cache.CachedGreedyRouter.share`).  Sharing is
+invisible in the numbers: a sweep fanned across
 ``concurrent.futures.ProcessPoolExecutor`` workers, or run in any cell
 order, produces records identical to a serial sweep on the same seeds
 (tested).
@@ -65,6 +66,7 @@ __all__ = [
     "cell_substrate",
     "cell_trace_path",
     "cell_traceable",
+    "clear_substrate",
     "execute_cell",
     "expand_grid",
     "run_sweep_records",
@@ -250,49 +252,45 @@ def build_instance(config: ExperimentConfig, n: int, trial: int):
     return graph, build_values(config, graph, n, trial)
 
 
-@dataclass
-class _Substrate:
-    """The memoized ``(n, trial)`` instance and the protocols run on it."""
-
-    key: tuple
-    graph: object
-    values: object
-    consumers: set[str]
-
-
-#: One-entry per-process memo behind :func:`cell_substrate`.
-_memo: "_Substrate | None" = None
+#: One-entry per-process memo behind :func:`cell_substrate`:
+#: ``(key, graph, values, route_cache)``.  The memo owns the route cache;
+#: the graph holds only a weak reference to it.
+_memo: "tuple | None" = None
 
 
 def cell_substrate(config: ExperimentConfig, cell: SweepCell):
     """The ``(graph, values)`` instance ``cell`` runs on, built once per trial.
 
-    A one-entry per-process memo keyed by ``(config, n, trial)``: the
-    protocols of one trial are adjacent in :func:`expand_grid`'s order,
-    so the serial loop, each pool worker and each service worker build a
-    trial's graph and field once and hand them to every protocol of the
-    trial — together with the graph's shared route cache.  The field
-    array is marked read-only (every run works on its own copy), so no
-    cell can perturb the next one's input.
+    A one-entry per-process memo keyed by ``(config, n, trial)``: when a
+    process receives a trial's cells consecutively — always in the
+    serial loop, whose :func:`expand_grid` order keeps a trial's
+    protocols adjacent — it builds the trial's graph and field once and
+    hands them to every protocol of the trial, together with a route
+    cache shared on the graph (:meth:`CachedGreedyRouter.share`).  Pool
+    and service workers take cells one at a time from a shared queue, so
+    their consecutive cells often come from different trials and the
+    memo misses.  The field array is marked read-only (every run works
+    on its own copy), so no cell can perturb the next one's input.
 
-    A cell that already ran on the memoized instance (the same sweep
-    executed again in one process) gets a fresh build instead, so a
-    cell never inherits route columns from its own earlier run.  On
-    eviction the old graph's shared cache is released, which frees its
-    route table immediately rather than at the next garbage collection.
+    The key also holds the active metrics registry: a route cache
+    registers its pull-time collector with the registry active when it
+    is built, so a cache built under one registry (or none) is never
+    reused under another, where its counts would go unreported.
     """
     global _memo
-    key = (config, cell.n, cell.trial)
-    if _memo is None or _memo.key != key or cell.algorithm in _memo.consumers:
-        if _memo is not None:
-            # Free the old route table before the new trial fills one.
-            CachedGreedyRouter.release(_memo.graph)
-            _memo = None
+    key = (config, cell.n, cell.trial, _metrics.active())
+    if _memo is None or _memo[0] != key:
+        _memo = None  # free the previous trial's route table first
         graph, values = build_instance(config, cell.n, cell.trial)
         values.flags.writeable = False
-        _memo = _Substrate(key, graph, values, set())
-    _memo.consumers.add(cell.algorithm)
-    return _memo.graph, _memo.values
+        _memo = (key, graph, values, CachedGreedyRouter.share(graph))
+    return _memo[1], _memo[2]
+
+
+def clear_substrate() -> None:
+    """Drop :func:`cell_substrate`'s memoized instance and route table."""
+    global _memo
+    _memo = None
 
 
 def expand_grid(config: ExperimentConfig) -> list[SweepCell]:
@@ -576,12 +574,15 @@ def run_sweep_records(
             on_record(record, True)
 
     if workers == 1 or len(pending) <= 1:
-        for cell in pending:
-            _finish(
-                execute_cell(
-                    config, cell, check_stride, trace_dir, stacklevel + 1
+        try:
+            for cell in pending:
+                _finish(
+                    execute_cell(
+                        config, cell, check_stride, trace_dir, stacklevel + 1
+                    )
                 )
-            )
+        finally:
+            clear_substrate()
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from repro.engine.executor import (
     CellKey,
     CellRecord,
+    clear_substrate,
     execute_cell,
     expand_grid,
 )
@@ -497,6 +498,8 @@ def run_worker(
     while True:
         lease = queue.claim(worker_id)
         if lease is None:
+            # Idle or done: do not hold the last trial's route table.
+            clear_substrate()
             if queue.drained() and (
                 not daemon or queue.drain_requested()
             ):

@@ -114,9 +114,9 @@ class PathAveragingGossip(AsynchronousGossip):
         self.graph = graph
         self.router = GreedyRouter(graph)
         # The batched tick path routes through the exact memoized router
-        # every protocol on this graph shares; the scalar loop keeps the
-        # plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter.for_graph(graph)
+        # (the graph's shared one, if its owner attached one); the scalar
+        # loop keeps the plain one (bit-identical legacy path).
+        self.route_cache = CachedGreedyRouter.for_router(self.router)
         self.target_mode = target_mode
         self.failed_exchanges = 0
 

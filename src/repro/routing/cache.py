@@ -10,12 +10,15 @@ O(edges) array passes into buffers preallocated per adjacency snapshot
 (no per-build allocation at edge scale); afterwards every route towards
 ``t``, from any source, is a chain of O(1) array lookups.
 
-Columns depend only on the graph, so every protocol routed over one
-graph object shares one cache: :meth:`CachedGreedyRouter.for_graph`
-builds it on first request and stores it on the graph instance.  The
-sweep executor builds each ``(n, trial)`` graph once per process, so
-the geographic, spatial and path-averaging cells of a trial share one
-route table — the numbers are unaffected, because a column is the same
+Columns depend only on the graph, so protocols routed over one graph
+can share one cache.  Sharing is opt-in by the graph's owner:
+:meth:`CachedGreedyRouter.share` builds a cache and attaches it to the
+graph, and protocols built on that graph pick it up through
+:meth:`CachedGreedyRouter.for_router`; on any other graph they build a
+private cache, as before.  The sweep executor shares the route table of
+each ``(n, trial)`` graph it builds, so the geographic, spatial and
+path-averaging cells of a trial run in one process reuse each other's
+columns — the numbers are unaffected, because a column is the same
 whichever protocol built it.
 
 The cache is **exact**: the column applies the same elementwise IEEE
@@ -50,6 +53,8 @@ True
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.graphs.rgg import RandomGeometricGraph
@@ -82,7 +87,8 @@ class CachedGreedyRouter:
     #: repair sweep.
     REPAIR_BUDGET = 20_000
 
-    #: Attribute :meth:`for_graph` stores a graph's shared cache under.
+    #: Attribute :meth:`share` stores a weak reference to a graph's
+    #: shared cache under.
     _SHARED_ATTR = "_shared_route_cache"
 
     def __init__(self, router: GreedyRouter | RandomGeometricGraph):
@@ -118,32 +124,27 @@ class CachedGreedyRouter:
             _metrics.cache_collector(registry, self)
 
     @classmethod
-    def for_graph(cls, graph) -> "CachedGreedyRouter":
-        """The one cache shared by every protocol routed over ``graph``.
+    def share(cls, graph) -> "CachedGreedyRouter":
+        """A cache that protocols later built on ``graph`` will share.
 
-        Built on the first request and stored on the graph instance, so
-        protocols built on the same graph object (the protocols of one
-        sweep ``(n, trial)``) reuse each other's next-hop columns.  A
-        :class:`~repro.dynamics.overlay.DynamicSubstrate` is its own
-        graph object, so a faulted cell gets its own cache.
+        The caller owns the returned cache; ``graph`` keeps only a weak
+        reference to it, so there is no graph↔cache reference cycle and
+        the route table is freed the moment its owner (and the protocols
+        using it) let go.  A :class:`~repro.dynamics.overlay.DynamicSubstrate`
+        is a graph object of its own, so a faulted cell built over a
+        shared graph still gets a private cache.
         """
-        cache = getattr(graph, cls._SHARED_ATTR, None)
-        if cache is None:
-            cache = cls(GreedyRouter(graph))
-            setattr(graph, cls._SHARED_ATTR, cache)
+        cache = cls(GreedyRouter(graph))
+        setattr(graph, cls._SHARED_ATTR, weakref.ref(cache))
         return cache
 
     @classmethod
-    def release(cls, graph) -> None:
-        """Detach ``graph``'s shared cache, if any.
-
-        The cache references its graph, so a stored cache forms a
-        reference cycle; releasing it lets both be freed by reference
-        counting the moment their last user lets go, instead of at the
-        next cyclic garbage collection.  The sweep executor calls this
-        when it evicts a graph from its memo.
-        """
-        vars(graph).pop(cls._SHARED_ATTR, None)
+    def for_router(cls, router: GreedyRouter) -> "CachedGreedyRouter":
+        """``router.graph``'s shared cache if it has a live one, else a
+        private cache over ``router``."""
+        ref = getattr(router.graph, cls._SHARED_ATTR, None)
+        shared = ref() if ref is not None else None
+        return shared if shared is not None else cls(router)
 
     def _refresh_adjacency(self) -> None:
         """Snapshot ``graph.neighbors`` into the flattened reduceat layout.

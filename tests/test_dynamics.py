@@ -35,6 +35,7 @@ from repro.gossip.path_averaging import PathAveragingGossip
 from repro.gossip.randomized import RandomizedGossip
 from repro.gossip.spatial import SpatialGossip
 from repro.graphs.rgg import RandomGeometricGraph
+from repro.routing.cache import CachedGreedyRouter
 
 HARSH = FaultSpec(
     churn_rate=0.1,
@@ -256,9 +257,10 @@ class TestDynamicSubstrate:
         must be registered (and so repaired) once, not once per wrapper."""
         spec = FaultSpec(churn_rate=0.2, recover_rate=0.0, epoch_ticks=16)
         substrate = DynamicSubstrate(graph, spec, seed=5)
+        cache = CachedGreedyRouter.share(substrate)
         geographic = GeographicGossip(substrate)
         averaging = PathAveragingGossip(substrate)
-        cache = geographic.route_cache
+        assert geographic.route_cache is cache
         assert averaging.route_cache is cache
         DynamicGossip(geographic, substrate)
         DynamicGossip(averaging, substrate)

@@ -1,5 +1,7 @@
 """Unit tests for repro.routing.cache (memoized greedy routing)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,37 +176,43 @@ class TestInvalidate:
 
 
 class TestSharedCache:
-    """``for_graph``: one route table per graph object."""
+    """``share``/``for_router``: one route table per graph, when its owner
+    asks for one."""
 
-    def test_protocols_on_one_graph_share_one_cache(self):
+    @staticmethod
+    def _protocols(graph):
         from repro.gossip.geographic import GeographicGossip
         from repro.gossip.path_averaging import PathAveragingGossip
         from repro.gossip.spatial import SpatialGossip
 
-        graph = RandomGeometricGraph.sample_connected(
-            30, np.random.default_rng(7), radius_constant=3.0
-        )
-        caches = {
-            id(protocol.route_cache)
-            for protocol in (
-                GeographicGossip(graph),
-                SpatialGossip(graph),
-                PathAveragingGossip(graph),
-            )
-        }
-        assert caches == {id(CachedGreedyRouter.for_graph(graph))}
-        other = RandomGeometricGraph.sample_connected(
-            30, np.random.default_rng(7), radius_constant=3.0
-        )
-        assert CachedGreedyRouter.for_graph(other) is not (
-            CachedGreedyRouter.for_graph(graph)
+        return (
+            GeographicGossip(graph),
+            SpatialGossip(graph),
+            PathAveragingGossip(graph),
         )
 
-    def test_release_detaches_the_shared_cache(self, graph):
-        shared = CachedGreedyRouter.for_graph(graph)
-        CachedGreedyRouter.release(graph)
-        assert CachedGreedyRouter.for_graph(graph) is not shared
-        CachedGreedyRouter.release(graph)
+    def _graph(self):
+        return RandomGeometricGraph.sample_connected(
+            30, np.random.default_rng(7), radius_constant=3.0
+        )
+
+    def test_protocols_on_a_shared_graph_share_one_cache(self):
+        graph = self._graph()
+        shared = CachedGreedyRouter.share(graph)
+        for protocol in self._protocols(graph):
+            assert protocol.route_cache is shared
+
+    def test_unshared_graphs_get_private_caches(self):
+        caches = {id(p.route_cache) for p in self._protocols(self._graph())}
+        assert len(caches) == 3
+
+    def test_graph_does_not_keep_the_shared_cache_alive(self):
+        graph = self._graph()
+        shared = weakref.ref(CachedGreedyRouter.share(graph))
+        # The owner dropped it: freed by reference counting, no cycle.
+        assert shared() is None
+        protocol = self._protocols(graph)[0]
+        assert protocol.route_cache.graph is graph
 
 
 class TestColumnBuildAfterResize:
