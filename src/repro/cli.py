@@ -118,6 +118,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for durations that must be > 0 (clean usage errors)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _add_multifield_flags(parser: argparse.ArgumentParser) -> None:
     """The multi-field flags shared by ``run`` and ``sweep``."""
     parser.add_argument(
@@ -325,20 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ttl",
-        type=float,
+        type=_positive_float,
         default=10.0,
         help="seconds without a heartbeat before a lease counts as stale "
         "and may be reclaimed",
     )
     serve.add_argument(
         "--heartbeat-interval",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="seconds between a worker's heartbeats on its held lease",
     )
     serve.add_argument(
         "--poll-interval",
-        type=float,
+        type=_positive_float,
         default=0.2,
         help="idle-poll interval for workers and the coordinator",
     )
@@ -397,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority",
         type=int,
         choices=(0, 1, 2),
-        default=1,
+        default=None,
         help="daemon priority class for this first grid (p0 drains "
-        "before p1 before p2)",
+        "before p1 before p2; default 1)",
     )
 
     work = sub.add_parser(
@@ -419,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard / lease-owner identity (default: pid-based; must be "
         "unique per live worker on the queue)",
     )
-    work.add_argument("--heartbeat-interval", type=float, default=1.0)
-    work.add_argument("--poll-interval", type=float, default=0.2)
+    work.add_argument(
+        "--heartbeat-interval", type=_positive_float, default=1.0
+    )
+    work.add_argument("--poll-interval", type=_positive_float, default=0.2)
     work.add_argument(
         "--throttle",
         type=float,
@@ -1007,9 +1020,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
 def _command_serve_sweep(args: argparse.Namespace) -> int:
     import shutil
 
-    from repro.engine.service import run_distributed_sweep
+    from repro.engine.queue import DEFAULT_PRIORITY
+    from repro.engine.service import run_distributed_sweep, run_sweep_daemon
+    from repro.engine.store import ShardDivergenceError
     from repro.experiments.report import sweep_from_store
 
+    if not args.daemon and (args.max_pending, args.priority) != (None, None):
+        _usage_error("--max-pending and --priority only apply with --daemon")
     config = _sweep_config(args)
     store = ResultStore(args.store_dir, config, args.check_stride)
     queue_dir = (
@@ -1038,31 +1055,60 @@ def _command_serve_sweep(args: argparse.Namespace) -> int:
     def _metrics_url(url: str) -> None:
         print(f"metrics: {url}/metrics  (health: {url}/healthz)", flush=True)
 
-    if args.daemon:
-        return _serve_sweep_daemon(
-            args, config, queue_dir, _progress, _metrics_url
-        )
+    session = dict(
+        queue_dir=queue_dir,
+        workers=args.workers,
+        ttl=args.ttl,
+        heartbeat_interval=args.heartbeat_interval,
+        poll_interval=args.poll_interval,
+        worker_throttle=args.worker_throttle,
+        chaos_kill_after=args.chaos_kill_after,
+        max_respawns=args.max_respawns,
+        on_progress=_progress,
+        metrics_port=args.metrics_port,
+        on_metrics_url=_metrics_url,
+    )
     try:
-        run_distributed_sweep(
-            config,
-            store=store,
-            queue_dir=queue_dir,
-            workers=args.workers,
-            check_stride=args.check_stride,
-            ttl=args.ttl,
-            heartbeat_interval=args.heartbeat_interval,
-            poll_interval=args.poll_interval,
-            worker_throttle=args.worker_throttle,
-            trace=args.trace,
-            chaos_kill_after=args.chaos_kill_after,
-            max_respawns=args.max_respawns,
-            on_progress=_progress,
-            metrics_port=args.metrics_port,
-            on_metrics_url=_metrics_url,
-        )
+        if args.daemon:
+            print(
+                "daemon: accepting further grids via 'repro enqueue "
+                f"--queue-dir {queue_dir}'; stop with 'repro drain "
+                f"--queue-dir {queue_dir}' or SIGTERM"
+            )
+            priority = (
+                DEFAULT_PRIORITY if args.priority is None else args.priority
+            )
+            results = run_sweep_daemon(
+                args.store_dir,
+                max_pending=args.max_pending,
+                initial_grids=[
+                    (config, args.check_stride, args.trace, priority)
+                ],
+                handle_signals=True,
+                **session,
+            )
+        else:
+            run_distributed_sweep(
+                config,
+                store=store,
+                check_stride=args.check_stride,
+                trace=args.trace,
+                **session,
+            )
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except ShardDivergenceError:
+        raise
+    except ValueError as error:
+        _usage_error(str(error))
+    if args.daemon:
+        print(f"\ndrained {len(results)} grid(s):")
+        for key in sorted(results):
+            print(f"  {key}: {len(results[key])} cells -> "
+                  f"{Path(args.store_dir) / key}")
+        print(f"(partial report + telemetry under {queue_dir})")
+        return 0
     _print_sweep_tables(args, config, sweep_from_store(store))
     print(
         f"\nmerged store: {store.directory}  "
@@ -1070,51 +1116,6 @@ def _command_serve_sweep(args: argparse.Namespace) -> int:
     )
     if args.trace:
         print(f"validate traces with: python -m repro replay {store.root}")
-    return 0
-
-
-def _serve_sweep_daemon(
-    args: argparse.Namespace,
-    config,
-    queue_dir: Path,
-    on_progress,
-    on_metrics_url,
-) -> int:
-    from repro.engine.service import run_sweep_daemon
-
-    print(
-        "daemon: accepting further grids via 'repro enqueue "
-        f"--queue-dir {queue_dir}'; stop with 'repro drain "
-        f"--queue-dir {queue_dir}' or SIGTERM"
-    )
-    try:
-        results = run_sweep_daemon(
-            args.store_dir,
-            queue_dir=queue_dir,
-            workers=args.workers,
-            ttl=args.ttl,
-            heartbeat_interval=args.heartbeat_interval,
-            poll_interval=args.poll_interval,
-            worker_throttle=args.worker_throttle,
-            max_pending=args.max_pending,
-            max_respawns=args.max_respawns,
-            chaos_kill_after=args.chaos_kill_after,
-            metrics_port=args.metrics_port,
-            on_metrics_url=on_metrics_url,
-            on_progress=on_progress,
-            initial_grids=[
-                (config, args.check_stride, args.trace, args.priority)
-            ],
-            handle_signals=True,
-        )
-    except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(f"\ndrained {len(results)} grid(s):")
-    for key in sorted(results):
-        print(f"  {key}: {len(results[key])} cells -> "
-              f"{Path(args.store_dir) / key}")
-    print(f"(partial report + telemetry under {queue_dir})")
     return 0
 
 

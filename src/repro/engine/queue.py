@@ -774,6 +774,15 @@ class LeaseQueue:
             stem in done for _, _, stem, _ in self._pending_entries()
         )
 
+    def finished(self) -> bool:
+        """The session's exit rule, shared by workers and the coordinator.
+
+        A one-shot session is finished once it drains; a daemon session
+        only once it drains *after* :meth:`request_drain` — until then
+        an empty queue just waits for the next grid.
+        """
+        return self.drained() and (not self.daemon or self.drain_requested())
+
     def stats(self) -> QueueStats:
         """Queue-health snapshot: depth (split per priority class), live
         leases, completions, cumulative reclamations (the service

@@ -28,18 +28,23 @@ Failure handling in one line each (the full matrix lives in
 
 * worker dies mid-cell → its lease heartbeat goes stale, a surviving
   worker reclaims and re-executes;
-* every worker dies → the coordinator respawns replacements (bounded);
+* any worker dies → the coordinator replaces it individually (bounded);
 * coordinator dies → completed shards survive on disk; the next
   ``serve-sweep`` merges them before enqueueing only what is missing;
 * a shard record disagrees with the canonical store → the merge raises,
   nothing is silently overwritten.
 
-The streaming aggregator (:func:`publish_partial_report`) renders the
-partial sweep table after every completed cell, and service telemetry
-(queue depth, reclamations, per-worker throughput — built on the PR 6
-telemetry conventions via
-:func:`repro.observability.telemetry.service_telemetry`) lands in
-``<queue>/telemetry.json``.
+Both public coordinators — the one-shot :func:`run_distributed_sweep`
+and the long-lived :func:`run_sweep_daemon` — are setup around one
+coordinator loop.  It owns the fleet, the chaos timer, the ``/metrics``
+server, the publishing and the final merge, and it stops on
+:meth:`~repro.engine.queue.LeaseQueue.finished`, the exit rule the
+workers share: a one-shot queue is finished once drained, a daemon
+queue once drained after a drain request.  As cells are claimed and
+land, the loop republishes ``<queue>/partial_report.md`` (one section
+per grid) and ``<queue>/telemetry.json`` (queue depth, reclamations,
+per-worker throughput, via
+:func:`repro.observability.telemetry.service_telemetry`).
 """
 
 from __future__ import annotations
@@ -440,10 +445,11 @@ def run_worker(
     Opens the queue at ``queue_dir`` and reconstructs each leased cell's
     sweep config from its *grid descriptor* (asserting per grid that the
     content key survived the round trip), appending records to one shard
-    store per grid under this worker's shard root.  One-shot sessions
-    exit once the queue drains; daemon sessions idle through an empty
-    queue — new grids may arrive any moment — and exit only when the
-    drain marker is set *and* the backlog is finished.  A daemon thread
+    store per grid under this worker's shard root.  The worker exits on
+    :meth:`LeaseQueue.finished`: one-shot sessions once the queue
+    drains; daemon sessions idle through an empty queue — new grids may
+    arrive any moment — until the drain marker is set *and* the backlog
+    is finished.  A daemon thread
     heartbeats the held lease every ``heartbeat_interval`` seconds while
     the cell executes, so long cells never go stale under a live worker;
     SIGKILL stops the heartbeats with the process, which is exactly the
@@ -461,7 +467,6 @@ def run_worker(
     Returns the number of cells this worker completed.
     """
     queue = LeaseQueue.open(queue_dir)
-    daemon = queue.daemon
     resolved: dict[str, tuple] = {}
 
     def _resolve(grid_id: str) -> tuple:
@@ -500,9 +505,7 @@ def run_worker(
         if lease is None:
             # Idle or done: do not hold the last trial's route table.
             clear_substrate()
-            if queue.drained() and (
-                not daemon or queue.drain_requested()
-            ):
+            if queue.finished():
                 return completed
             time.sleep(poll_interval)
             continue
@@ -548,44 +551,6 @@ def run_worker(
         completed += 1
 
 
-def _spawn_worker(
-    queue_dir: Path,
-    worker_id: str,
-    heartbeat_interval: float,
-    poll_interval: float,
-    throttle: float,
-) -> subprocess.Popen:
-    """Launch one ``repro work`` subprocess against ``queue_dir``."""
-    import repro
-
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_dir + (os.pathsep + existing if existing else "")
-        )
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "work",
-            "--queue-dir",
-            str(queue_dir),
-            "--worker-id",
-            worker_id,
-            "--heartbeat-interval",
-            str(heartbeat_interval),
-            "--poll-interval",
-            str(poll_interval),
-            "--throttle",
-            str(throttle),
-        ],
-        env=env,
-    )
-
-
 class _WorkerFleet:
     """The coordinator's view of its worker subprocesses.
 
@@ -606,34 +571,37 @@ class _WorkerFleet:
         throttle: float,
         budget: int,
     ):
-        self.queue_root = queue_root
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
-        self.throttle = throttle
+        import repro
+
+        self.argv = [
+            sys.executable, "-m", "repro", "work",
+            "--queue-dir", str(queue_root),
+            "--heartbeat-interval", str(heartbeat_interval),
+            "--poll-interval", str(poll_interval),
+            "--throttle", str(throttle),
+        ]
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        self.env = dict(os.environ)
+        existing = self.env.get("PYTHONPATH", "")
+        if src_dir not in existing.split(os.pathsep):
+            self.env["PYTHONPATH"] = (
+                src_dir + (os.pathsep + existing if existing else "")
+            )
         self.budget = budget
         self.respawns = 0
         self.members: list[tuple[str, subprocess.Popen]] = []
         self.retired: list[tuple[str, subprocess.Popen]] = []
 
+    def _launch(self, worker_id: str) -> tuple[str, subprocess.Popen]:
+        """Start one ``repro work`` subprocess against the queue."""
+        argv = [*self.argv, "--worker-id", worker_id]
+        return worker_id, subprocess.Popen(argv, env=self.env)
+
     def spawn(self, worker_id: str) -> None:
-        self.members.append(
-            (
-                worker_id,
-                _spawn_worker(
-                    self.queue_root,
-                    worker_id,
-                    self.heartbeat_interval,
-                    self.poll_interval,
-                    self.throttle,
-                ),
-            )
-        )
+        self.members.append(self._launch(worker_id))
 
     def alive_count(self) -> int:
         return sum(1 for _, proc in self.members if proc.poll() is None)
-
-    def all_exited(self) -> bool:
-        return self.alive_count() == 0
 
     def kill_lease_holder(self, queue: LeaseQueue) -> bool:
         """SIGKILL one member that provably holds a live lease.
@@ -667,19 +635,7 @@ class _WorkerFleet:
                 self.retired.append((worker_id, proc))
                 continue
             self.respawns += 1
-            replacement = f"{worker_id}r{self.respawns}"
-            kept.append(
-                (
-                    replacement,
-                    _spawn_worker(
-                        self.queue_root,
-                        replacement,
-                        self.heartbeat_interval,
-                        self.poll_interval,
-                        self.throttle,
-                    ),
-                )
-            )
+            kept.append(self._launch(f"{worker_id}r{self.respawns}"))
             replaced += 1
         self.members = kept
         return replaced
@@ -698,6 +654,183 @@ class _WorkerFleet:
         for _, proc in [*self.members, *self.retired]:
             if proc.poll() is None:
                 proc.kill()
+
+
+def _publish_report(
+    stores: "Mapping[str, ResultStore]",
+    shards: "str | os.PathLike",
+    out_path: "str | os.PathLike",
+) -> None:
+    """The coordinator's streaming aggregator: one partial-report section
+    per registered grid, content keys in sorted order, written atomically
+    from everything landed so far (canonical store ∪ shards)."""
+    from repro.experiments.report import render_partial_markdown
+
+    parts = [
+        f"## Grid `{key}`\n\n"
+        + render_partial_markdown(store.config, _landed_records(store, shards))
+        for key, store in sorted(stores.items())
+    ]
+    atomic_write_text(
+        out_path,
+        "\n\n".join(parts) if parts else "*No grids enqueued yet.*\n",
+    )
+
+
+def _serve(
+    queue: LeaseQueue,
+    store_root: Path,
+    *,
+    stores: "dict[str, ResultStore] | None" = None,
+    inherited: "Mapping | None" = None,
+    workers: int,
+    heartbeat_interval: float,
+    poll_interval: float,
+    worker_throttle: float,
+    max_respawns: "int | None",
+    chaos_kill_after: "float | None",
+    metrics_port: "int | None",
+    on_metrics_url: "Callable[[str], None] | None",
+    on_progress: "Callable[[QueueStats], None] | None",
+    handle_signals: bool,
+    monotonic: Callable[[], float],
+) -> dict[str, dict[CellKey, CellRecord]]:
+    """The one coordinator loop behind both public entry points.
+
+    Spawns the fleet and polls until :meth:`LeaseQueue.finished`, the
+    exit rule the workers share.  Each poll fires the chaos kill once
+    due, opens a store under ``store_root`` for every newly registered
+    grid (``stores`` seeds that map), republishes report, telemetry and
+    metrics when the ``(done, pending, grids, drain)`` snapshot moves,
+    and respawns fallen workers individually.  Then merges every grid's
+    shards (the merge counters include the ``inherited`` report) and
+    returns ``{content key: records}``.  Raises :class:`ValueError` when
+    ``heartbeat_interval`` is not below the queue's ttl: live leases
+    would go stale and be reclaimed again and again.
+    """
+    from repro.observability.telemetry import service_telemetry
+
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if heartbeat_interval >= queue.ttl:
+        raise ValueError(
+            f"heartbeat interval {heartbeat_interval}s must be below the "
+            f"lease ttl {queue.ttl}s, or live leases go stale and are "
+            "reclaimed again and again"
+        )
+    queue_root = queue.root
+    shards = shards_root(queue_root)
+    telemetry_path = queue_root / "telemetry.json"
+    report_path = queue_root / "partial_report.md"
+    stores = {} if stores is None else stores
+    budget = workers if max_respawns is None else max_respawns
+    fleet = _WorkerFleet(
+        queue_root, heartbeat_interval, poll_interval, worker_throttle, budget
+    )
+    registry = MetricsRegistry() if metrics_port is not None else None
+    server: "MetricsServer | None" = None
+    if inherited is not None:
+        _count_merge(registry, inherited)
+
+    def _refresh_stores() -> None:
+        """Open a canonical store for every grid registered so far."""
+        for key, descriptor in queue.grids().items():
+            if key not in stores:
+                stores[key] = ResultStore.from_grid_payload(
+                    store_root, descriptor["payload"]
+                ).open()
+
+    def _service_state() -> dict:
+        return {
+            "daemon": queue.daemon,
+            "draining": queue.drain_requested(),
+            "grids": len(queue.grids()),
+            "respawns": fleet.respawns,
+            "workers_alive": fleet.alive_count(),
+        }
+
+    def _health() -> dict:
+        payload = service_telemetry(
+            queue.stats(), queue.done_log(), service=_service_state()
+        )
+        if queue.drain_requested():
+            payload["status"] = "draining"  # overrides the default "ok"
+        return payload
+
+    def _publish() -> None:
+        _publish_report(stores, shards, report_path)
+        if registry is not None:
+            _update_service_metrics(registry, queue, stores.values(), shards)
+        _write_service_telemetry(
+            queue, telemetry_path, registry, service=_service_state()
+        )
+
+    _refresh_stores()
+    previous_handlers: dict = {}
+    if handle_signals and threading.current_thread() is threading.main_thread():
+        def _on_signal(signum, frame):
+            queue.request_drain()
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            previous_handlers[signum] = signal.signal(signum, _on_signal)
+    try:
+        if registry is not None:
+            server = MetricsServer(registry, port=metrics_port, health=_health)
+            server.start()
+            # Seed every series before the first completion, so a scrape
+            # that races the fleet spawn already parses cleanly.
+            _update_service_metrics(registry, queue, stores.values(), shards)
+            if on_metrics_url is not None:
+                on_metrics_url(server.url)
+        for index in range(workers):
+            fleet.spawn(f"w{index}")
+        chaos_started = monotonic()
+        chaos_done = chaos_kill_after is None
+        last_published: "tuple | None" = None
+        while not queue.finished():
+            time.sleep(poll_interval)
+            if (
+                not chaos_done
+                and monotonic() - chaos_started >= chaos_kill_after
+            ):
+                # Retried every poll until a lease-holder exists; a
+                # session that finishes first simply escapes.
+                chaos_done = fleet.kill_lease_holder(queue)
+            _refresh_stores()
+            stats = queue.stats()
+            snapshot = (
+                stats.done, stats.pending, len(stores), queue.drain_requested()
+            )
+            if snapshot != last_published:
+                last_published = snapshot
+                _publish()
+                if on_progress is not None:
+                    on_progress(stats)
+            if queue.finished():
+                break
+            fleet.respawn_fallen()
+            if fleet.alive_count() == 0 and not queue.drained():
+                raise RuntimeError(
+                    f"every worker exited with {queue.pending_depth()} "
+                    f"cells unfinished and the respawn budget ({budget}) "
+                    "is spent — a cell is failing deterministically; "
+                    f"inspect the worker output and the queue at "
+                    f"{queue_root}"
+                )
+        fleet.wait_all()  # finished: workers exit on their own poll
+    finally:
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)
+        fleet.kill_all()
+        if server is not None:
+            server.stop()
+    _refresh_stores()
+    results: dict[str, dict[CellKey, CellRecord]] = {}
+    for key, store in sorted(stores.items()):
+        _count_merge(registry, merge_shards(store, shards))
+        results[key] = store.load_records()
+    _publish()
+    return results
 
 
 def run_distributed_sweep(
@@ -721,45 +854,35 @@ def run_distributed_sweep(
 ) -> dict[CellKey, CellRecord]:
     """Coordinate one distributed sweep session; returns the merged records.
 
-    The coordinator: merges any shards a previous (crashed) session left
-    under ``queue_dir`` into ``store``, enqueues exactly the cells the
-    store is still missing, spawns ``workers`` worker processes, watches
-    the queue (publishing ``<queue>/partial_report.md`` and
-    ``<queue>/telemetry.json`` as cells land), individually respawns any
-    worker that exited with work remaining (at most ``max_respawns``
-    replacements total, default ``workers``), and finally merges the
-    shards into the canonical store.  Store layout, content keys, and
-    resume semantics are identical to a plain ``run_sweep_records``
-    sweep, so serial, parallel, and distributed sessions resume each
-    other freely.
+    Merges any shards a crashed session left under ``queue_dir`` into
+    ``store`` (counted into the merge counters), enqueues exactly the
+    cells the store still misses on a one-shot queue — finished as soon
+    as it drains — and serves it with ``workers`` worker processes
+    through the coordinator loop :func:`run_sweep_daemon` shares: fallen
+    workers respawned individually (``max_respawns`` in total, default
+    ``workers``), ``<queue>/partial_report.md`` and
+    ``<queue>/telemetry.json`` republished as cells land, shards merged
+    at the end.  Store layout, content keys and resume semantics are a
+    plain ``run_sweep_records`` sweep's, so serial, parallel and
+    distributed sessions resume each other freely.  A sweep with nothing
+    left to run returns before any queue (or server) exists.
 
-    ``chaos_kill_after`` SIGKILLs one live worker that many seconds into
-    the session — the built-in chaos-engineering knob the CI smoke job
-    uses to prove lease reclamation keeps the sweep lossless.  All
-    in-process coordinator timing (the chaos timer included) runs on
-    ``monotonic`` — wall-clock steps (NTP, DST) cannot delay or skip an
-    injected kill; only the cross-process lease protocol uses the
-    queue's injectable wall clock.
+    ``chaos_kill_after`` SIGKILLs one live lease-holding worker that many
+    seconds into the session (the CI chaos knob), timed on ``monotonic``
+    so wall-clock steps (NTP, DST) cannot delay or skip it.
+    ``metrics_port`` (``0`` = ephemeral) serves ``GET /metrics``
+    (Prometheus exposition: queue depth, completions, reclamations,
+    per-worker throughput, route-cache and merge totals) and
+    ``GET /healthz`` (fresh service telemetry) beside the poll loop;
+    ``on_metrics_url`` receives the bound base URL.  The endpoint
+    observes; it never alters scheduling or results.
 
-    ``metrics_port`` (``0`` = ephemeral) starts a
-    :class:`~repro.observability.server.MetricsServer` beside the poll
-    loop: ``GET /metrics`` serves live Prometheus exposition (queue
-    depth and composition, completions, reclamations, per-worker
-    throughput, route-cache totals aggregated from landed records,
-    merge counters) and ``GET /healthz`` serves fresh service
-    telemetry.  ``on_metrics_url`` receives the bound base URL once the
-    server is listening — how the CLI prints it and tests find an
-    ephemeral port.  The endpoint observes; it never alters scheduling
-    or results.  A sweep with nothing left to run returns before the
-    queue (and therefore the server) exists.
-
-    Raises :class:`RuntimeError` when the respawn budget is exhausted
-    with cells unfinished (the deterministic-failure escape hatch), and
-    :class:`~repro.engine.store.ShardDivergenceError` if any shard
-    disagrees with the canonical store byte-for-byte.
+    Raises :class:`ValueError` on a stride mismatch or a heartbeat
+    interval not below ``ttl``, :class:`RuntimeError` when the respawn
+    budget is exhausted with cells unfinished (the deterministic-failure
+    escape hatch), and :class:`~repro.engine.store.ShardDivergenceError`
+    if any shard disagrees with the canonical store byte-for-byte.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if store.check_stride != check_stride:
         raise ValueError(
             f"store was keyed for check_stride={store.check_stride} but the "
@@ -767,113 +890,39 @@ def run_distributed_sweep(
             "strides in one store would blend non-identical numbers"
         )
     store.open()
-    registry = MetricsRegistry() if metrics_port is not None else None
-    server: "MetricsServer | None" = None
     queue_root = Path(queue_dir)
-    shards = shards_root(queue_root)
     # A crashed session's completed work; counted so a resumed session's
     # merge counters reflect what it inherited.
-    _count_merge(registry, merge_shards(store, shards))
+    inherited = merge_shards(store, shards_root(queue_root))
     grid = expand_grid(config)
+    grid_keys = {cell.key for cell in grid}
     held = store.load_records()
     pending = [cell for cell in grid if cell.key not in held]
-    telemetry_path = queue_root / "telemetry.json"
-    report_path = queue_root / "partial_report.md"
-    if not pending:
-        return {
-            cell.key: held[cell.key] for cell in grid if cell.key in held
-        }
-    queue = LeaseQueue.create(
-        queue_root,
-        pending,
-        ttl=ttl,
-        payload=service_manifest(config, check_stride, trace),
-    )
-    budget = workers if max_respawns is None else max_respawns
-    fleet = _WorkerFleet(
-        queue_root, heartbeat_interval, poll_interval, worker_throttle, budget
-    )
-
-    def _service_state() -> dict:
-        return {
-            "daemon": False,
-            "draining": False,
-            "grids": len(queue.grids()),
-            "respawns": fleet.respawns,
-            "workers_alive": fleet.alive_count(),
-        }
-
-    try:
-        if registry is not None:
-            from repro.observability.telemetry import service_telemetry
-
-            server = MetricsServer(
-                registry,
-                port=metrics_port,
-                health=lambda: service_telemetry(
-                    queue.stats(), queue.done_log(), service=_service_state()
-                ),
-            )
-            server.start()
-            # Seed every series before the first completion, so a scrape
-            # that races the fleet spawn already parses cleanly.
-            _update_service_metrics(registry, queue, [store], shards)
-            if on_metrics_url is not None:
-                on_metrics_url(server.url)
-        for index in range(workers):
-            fleet.spawn(f"w{index}")
-        chaos_started = monotonic()
-        chaos_done = chaos_kill_after is None
-        last_done = -1
-        while not queue.drained():
-            time.sleep(poll_interval)
-            if (
-                not chaos_done
-                and monotonic() - chaos_started >= chaos_kill_after
-            ):
-                # Retried every poll until a lease-holder exists; a
-                # sweep that drains first simply escapes.
-                chaos_done = fleet.kill_lease_holder(queue)
-            stats = queue.stats()
-            if stats.done != last_done:
-                last_done = stats.done
-                publish_partial_report(config, store, shards, report_path)
-                if registry is not None:
-                    _update_service_metrics(registry, queue, [store], shards)
-                _write_service_telemetry(
-                    queue, telemetry_path, registry, service=_service_state()
-                )
-                if on_progress is not None:
-                    on_progress(stats)
-            if queue.drained():
-                break
-            fleet.respawn_fallen()
-            if fleet.all_exited():
-                raise RuntimeError(
-                    f"every worker exited with "
-                    f"{stats.total - stats.done} cells unfinished and "
-                    f"the respawn budget ({budget}) is spent — a cell "
-                    "is failing deterministically; inspect the worker "
-                    "output and the queue at "
-                    f"{queue_root}"
-                )
-        fleet.wait_all()  # drained: workers exit on their own poll
-    finally:
-        fleet.kill_all()
-        if server is not None:
-            server.stop()
-    _count_merge(registry, merge_shards(store, shards))
-    publish_partial_report(config, store, shards, report_path)
-    if registry is not None:
-        _update_service_metrics(registry, queue, [store], shards)
-    _write_service_telemetry(
-        queue, telemetry_path, registry, service=_service_state()
-    )
-    return {
-        key: record
-        for key, record in store.load_records().items()
-        if key in {cell.key for cell in grid}
-    }
+    if pending:
+        queue = LeaseQueue.create(
+            queue_root,
+            pending,
+            ttl=ttl,
+            payload=service_manifest(config, check_stride, trace),
+        )
+        held = _serve(
+            queue,
+            store.root,
+            stores={store.key: store},
+            inherited=inherited,
+            workers=workers,
+            heartbeat_interval=heartbeat_interval,
+            poll_interval=poll_interval,
+            worker_throttle=worker_throttle,
+            max_respawns=max_respawns,
+            chaos_kill_after=chaos_kill_after,
+            metrics_port=metrics_port,
+            on_metrics_url=on_metrics_url,
+            on_progress=on_progress,
+            handle_signals=False,
+            monotonic=monotonic,
+        )[store.key]
+    return {key: record for key, record in held.items() if key in grid_keys}
 
 
 def enqueue_grid(
@@ -939,33 +988,6 @@ def enqueue_grid(
             time.sleep(block_poll_interval)
 
 
-def _publish_daemon_report(
-    stores: "Mapping[str, ResultStore]",
-    shards: "str | os.PathLike",
-    out_path: "str | os.PathLike",
-) -> int:
-    """The daemon's streaming aggregator: one partial-report section per
-    registered grid, content keys in sorted order, written atomically.
-    Returns the number of cells covered across all grids."""
-    from repro.experiments.report import render_partial_markdown
-
-    covered = 0
-    parts = []
-    for key in sorted(stores):
-        store = stores[key]
-        records = _landed_records(store, shards)
-        covered += len(records)
-        parts.append(
-            f"## Grid `{key}`\n\n"
-            + render_partial_markdown(store.config, records)
-        )
-    atomic_write_text(
-        out_path,
-        "\n\n".join(parts) if parts else "*No grids enqueued yet.*\n",
-    )
-    return covered
-
-
 def run_sweep_daemon(
     store_root: "str | os.PathLike",
     *,
@@ -988,19 +1010,16 @@ def run_sweep_daemon(
     """The long-lived coordinator: serve grids until drained *on request*.
 
     Where :func:`run_distributed_sweep` runs one grid to completion,
-    the daemon opens an empty daemon-mode queue under ``queue_dir``
-    (recording ``store_root`` in the manifest so ``repro enqueue`` can
-    find it), spawns ``workers`` persistent workers, and then serves:
-    new grids dropped into the queue by :func:`enqueue_grid` — from this
-    process or any other sharing the filesystem — are discovered on the
-    next poll, their stores opened under ``store_root`` (one content-key
-    directory per grid), and their cells drained strictly
-    high-priority-first.  The crash/reclaim/merge/telemetry machinery is
-    the one-shot session's, running indefinitely: stale leases are
-    reclaimed, fallen workers respawned individually (``max_respawns``
-    total, default ``workers``), ``partial_report.md`` (one section per
-    grid) and ``telemetry.json`` (with a ``service`` block: daemon flag,
-    drain state, grid count, respawns) republished as cells land.
+    the daemon opens a daemon-mode queue under ``queue_dir`` (recording
+    ``store_root`` in the manifest so ``repro enqueue`` can find it),
+    enqueues ``initial_grids`` (``(config, check_stride, trace,
+    priority)`` tuples), and serves it through the same coordinator
+    loop, with the same fleet, chaos and metrics arguments: grids
+    :func:`enqueue_grid` adds later — from any process sharing the
+    filesystem — are discovered on the next poll, their stores opened
+    under ``store_root`` (one content-key directory per grid), and their
+    cells drained strictly high-priority-first.  An empty daemon queue
+    is drained but not finished: the fleet idles for more grids.
 
     Shutdown: :meth:`LeaseQueue.request_drain` (``repro drain``), or —
     with ``handle_signals=True`` from the main thread — SIGTERM/SIGINT,
@@ -1012,27 +1031,21 @@ def run_sweep_daemon(
     enqueue interleaving* — the distributed ≡ serial battery extends to
     the daemon path unchanged.
 
-    Raises :class:`RuntimeError` when every worker has exited with
+    Raises :class:`ValueError` on a heartbeat interval not below
+    ``ttl`` and :class:`RuntimeError` when every worker has exited with
     backlog remaining and the respawn budget is spent.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     store_base = Path(store_root)
     store_base.mkdir(parents=True, exist_ok=True)
-    queue_root = Path(queue_dir)
-    shards = shards_root(queue_root)
-    telemetry_path = queue_root / "telemetry.json"
-    report_path = queue_root / "partial_report.md"
     queue = LeaseQueue.create(
-        queue_root,
+        queue_dir,
         [],
         ttl=ttl,
         daemon=True,
         max_pending=max_pending,
         payload={"service": "daemon", "store": str(store_base.resolve())},
     )
-    for entry in initial_grids or ():
-        config, check_stride, trace, priority = entry
+    for config, check_stride, trace, priority in initial_grids or ():
         enqueue_grid(
             queue,
             config,
@@ -1040,119 +1053,21 @@ def run_sweep_daemon(
             trace=trace,
             priority=priority,
         )
-    budget = workers if max_respawns is None else max_respawns
-    fleet = _WorkerFleet(
-        queue_root, heartbeat_interval, poll_interval, worker_throttle, budget
+    return _serve(
+        queue,
+        store_base,
+        workers=workers,
+        heartbeat_interval=heartbeat_interval,
+        poll_interval=poll_interval,
+        worker_throttle=worker_throttle,
+        max_respawns=max_respawns,
+        chaos_kill_after=chaos_kill_after,
+        metrics_port=metrics_port,
+        on_metrics_url=on_metrics_url,
+        on_progress=on_progress,
+        handle_signals=handle_signals,
+        monotonic=monotonic,
     )
-    registry = MetricsRegistry() if metrics_port is not None else None
-    server: "MetricsServer | None" = None
-    stores: dict[str, ResultStore] = {}
-
-    def _refresh_stores() -> dict[str, ResultStore]:
-        """Open a canonical store for every grid registered so far."""
-        for key, descriptor in queue.grids().items():
-            if key not in stores:
-                stores[key] = ResultStore.from_grid_payload(
-                    store_base, descriptor["payload"]
-                ).open()
-        return stores
-
-    def _service_state() -> dict:
-        return {
-            "daemon": True,
-            "draining": queue.drain_requested(),
-            "grids": len(queue.grids()),
-            "respawns": fleet.respawns,
-            "workers_alive": fleet.alive_count(),
-        }
-
-    def _health() -> dict:
-        from repro.observability.telemetry import service_telemetry
-
-        payload = service_telemetry(
-            queue.stats(), queue.done_log(), service=_service_state()
-        )
-        if queue.drain_requested():
-            payload["status"] = "draining"  # overrides the default "ok"
-        return payload
-
-    previous_handlers: dict = {}
-    if handle_signals and threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, frame):
-            queue.request_drain()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous_handlers[signum] = signal.signal(signum, _on_signal)
-    _refresh_stores()
-    try:
-        if registry is not None:
-            server = MetricsServer(registry, port=metrics_port, health=_health)
-            server.start()
-            _update_service_metrics(registry, queue, stores.values(), shards)
-            if on_metrics_url is not None:
-                on_metrics_url(server.url)
-        for index in range(workers):
-            fleet.spawn(f"w{index}")
-        chaos_started = monotonic()
-        chaos_done = chaos_kill_after is None
-        last_published: "tuple | None" = None
-        while not (queue.drain_requested() and queue.drained()):
-            time.sleep(poll_interval)
-            if (
-                not chaos_done
-                and monotonic() - chaos_started >= chaos_kill_after
-            ):
-                chaos_done = fleet.kill_lease_holder(queue)
-            _refresh_stores()
-            stats = queue.stats()
-            snapshot = (
-                stats.done,
-                stats.pending,
-                len(stores),
-                queue.drain_requested(),
-            )
-            if snapshot != last_published:
-                last_published = snapshot
-                _publish_daemon_report(stores, shards, report_path)
-                if registry is not None:
-                    _update_service_metrics(
-                        registry, queue, stores.values(), shards
-                    )
-                _write_service_telemetry(
-                    queue, telemetry_path, registry, service=_service_state()
-                )
-                if on_progress is not None:
-                    on_progress(stats)
-            if queue.drain_requested() and queue.drained():
-                break
-            fleet.respawn_fallen()
-            if fleet.all_exited() and not queue.drained():
-                raise RuntimeError(
-                    f"every worker exited with {queue.pending_depth()} "
-                    f"cells unfinished and the respawn budget ({budget}) "
-                    "is spent — a cell is failing deterministically; "
-                    f"inspect the worker output and the queue at "
-                    f"{queue_root}"
-                )
-        fleet.wait_all()  # drain marker set: workers exit on their own
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
-        fleet.kill_all()
-        if server is not None:
-            server.stop()
-    results: dict[str, dict[CellKey, CellRecord]] = {}
-    for key in sorted(_refresh_stores()):
-        store = stores[key]
-        _count_merge(registry, merge_shards(store, shards))
-        results[key] = store.load_records()
-    _publish_daemon_report(stores, shards, report_path)
-    if registry is not None:
-        _update_service_metrics(registry, queue, stores.values(), shards)
-    _write_service_telemetry(
-        queue, telemetry_path, registry, service=_service_state()
-    )
-    return results
 
 
 def _store_cells(root: Path) -> dict[str, dict[CellKey, CellRecord]]:

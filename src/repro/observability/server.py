@@ -12,7 +12,7 @@ watch a fleet live instead of tailing republished files:
   :func:`repro.observability.telemetry.service_telemetry` output so the
   health answer reflects the queue *now*, not the last publish.  The
   document defaults to ``{"status": "ok", …}``, and a ``"status"`` key
-  in the callable's payload **overrides** the default — the daemon
+  in the callable's payload **overrides** the default — the
   coordinator reports ``"draining"`` once the drain marker is set, so a
   scraper can follow the lifecycle from the endpoint alone.
 

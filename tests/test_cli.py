@@ -465,3 +465,61 @@ class TestSweepService:
         ) == 1
         out = capsys.readouterr().out
         assert "diverges" in out and "1 difference(s)" in out
+
+
+class TestServiceFlagValidation:
+    GRID = ["--sizes", "32", "--trials", "1", "--algorithms", "randomized"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-sweep", "--store-dir", "s", "--ttl", "0"],
+            ["serve-sweep", "--store-dir", "s", "--heartbeat-interval", "0"],
+            ["serve-sweep", "--store-dir", "s", "--poll-interval", "-1"],
+            ["serve-sweep", "--store-dir", "s", "--ttl", "nan"],
+            ["work", "--queue-dir", "q", "--heartbeat-interval", "-0.5"],
+            ["work", "--queue-dir", "q", "--poll-interval", "0"],
+        ],
+    )
+    def test_timing_flags_must_be_positive(self, capsys, argv):
+        """Non-positive durations are usage errors at parse time, before
+        a queue exists or a worker spawns."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
+    def test_heartbeat_not_below_ttl_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve-sweep", *self.GRID,
+                    "--store-dir", str(tmp_path / "store"),
+                    "--ttl", "1", "--heartbeat-interval", "1",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "below the lease ttl" in capsys.readouterr().err
+        # Refused before any worker ran: nothing landed anywhere.
+        assert not list((tmp_path / "store").glob("**/cells.jsonl"))
+
+    @pytest.mark.parametrize(
+        "flags", [["--max-pending", "3"], ["--priority", "0"]]
+    )
+    def test_daemon_only_flags_need_daemon(self, capsys, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve-sweep", *self.GRID,
+                    "--store-dir", str(tmp_path / "store"), *flags,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "only apply with --daemon" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
+    def test_priority_default_is_unset(self):
+        args = build_parser().parse_args(
+            ["serve-sweep", "--store-dir", "s", "--daemon"]
+        )
+        assert args.priority is None and args.max_pending is None

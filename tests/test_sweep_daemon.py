@@ -442,3 +442,104 @@ class TestCoordinatorRobustness:
         }
         assert any("r" in owner for owner in shard_owners)
         assert diff_stores(serial_roots["a_only"], store_root) == []
+
+
+class TestOneCoordinator:
+    @pytest.mark.parametrize("daemon", [False, True])
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_finished_is_the_shared_exit_rule(self, tmp_path, daemon, drain):
+        """A queue with work left is never finished; a drained one is
+        finished unless it is a daemon queue nobody asked to drain."""
+        queue = LeaseQueue.create(
+            tmp_path / "q",
+            expand_grid(GRID_A),
+            ttl=5.0,
+            daemon=daemon,
+            payload=service_manifest(GRID_A),
+        )
+        if drain:
+            queue.request_drain()
+        assert not queue.finished()
+        for _ in expand_grid(GRID_A):
+            queue.complete(queue.claim("w0"))
+        assert queue.drained()
+        assert queue.finished() == (not daemon or drain)
+
+    def test_one_shot_and_drained_daemon_share_one_shape(
+        self, tmp_path, serial_roots
+    ):
+        """The one-shot session and a daemon session with drain requested
+        up front run the same loop: the same /healthz and telemetry.json
+        key sets, and stores that diff clean against each other."""
+        healths: dict[str, dict] = {}
+
+        def scrape(mode, urls):
+            def on_progress(stats) -> None:
+                healths.setdefault(mode, json.loads(_get(f"{urls[0]}/healthz")))
+
+            return on_progress
+
+        one_urls: list[str] = []
+        run_distributed_sweep(
+            GRID_A,
+            store=ResultStore(tmp_path / "one-shot", GRID_A),
+            queue_dir=tmp_path / "q1",
+            workers=2,
+            ttl=5.0,
+            heartbeat_interval=0.05,
+            poll_interval=0.05,
+            metrics_port=0,
+            on_metrics_url=one_urls.append,
+            on_progress=scrape("one-shot", one_urls),
+        )
+        daemon_urls: list[str] = []
+
+        def drain_up_front(url: str) -> None:
+            # Called once the queue exists, before any worker spawns.
+            daemon_urls.append(url)
+            LeaseQueue.open(tmp_path / "q2").request_drain()
+
+        results = run_sweep_daemon(
+            tmp_path / "daemon",
+            queue_dir=tmp_path / "q2",
+            workers=2,
+            ttl=5.0,
+            heartbeat_interval=0.05,
+            poll_interval=0.05,
+            metrics_port=0,
+            on_metrics_url=drain_up_front,
+            on_progress=scrape("daemon", daemon_urls),
+            initial_grids=[(GRID_A, 1, False, 1)],
+        )
+        assert set(results) == {KEY_A}
+        assert diff_stores(tmp_path / "one-shot", tmp_path / "daemon") == []
+        assert diff_stores(serial_roots["a_only"], tmp_path / "daemon") == []
+
+        one, daemon = (
+            json.loads((tmp_path / q / "telemetry.json").read_text())
+            for q in ("q1", "q2")
+        )
+        assert one.keys() == daemon.keys()
+        assert "metrics" in one
+        assert one["service"].keys() == daemon["service"].keys()
+        assert (one["service"]["daemon"], daemon["service"]["daemon"]) == (
+            False,
+            True,
+        )
+        # The daemon drained on request; a one-shot queue never needs to.
+        assert (one["service"]["draining"], daemon["service"]["draining"]) == (
+            False,
+            True,
+        )
+        for key in ("grids", "respawns", "workers_alive"):
+            assert one["service"][key] == daemon["service"][key], key
+        assert healths["one-shot"].keys() == healths["daemon"].keys()
+        assert (
+            healths["one-shot"]["service"].keys()
+            == healths["daemon"]["service"].keys()
+        )
+        assert healths["one-shot"]["status"] == "ok"
+        assert healths["daemon"]["status"] == "draining"
+        for mode in ("q1", "q2"):
+            report = (tmp_path / mode / "partial_report.md").read_text()
+            assert report.startswith(f"## Grid `{KEY_A}`")

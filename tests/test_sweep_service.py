@@ -463,3 +463,45 @@ class TestServiceHelpers:
         )
         assert covered == 1
         assert f"1/{len(grid)} cells complete" in out.read_text()
+
+
+class TestCoordinatorRecovery:
+    def test_crashed_coordinator_shards_are_inherited(
+        self, tmp_path, serial_store
+    ):
+        """A coordinator that died after a worker shard landed half the
+        grid: the next session merges that shard first, enqueues only
+        the missing cells, and counts the inherited records into its
+        merge counters."""
+        grid = expand_grid(CONFIG)
+        held = serial_store.load_records()
+        half = len(grid) // 2
+        queue_dir = tmp_path / "queue"
+        shard = worker_store(queue_dir, "w0", CONFIG).open()
+        for cell in grid[:half]:
+            shard.append(held[cell.key])
+        assert (shard.directory / "cells.jsonl") == (
+            queue_dir / "shards" / "w0" / shard.key / "cells.jsonl"
+        )
+
+        store = ResultStore(tmp_path / "dist", CONFIG)
+        records = run_distributed_sweep(
+            CONFIG,
+            store=store,
+            queue_dir=queue_dir,
+            workers=2,
+            ttl=5.0,
+            heartbeat_interval=0.1,
+            poll_interval=0.05,
+            metrics_port=0,
+        )
+        assert set(records) == {cell.key for cell in grid}
+        queue = LeaseQueue.open(queue_dir)
+        assert queue.stats().total == len(grid) - half
+        assert {tuple(entry["cell"]) for entry in queue.done_log()} == {
+            cell.key for cell in grid[half:]
+        }
+        telemetry = json.loads((queue_dir / "telemetry.json").read_text())
+        # The inherited half plus the half this session executed.
+        assert telemetry["metrics"]["repro_merge_appended_total"] == len(grid)
+        assert diff_stores(serial_store.root, store.root) == []
