@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark prints a paper-shaped table (visible with ``pytest -s``)
-and also writes it to ``benchmarks/results/<experiment>.txt`` so that
-EXPERIMENTS.md can reference concrete artifacts from the latest run.
+and also writes it to ``benchmarks/results/<experiment>.txt``, the
+concrete artifact of the latest run.
 
 Timings are additionally persisted machine-readably: one
 ``benchmarks/results/BENCH_<experiment>.json`` per benchmark, carrying

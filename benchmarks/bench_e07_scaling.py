@@ -14,7 +14,7 @@ What is measurable at laptop n (and what is not):
   measurable at n ≤ 1024: the subdivision rule inserts hierarchy levels
   within the sweep (ℓ jumps 2→3), and each insertion multiplies cost by
   k_r·log(·) — a slope fitted across an insertion measures the jump, not
-  the limit (DESIGN.md, D9).  The measured table therefore reports the
+  the limit.  The measured table therefore reports the
   level structure next to each cost, and the asymptotic ordering is
   checked on the closed-form models (`analysis.theory`), whose shapes are
   validated piecewise by E4/E9/E12/E14.
@@ -48,8 +48,8 @@ from repro.hierarchy import practical_leaf_threshold, subdivision_factors
 
 # n=1024 crosses a hierarchy-structure jump ([16,4] → [36,4]) whose
 # multiplicative log-tower makes single runs take minutes — the very
-# effect D9 documents; E16 charts it explicitly.  The sweep stays below
-# the jump so every cell runs in seconds.
+# effect the module docstring describes; E16 charts it explicitly.  The
+# sweep stays below the jump so every cell runs in seconds.
 SIZES = (128, 256, 512)
 EPSILON = 0.2
 
@@ -169,7 +169,7 @@ def test_e07_scaling(benchmark):
         model_rows,
         title=(
             "E7  asymptotic ordering (models; hierarchical level-insertions "
-            "make the small-n measured slope a jump artifact, DESIGN.md D9)"
+            "make the small-n measured slope a jump artifact)"
         ),
     )
     emit(

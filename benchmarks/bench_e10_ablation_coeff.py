@@ -1,6 +1,6 @@
 """E10 — ablation: the affine coefficient rule vs occupancy concentration.
 
-Paper context (§3, D4 in DESIGN.md): the literal coefficient (2/5)·E#(□)
+Paper context (§3): the literal coefficient (2/5)·E#(□)
 induces sum-coefficients α = (2/5)·E#/# that sit inside Lemma 1's
 (1/3, 1/2) *only because* occupancies concentrate — guaranteed by the
 (log n)^8 leaf threshold.  At simulation-scale leaf sizes the

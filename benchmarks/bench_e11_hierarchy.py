@@ -7,8 +7,8 @@ the schedule constants (ε_r shrinking by 25·n^{7/2+a}, latencies to the
 
 Measured here: factors/levels/leaf occupancies across n for the practical
 threshold; the paper threshold's (trivial) depth at simulable n; and the
-literal latency magnitudes — the recorded justification for DESIGN.md's
-D5/D6 substitutions.
+literal latency magnitudes — the recorded justification for simulating
+practical schedules and practical leaf thresholds instead.
 """
 
 import math
@@ -78,7 +78,7 @@ def test_e11_hierarchy_shape(benchmark):
     latency_note = (
         "E11  literal time(n,r,eps_r,delta_r) at n=1024, factors [36,4]: "
         + ", ".join(f"depth {d}: {t:.2e}" for d, t in enumerate(times))
-        + "\n(astronomical => DESIGN.md D5: simulations use practical schedules)"
+        + "\n(astronomical => simulations use practical schedules)"
     )
     emit(
         "e11_hierarchy",

@@ -2,8 +2,8 @@
 
 Paper context: the *contribution* is using non-convex affine combinations
 (coefficients Ω(√n)) for supernode exchanges (§1.2); and the recursion of
-Observation 1 telescopes only if exchanges stay within the parent square
-(DESIGN.md, D1).
+Observation 1 telescopes only if exchanges stay within the parent square,
+which is why `Far` targets are siblings by default.
 
 Measured here, at a ε tight enough that cross-square mass must move:
 

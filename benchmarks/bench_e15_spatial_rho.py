@@ -12,7 +12,7 @@ workload the asymptotic statements describe).  The paper's remark is
 about scaling: strong locality (large ρ) loses decisively, and no
 distance bias changes the Õ(n^1.5) order — it can only shave constants.
 A *mild* bias (ρ ≈ 1-2) can in fact win small constant factors at small
-n (recorded honestly in the table and in EXPERIMENTS.md); the measurable
+n (recorded honestly in the table); the measurable
 content of the paper's remark is that the local end is far worse and the
 uniform end is within a small factor of the best.
 """

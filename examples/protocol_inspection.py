@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Scenario: watching the Section 4 state machine actually run.
+"""Scenario: watching the paper's hierarchical protocol actually run.
 
-Runs the *asynchronous* executor — the paper's literal per-node protocol
-with ``local.state``/``global.state``/counters, Poisson clocks, greedy
-routed `Far` exchanges and flooded activations — at small ``n``, and
-inspects the machinery: the hierarchy and its Levels, per-depth time
-budgets, exchange/busy-abort counts, and the final states.
+Runs :class:`~repro.gossip.hierarchical.rounds.HierarchicalGossip` — the
+Section 3/4 protocol, round by round: flooded leaf activations, `Near`
+averaging inside leaves, greedy-routed affine `Far` exchanges between
+sibling supernodes — at small ``n``, and inspects the machinery: the
+hierarchy and its Levels, the per-depth execution counts the executor
+keeps in ``RoundStats``, and the transmissions by category.
 
 Run:  python examples/protocol_inspection.py
 """
 
 import numpy as np
 
-from repro import AsyncHierarchicalProtocol, HierarchyTree, RandomGeometricGraph
+from repro import HierarchicalGossip, HierarchyTree, RandomGeometricGraph
 from repro.experiments import format_table
 from repro.workloads import linear_gradient_field
 
@@ -50,20 +51,35 @@ def main() -> None:
     print(f"\nsensor Levels (paper §4.1): { {k: levels[k] for k in sorted(levels)} }")
     print(f"root supernode s(□): sensor {tree.root.supernode}")
 
-    protocol = AsyncHierarchicalProtocol(graph, tree=tree)
+    protocol = HierarchicalGossip(graph, tree=tree)
     result = protocol.run(field, epsilon, np.random.default_rng(3))
+    stats = protocol.stats
 
+    print()
     print(
-        f"\nper-depth time budgets (own-clock ticks): {protocol._time_budgets}"
+        format_table(
+            ["depth", "rounds", "skipped rounds", "Far exchanges", "Near ticks"],
+            [
+                [
+                    depth,
+                    stats.rounds_by_depth.get(depth, 0),
+                    stats.skipped_rounds_by_depth.get(depth, 0),
+                    stats.exchanges_by_depth.get(depth, 0),
+                    stats.near_ticks_by_depth.get(depth, 0),
+                ]
+                for depth in range(len(tree.factors) + 1)
+            ],
+            title="per-depth round statistics (RoundStats)",
+        )
     )
+    print()
     print(
         format_table(
             ["metric", "value"],
             [
-                ["clock ticks", result.ticks],
-                ["Far exchanges applied", protocol.far_exchanges],
-                ["busy handshake aborts (D8)", protocol.busy_aborts],
-                ["routing failures", protocol.routing_failures],
+                ["actions (Near ticks + Far exchanges)", result.ticks],
+                ["cap hits", stats.cap_hits],
+                ["routing failures", stats.routing_failures],
                 ["transmissions (total)", result.total_transmissions],
                 ["  … Near", result.transmissions.get("near", 0)],
                 ["  … Far routing", result.transmissions.get("far", 0)],
@@ -71,14 +87,8 @@ def main() -> None:
                 ["final relative error", result.error],
                 ["converged", result.converged],
             ],
-            title="async protocol run",
+            title="hierarchical protocol run",
         )
-    )
-
-    active = sum(state.local_on for state in protocol.states)
-    print(
-        f"\nsensors still in local.state=on at stop: {active} "
-        "(the root round winds activity down as counters expire)"
     )
 
 

@@ -36,7 +36,8 @@ def main() -> None:
     if full:
         print(
             "note: n=1024 crosses a hierarchy-structure jump; the "
-            "hierarchical runs there take minutes (see DESIGN.md, D9)\n"
+            "hierarchical runs there take minutes (one more hierarchy "
+            "level, each multiplying the cost of a round)\n"
         )
     config = ExperimentConfig(sizes=sizes, epsilon=0.2, trials=2)
     workers = max(1, min(4, os.cpu_count() or 1))
@@ -80,7 +81,7 @@ def main() -> None:
     )
     print(
         "\nNote: finite-n slopes carry polylog corrections; the ordering of "
-        "slopes is the reproduction target (see EXPERIMENTS.md, E7)."
+        "slopes is the reproduction target (benchmarks/bench_e07_scaling.py)."
     )
 
 

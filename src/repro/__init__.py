@@ -19,8 +19,8 @@ Quickstart::
     result = HierarchicalGossip(graph).run(values, epsilon=0.25, rng=rng)
     print(result.total_transmissions, result.error)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See docs/architecture.md for the system inventory; the benchmarks
+(E1–E17, ``benchmarks/``) print the paper-vs-measured tables.
 """
 
 from repro.clocks import GlobalClock, PoissonClock
@@ -32,7 +32,6 @@ from repro.gossip import (
     RandomizedGossip,
 )
 from repro.gossip.hierarchical import (
-    AsyncHierarchicalProtocol,
     CoefficientMode,
     HierarchicalGossip,
     ProtocolParameters,
@@ -47,7 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AffineGossipKn",
-    "AsyncHierarchicalProtocol",
     "CoefficientMode",
     "GeographicGossip",
     "GlobalClock",

@@ -9,7 +9,7 @@ run-until-ε loop (:func:`drive_ticks`, behind both
 with transmission accounting, tracing, instrumentation and the stopping
 rule.
 
-The stopping rule is *oracular* (DESIGN.md, D7): the simulator measures the
+The stopping rule is *oracular*: the simulator measures the
 true normalized error and stops when it crosses ε.  Deployed systems would
 instead run for the worst-case tick counts the theorems prescribe; the
 transmission *costs* recorded here are unaffected by that choice.
@@ -191,14 +191,6 @@ class AsynchronousGossip(ABC):
         for node in owners:
             self.tick(int(node), values, counter, rng)
 
-    def begin_run(self, epsilon: float) -> None:
-        """Per-run setup, called once before :meth:`tick_budget`.
-
-        Protocols whose state or budget depends on the run's ε (or must
-        be reset between runs) override this; the default does nothing.
-        It must not consume randomness.
-        """
-
     def tick_budget(self, epsilon: float) -> int:
         """Default safety budget of clock ticks for :meth:`run`.
 
@@ -316,7 +308,6 @@ def drive_ticks(
     never per tick — which keeps their enabled overhead inside E22's
     ≤1.05× bar.
     """
-    algorithm.begin_run(epsilon)
     budget = algorithm.tick_budget(epsilon) if max_ticks is None else max_ticks
     n = algorithm.n
     values = initial_values.copy()

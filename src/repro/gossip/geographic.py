@@ -7,7 +7,7 @@ sampling is used to make the distribution roughly uniform on nodes.  The
 routing takes Õ(√n) hops w.h.p., but since the mixing time on the complete
 graph is O(1), one obtains an algorithm using Õ(n^1.5) transmissions."
 
-Target selection modes (DESIGN.md):
+Target selection modes:
 
 * ``"uniform"`` — oracle-uniform random node: what rejection sampling
   achieves, without its constant-factor overhead.  Default for scaling

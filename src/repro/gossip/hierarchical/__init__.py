@@ -1,18 +1,11 @@
 """The paper's hierarchical affine-combination protocol.
 
-Two executors, one protocol:
-
-* :class:`~repro.gossip.hierarchical.rounds.HierarchicalGossip` — the
-  round-based executor with the Section 3 semantics (a square's round =
-  activate children, exchange + re-average repeatedly, deactivate).  It is
-  deterministic in structure, charges every transmission, and is the
-  executor used by the scaling experiments.
-* :class:`~repro.gossip.hierarchical.protocol.AsyncHierarchicalProtocol` —
-  the literal Section 4 node-state machine (``local.state`` /
-  ``global.state`` / counters, `Near`/`Far`/`Activate.square`/
-  `Deactivate.square`) driven tick by tick under the shared asynchronous
-  Poisson-clock driver.  It demonstrates the decentralised machinery at
-  small ``n``.
+One executor: :class:`~repro.gossip.hierarchical.rounds.HierarchicalGossip`
+runs the protocol round by round with the Section 3 semantics (a square's
+round = activate children, exchange + re-average repeatedly, deactivate).
+It is deterministic in structure, charges every transmission by category
+(`Near`, `Far` routing, activation floods and routes) and reports per-depth
+execution counts in :class:`~repro.gossip.hierarchical.rounds.RoundStats`.
 
 Parameter schedules (the paper's ε_r/δ_r/time(·) and the practical
 variants) live in :mod:`~repro.gossip.hierarchical.parameters`.
@@ -23,7 +16,6 @@ from repro.gossip.hierarchical.parameters import (
     ProtocolParameters,
     latency_schedule,
 )
-from repro.gossip.hierarchical.protocol import AsyncHierarchicalProtocol, NodeState
 from repro.gossip.hierarchical.rounds import (
     CoefficientMode,
     HierarchicalGossip,
@@ -33,10 +25,8 @@ from repro.gossip.hierarchical.rounds import (
 
 __all__ = [
     "AccuracySchedule",
-    "AsyncHierarchicalProtocol",
     "CoefficientMode",
     "HierarchicalGossip",
-    "NodeState",
     "ProtocolParameters",
     "RoundConfig",
     "RoundStats",

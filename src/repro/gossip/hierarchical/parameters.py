@@ -10,11 +10,11 @@ The paper prescribes, for constants ``a > 0``:
 
 These are worst-case constants: run literally they exceed any simulable
 horizon (the module lets you *evaluate* them — experiment E11 tabulates
-them — and the tests check their recurrences).  Simulations use
+them — and the tests check their recurrences).  Simulations therefore
+never run the literal constants: they use
 :meth:`ProtocolParameters.practical`, which keeps the schedule *shapes*
-(geometric ε-tightening, latency ∝ quadratic leaf averaging, a rate
-separation factor between hierarchy levels) with constants that terminate
-(DESIGN.md, D5).
+(geometric ε-tightening, `Near` work quadratic in leaf occupancy, `Far`
+exchanges ``Θ(k log(k/ε_r))`` per round) with constants that terminate.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def latency_schedule(
 
 @dataclass(frozen=True)
 class ProtocolParameters:
-    """Everything the executors need, bundled.
+    """Everything the executor needs, bundled.
 
     Attributes
     ----------
@@ -112,9 +112,6 @@ class ProtocolParameters:
         The accuracy/confidence schedule (paper or practical mode).
     affine_gain:
         The paper's ``2/5`` coefficient in `Far` updates.
-    far_rate_separation:
-        The paper's ``n^a`` factor by which `Far` rates sit below the
-        inverse subordinate latency (practical mode uses a small constant).
     near_multiplier:
         Leaf `Near` phases run ``near_multiplier · m² · ln(m/ε_r)`` ticks
         (plain gossip averages in quadratic time, paper §5 / [1, 2]).
@@ -125,7 +122,6 @@ class ProtocolParameters:
 
     schedule: AccuracySchedule
     affine_gain: float = 0.4
-    far_rate_separation: float = 10.0
     near_multiplier: float = 3.0
     exchange_multiplier: float = 2.0
 
@@ -133,10 +129,6 @@ class ProtocolParameters:
         if not 0 < self.affine_gain < 0.5:
             raise ValueError(
                 f"affine gain must lie in (0, 1/2), got {self.affine_gain}"
-            )
-        if self.far_rate_separation < 1:
-            raise ValueError(
-                f"rate separation must be >= 1, got {self.far_rate_separation}"
             )
         if self.near_multiplier <= 0 or self.exchange_multiplier <= 0:
             raise ValueError("multipliers must be positive")
@@ -151,7 +143,7 @@ class ProtocolParameters:
         schedule = AccuracySchedule(
             n=n, epsilon0=epsilon, delta0=delta, a=a, mode="paper"
         )
-        return cls(schedule=schedule, far_rate_separation=float(n) ** a)
+        return cls(schedule=schedule)
 
     @classmethod
     def practical(
@@ -159,13 +151,12 @@ class ProtocolParameters:
         n: int,
         epsilon: float,
         decay: float = 0.2,
-        separation: float = 10.0,
     ) -> "ProtocolParameters":
         """Simulable constants with the paper's schedule shapes."""
         schedule = AccuracySchedule(
             n=n, epsilon0=epsilon, delta0=1.0 / n, mode="practical", decay=decay
         )
-        return cls(schedule=schedule, far_rate_separation=separation)
+        return cls(schedule=schedule)
 
     def near_ticks(self, occupancy: int, depth: int) -> int:
         """Prescribed `Near` ticks for a leaf of ``occupancy`` sensors."""

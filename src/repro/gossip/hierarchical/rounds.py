@@ -16,7 +16,7 @@ A square's **round** is the unit of work:
 Leaf rounds are plain `Near` gossip: each tick, a uniform member averages
 with a uniform neighbour inside the leaf square.
 
-Stopping (DESIGN.md, D5/D7): with ``adaptive=True`` (default) the exchange
+Stopping: with ``adaptive=True`` (default) the exchange
 and `Near` loops stop as soon as the square's internal deviation falls to
 its depth's accuracy target ``ε_r · ‖x(0)‖`` (measured oracularly; costs
 are still charged per transmission).  With ``adaptive=False`` loops run the
@@ -46,14 +46,20 @@ __all__ = ["CoefficientMode", "RoundConfig", "RoundStats", "HierarchicalGossip"]
 
 
 class CoefficientMode(Enum):
-    """How the `Far` affine coefficient is computed (DESIGN.md, D4).
+    """How the `Far` affine coefficient is computed.
 
     * ``PAPER_EXPECTED`` — the literal ``(2/5)·E#(□)``: correct whenever
       occupancy concentrates (the paper's ``(log n)^8`` leaves), but can
       push the induced sum-coefficient ``α = (2/5)·E#/#`` past 1 on
       under-occupied simulation-scale leaves and destabilise (E10).
     * ``CLAMPED`` — ``min((2/5)·E#, 0.48·min(#_i, #_j))``: identical to the
-      paper when concentration holds, provably contracting always.
+      paper when concentration holds, and contracting as long as every
+      occupied child square has a supernode its parent's exchange loop
+      can reach.  It is not when a leaf's only sensor was already elected
+      by its parent: the leaf has no supernode, that sensor takes every
+      `Far` kick one level up (β ≫ 1) and nothing spreads it, so the gap
+      grows each exchange — ``repro sweep`` defaults, root seed
+      20070838, hierarchical n=512, trial 1 diverges this way.
     * ``ACTUAL_MIN`` — ``(2/5)·min(#_i, #_j)``: fully local robust variant.
     * ``CONVEX`` — plain supernode averaging (coefficient ``1/2`` on the
       supernode *values*, no mass weighting): the E14 ablation showing why
@@ -77,7 +83,7 @@ class RoundConfig:
     adaptive:
         Stop loops on measured accuracy (True) or run prescribed counts.
     sibling_targets:
-        `Far` targets are siblings within the same parent (D1).  ``False``
+        `Far` targets are siblings within the same parent.  ``False``
         targets any same-depth square — the E14 ablation (it breaks the
         recursion's locality and inflates routing cost).
     hard_cap_factor:
@@ -160,7 +166,11 @@ class HierarchicalGossip:
         self.config = config if config is not None else RoundConfig()
         self.router = GreedyRouter(graph)
         self.stats = RoundStats()
-        self._leaf_neighbors = self._restrict_adjacency_to_leaves()
+        # Per-sensor `Near` adjacency: leaf-local, falling back to the
+        # nearest ancestor square for sensors stranded within their leaf.
+        self._leaf_neighbors = self.tree.local_adjacency(
+            graph.neighbors, fallback=True
+        )
         self._depth_squares: dict[int, list[SquareNode]] = {
             depth: self.tree.squares_at_depth(depth)
             for depth in range(len(self.tree.factors) + 1)
@@ -265,7 +275,7 @@ class HierarchicalGossip:
     ) -> None:
         """`Near` gossip among the leaf's members until the target accuracy."""
         members = node.members
-        self._activate_leaf(node, state)
+        self._switch_leaf(node, state)
         prescribed = state.parameters.near_ticks(node.occupancy, depth)
         cap = int(math.ceil(prescribed * self.config.hard_cap_factor))
         check_period = max(1, len(members))
@@ -283,7 +293,7 @@ class HierarchicalGossip:
             if self.config.adaptive:
                 self.stats.cap_hits += 1
         self.stats._bump(self.stats.near_ticks_by_depth, depth, ticks)
-        self._deactivate_leaf(node, state)
+        self._switch_leaf(node, state)
 
     def _internal_round(
         self, node: SquareNode, depth: int, target: float, state: "_RunState"
@@ -296,7 +306,7 @@ class HierarchicalGossip:
             for child in children:
                 self._round(child, depth + 1, child_target, state)
             return
-        self._activate_internal(node, children, state)
+        self._switch_children(node, children, state)
         for child in children:
             self._round(child, depth + 1, child_target, state)
         prescribed = state.parameters.exchange_count(len(children), depth)
@@ -324,7 +334,7 @@ class HierarchicalGossip:
             if self.config.adaptive:
                 self.stats.cap_hits += 1
         self.stats._bump(self.stats.exchanges_by_depth, depth, exchanges)
-        self._deactivate_internal(node, children, state)
+        self._switch_children(node, children, state)
 
     # -- protocol actions ------------------------------------------------------
 
@@ -349,7 +359,7 @@ class HierarchicalGossip:
         depth: int,
         state: "_RunState",
     ) -> SquareNode | None:
-        """Uniform random exchange target for ``initiator`` (D1)."""
+        """Uniform random exchange target for ``initiator``."""
         if self.config.sibling_targets:
             pool = siblings
         else:
@@ -368,7 +378,8 @@ class HierarchicalGossip:
     def _far_exchange(
         self, square_i: SquareNode, square_j: SquareNode, state: "_RunState"
     ) -> None:
-        """The affine exchange of Section 4.2's `Far` (decisions D2/D4)."""
+        """The affine exchange of Section 4.2's `Far`: both endpoints
+        update symmetrically from their pre-exchange values."""
         s_i, s_j = square_i.supernode, square_j.supernode
         forward, backward = self.router.round_trip(
             s_i, s_j, state.counter, category="far"
@@ -409,7 +420,8 @@ class HierarchicalGossip:
 
     # -- activation / deactivation ---------------------------------------------
 
-    def _activate_leaf(self, node: SquareNode, state: "_RunState") -> None:
+    def _switch_leaf(self, node: SquareNode, state: "_RunState") -> None:
+        """Flood an on- or off-switch from the supernode to the leaf's members."""
         flood(
             self.graph.neighbors,
             node.supernode,
@@ -418,19 +430,11 @@ class HierarchicalGossip:
             category="activation",
         )
 
-    def _deactivate_leaf(self, node: SquareNode, state: "_RunState") -> None:
-        flood(
-            self.graph.neighbors,
-            node.supernode,
-            node.members.tolist(),
-            state.counter,
-            category="activation",
-        )
-
-    def _activate_internal(
+    def _switch_children(
         self, node: SquareNode, children: list[SquareNode], state: "_RunState"
     ) -> None:
-        """Greedy-route an on-switch to each child supernode (Section 4.2)."""
+        """Greedy-route an on- or off-switch to each child supernode
+        (Section 4.2)."""
         for child in children:
             if child.supernode != node.supernode:
                 self.router.route_to_node(
@@ -439,11 +443,6 @@ class HierarchicalGossip:
                     state.counter,
                     category="activation",
                 )
-
-    def _deactivate_internal(
-        self, node: SquareNode, children: list[SquareNode], state: "_RunState"
-    ) -> None:
-        self._activate_internal(node, children, state)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -456,10 +455,6 @@ class HierarchicalGossip:
         """
         slice_ = state.values[node.members]
         return float(np.linalg.norm(slice_ - slice_.mean()))
-
-    def _restrict_adjacency_to_leaves(self) -> list[np.ndarray]:
-        """Per-sensor `Near` adjacency (leaf-local, ancestor fallback D10)."""
-        return self.tree.local_adjacency(self.graph.neighbors, fallback=True)
 
 
 @dataclass

@@ -13,8 +13,7 @@ are well separated").
 
 The paper's ``(log n)^8`` leaf threshold exceeds every reachable ``n`` (it
 passes 10⁶ already at n ≈ 32); simulations therefore use
-:func:`practical_leaf_threshold` — same rule, smaller constant — as recorded
-in DESIGN.md (decision D6).
+:func:`practical_leaf_threshold` — same rule, smaller constant.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def practical_leaf_threshold(n: int, constant: float = 3.0) -> float:
 
     Keeps leaves at ``Θ(log n)`` sensors — large enough for occupancy
     concentration to be meaningful, small enough that quadratic `Near`
-    averaging inside leaves stays cheap (DESIGN.md, D6).
+    averaging inside leaves stays cheap.
     """
     if n < 2:
         raise ValueError(f"need at least two sensors, got {n}")

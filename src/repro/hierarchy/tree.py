@@ -37,8 +37,10 @@ class SquareNode:
         the path (the quantity the paper's affine coefficients use).
     supernode:
         Sensor elected as ``s(□)`` (member nearest the centre), or ``-1``
-        for an empty square (cannot occur w.h.p. at paper parameters; can
-        at aggressive simulation scales and is handled by the executors).
+        for an empty square or one whose every member an enclosing square
+        already claimed (neither occurs w.h.p. at paper parameters; both
+        can at simulation scales, and the executor leaves such squares out
+        of its exchange loops).
     children:
         Child squares, row-major; empty for leaves.
     """
@@ -234,7 +236,7 @@ class HierarchyTree:
         at simulation scale a leaf can be barely wider than ``r`` and a
         boundary sensor may have *no* same-leaf neighbour — a stranded
         sensor would never average and pins the global error.  With
-        ``fallback=True`` (decision D10) such sensors escalate to
+        ``fallback=True`` such sensors escalate to
         neighbours within the nearest ancestor square that provides some,
         preserving the hierarchy's locality.
         """

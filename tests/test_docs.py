@@ -129,6 +129,21 @@ class TestDocsSite:
                 "is produced by docs/gen_api_ref.py"
             )
 
+    def test_markdown_paths_named_in_code_exist(self):
+        """Every ``*.md`` path a module, example or benchmark names
+        exists, relative to the repository root."""
+        written = {"partial_report.md"}  # an output of the sweep service
+        dangling = []
+        for top in ("src", "examples", "benchmarks"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                for name in re.findall(r"[\w./-]*\w\.md\b", text):
+                    if pathlib.PurePosixPath(name).name in written:
+                        continue
+                    if not (REPO / name).is_file():
+                        dangling.append(f"{path.relative_to(REPO)}: {name}")
+        assert dangling == []
+
     def test_batching_page_backs_the_warning_message(self):
         """The ScalarFallbackWarning names this page; keep it load-bearing."""
         page = (DOCS / "batching.md").read_text(encoding="utf-8")

@@ -34,6 +34,18 @@ class TestExamples:
         assert "transmissions" in completed.stdout
         assert "Cheapest at this size" in completed.stdout
 
+    def test_protocol_inspection_prints_round_stats(self):
+        completed = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / "protocol_inspection.py")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "sensor Levels" in completed.stdout
+        assert "per-depth round statistics (RoundStats)" in completed.stdout
+        assert "activation control" in completed.stdout
+
     def test_quickstart_sweep_runs_and_resumes(self, tmp_path):
         """The docs/quickstart.md tutorial script: sweep, then resume."""
         command = [

@@ -82,7 +82,7 @@ class TestLatencySchedule:
         assert times[0] > times[1] > times[2] > 0
 
     def test_paper_magnitudes_are_astronomical(self):
-        # The documented reason simulations use practical schedules (D5).
+        # The documented reason simulations use practical schedules.
         schedule = AccuracySchedule(n=1024, epsilon0=0.1, delta0=1e-2, a=1.0)
         times = latency_schedule(1024, [36, 4], schedule)
         assert times[0] > 1e40
@@ -92,13 +92,12 @@ class TestProtocolParameters:
     def test_paper_factory(self):
         params = ProtocolParameters.paper(1000, epsilon=0.1, a=1.0)
         assert params.schedule.mode == "paper"
-        assert params.far_rate_separation == pytest.approx(1000.0)
+        assert params.schedule.a == 1.0
         assert params.schedule.delta0 == pytest.approx(1e-3)
 
     def test_practical_factory(self):
-        params = ProtocolParameters.practical(1000, epsilon=0.2, separation=7.0)
+        params = ProtocolParameters.practical(1000, epsilon=0.2)
         assert params.schedule.mode == "practical"
-        assert params.far_rate_separation == 7.0
 
     def test_affine_gain_is_two_fifths(self):
         params = ProtocolParameters.practical(100, 0.1)
@@ -126,7 +125,5 @@ class TestProtocolParameters:
         schedule = AccuracySchedule(n=10, epsilon0=0.1, delta0=0.1)
         with pytest.raises(ValueError):
             ProtocolParameters(schedule=schedule, affine_gain=0.6)
-        with pytest.raises(ValueError):
-            ProtocolParameters(schedule=schedule, far_rate_separation=0.5)
         with pytest.raises(ValueError):
             ProtocolParameters(schedule=schedule, near_multiplier=0.0)

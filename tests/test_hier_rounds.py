@@ -1,5 +1,7 @@
 """Unit tests for repro.gossip.hierarchical.rounds (the round executor)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestConstruction:
                     leaf_of[int(v)] == leaf_of[sensor] for v in local
                 )
             else:
-                # D10 fallback: partners come from an ancestor square, so
+                # Ancestor fallback: partners come from an ancestor square, so
                 # they are still graph neighbours.
                 assert set(local.tolist()) <= set(
                     int(v) for v in graph.neighbors[sensor]
@@ -88,6 +90,20 @@ class TestConvergence:
         assert sum(algo.stats.exchanges_by_depth.values()) > 0
         assert sum(algo.stats.near_ticks_by_depth.values()) > 0
         assert algo.stats.routing_failures == 0
+
+    def test_rerun_on_one_instance_is_identical(self, graph, field):
+        # The engine's per-column multi-field fallback reruns one instance
+        # once per column, so no run may leave state the next one reads.
+        algo = HierarchicalGossip(graph)
+        first = algo.run(field, epsilon=0.25, rng=np.random.default_rng(17))
+        first_stats = copy.deepcopy(algo.stats)
+        algo.run(field[::-1].copy(), epsilon=0.1, rng=np.random.default_rng(19))
+        second = algo.run(field, epsilon=0.25, rng=np.random.default_rng(17))
+        np.testing.assert_array_equal(first.values, second.values)
+        assert first.transmissions == second.transmissions
+        assert first.ticks == second.ticks
+        assert sum(first_stats.rounds_by_depth.values()) > 0
+        assert algo.stats == first_stats
 
     def test_spike_field_converges(self, graph):
         # The hardest workload: all mass on one sensor.

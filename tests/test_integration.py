@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from repro import (
-    AsyncHierarchicalProtocol,
     GeographicGossip,
     HierarchicalGossip,
-    HierarchyTree,
     RandomizedGossip,
     RandomGeometricGraph,
     normalized_error,
@@ -72,35 +70,6 @@ class TestThreeAlgorithmsOneWorld:
             assert result.values.mean() == pytest.approx(
                 field.mean(), abs=1e-9
             ), name
-
-
-class TestHierarchyProtocolAgreement:
-    def test_round_and_async_executors_agree(self):
-        # Both executors implement the same protocol; on the same world
-        # they must reach the same average within tolerance.
-        rng = np.random.default_rng(97)
-        graph = RandomGeometricGraph.sample_connected(128, rng, radius_constant=2.5)
-        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
-        field = np.random.default_rng(101).normal(size=graph.n)
-        epsilon = 0.3
-        round_result = HierarchicalGossip(graph, tree=tree).run(
-            field, epsilon, np.random.default_rng(13)
-        )
-        async_result = AsyncHierarchicalProtocol(graph, tree=tree).run(
-            field, epsilon, np.random.default_rng(17)
-        )
-        assert round_result.converged and async_result.converged
-        assert round_result.values.mean() == pytest.approx(
-            async_result.values.mean(), abs=1e-9
-        )
-
-    def test_hierarchy_shared_between_algorithms(self):
-        rng = np.random.default_rng(103)
-        graph = RandomGeometricGraph.sample_connected(128, rng, radius_constant=2.5)
-        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
-        a = HierarchicalGossip(graph, tree=tree)
-        b = AsyncHierarchicalProtocol(graph, tree=tree)
-        assert a.tree is b.tree
 
 
 class TestHarnessEndToEnd:

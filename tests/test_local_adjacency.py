@@ -1,4 +1,5 @@
-"""Unit tests for HierarchyTree.local_adjacency (the D10 Near scope)."""
+"""Unit tests for HierarchyTree.local_adjacency (the `Near` scope, with
+its ancestor fallback)."""
 
 import numpy as np
 import pytest
