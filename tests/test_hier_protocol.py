@@ -1,14 +1,23 @@
-"""Unit tests for repro.gossip.hierarchical.protocol (async state machine)."""
+"""Protocol-level tests of the paper's Section 4.2 protocol.
+
+`HierarchicalGossip` is the one executor of the protocol.  These tests run
+it on a small two-level world (128 sensors, 16 leaf squares) and check
+what the protocol promises there: the hierarchy it reads, the actions and
+charges it records, and that every coefficient mode conserves the sum.
+"""
 
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.dynamics import DynamicGossip, DynamicSubstrate, FaultSpec
-from repro.engine.batching import ScalarFallbackWarning, run_batched
-from repro.gossip.hierarchical import AsyncHierarchicalProtocol
+from repro.engine.batching import run_batched
+from repro.gossip.hierarchical import (
+    CoefficientMode,
+    HierarchicalGossip,
+    RoundConfig,
+    RoundStats,
+)
 from repro.graphs import RandomGeometricGraph
 from repro.hierarchy import HierarchyTree
 
@@ -22,134 +31,125 @@ def setup():
     return graph, tree, field
 
 
+def _leaf_depth(tree):
+    return len(tree.factors)
+
+
 class TestInitialization:
-    def test_rejects_bad_separation(self, setup):
+    def test_stats_empty_before_run(self, setup):
         graph, tree, _ = setup
-        with pytest.raises(ValueError):
-            AsyncHierarchicalProtocol(graph, tree=tree, separation=0.5)
+        assert HierarchicalGossip(graph, tree=tree).stats == RoundStats()
 
-    def test_all_states_off_before_run(self, setup):
-        graph, tree, _ = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        assert not any(s.local_on or s.global_on for s in proto.states)
-
-    def test_root_switched_on_by_run(self, setup):
+    def test_one_root_round_when_capped(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        proto.run(field, epsilon=0.9, rng=np.random.default_rng(1), max_ticks=1)
-        assert proto.states[tree.root.supernode].global_on
+        algo = HierarchicalGossip(graph, tree=tree)
+        algo.run(field, epsilon=0.3, rng=np.random.default_rng(1), max_root_rounds=1)
+        assert algo.stats.rounds_by_depth[0] == 1
 
-    def test_supernode_square_map_shallowest_wins(self, setup):
-        graph, tree, _ = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        assert proto._square_of[tree.root.supernode] is tree.root
+    def test_every_occupied_square_elects_a_member(self, setup):
+        _, tree, _ = setup
+        occupied = [s for s in tree.all_squares() if s.occupancy > 0]
+        assert occupied
+        for square in occupied:
+            assert square.supernode in set(int(m) for m in square.members)
+
+    def test_supernodes_are_distinct(self, setup):
+        _, tree, _ = setup
+        elected = [s.supernode for s in tree.all_squares() if s.supernode >= 0]
+        assert len(elected) == len(set(elected))
+        assert sorted(elected) == tree.supernodes()
 
 
 class TestExecution:
     def test_converges(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        result = proto.run(field, epsilon=0.3, rng=np.random.default_rng(5))
+        result = HierarchicalGossip(graph, tree=tree).run(
+            field, epsilon=0.3, rng=np.random.default_rng(5)
+        )
         assert result.converged
         assert result.error <= 0.3
 
     def test_sum_conserved(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        result = proto.run(field, epsilon=0.3, rng=np.random.default_rng(7))
+        result = HierarchicalGossip(graph, tree=tree).run(
+            field, epsilon=0.3, rng=np.random.default_rng(7)
+        )
         assert result.values.sum() == pytest.approx(field.sum(), abs=1e-9)
 
     def test_far_exchanges_happen(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        proto.run(field, epsilon=0.3, rng=np.random.default_rng(9))
-        assert proto.far_exchanges > 0
+        algo = HierarchicalGossip(graph, tree=tree)
+        result = algo.run(field, epsilon=0.3, rng=np.random.default_rng(9))
+        assert algo.stats.exchanges_by_depth[0] > 0
+        assert result.transmissions["far"] > 0
+        assert algo.stats.routing_failures == 0
 
     def test_transmission_categories(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        result = proto.run(field, epsilon=0.3, rng=np.random.default_rng(11))
-        assert result.transmissions.get("near", 0) > 0
-        assert result.transmissions.get("far", 0) > 0
-        assert result.transmissions.get("activation", 0) > 0
+        result = HierarchicalGossip(graph, tree=tree).run(
+            field, epsilon=0.3, rng=np.random.default_rng(11)
+        )
+        categories = {k: v for k, v in result.transmissions.items() if k != "total"}
+        assert set(categories) == {"activation", "near", "far"}
+        assert all(count > 0 for count in categories.values())
+        assert result.transmissions["total"] == sum(categories.values())
 
-    def test_busy_guard_defers_overlapping_exchanges(self, setup):
+    def test_ticks_count_near_ticks_and_exchanges(self, setup):
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree, separation=1.0)
-        proto.run(field, epsilon=0.3, rng=np.random.default_rng(13))
-        # With no rate separation at all, the guard must be doing real work.
-        assert proto.busy_aborts > 0
+        algo = HierarchicalGossip(graph, tree=tree)
+        result = algo.run(field, epsilon=0.3, rng=np.random.default_rng(13))
+        assert result.ticks == sum(algo.stats.near_ticks_by_depth.values()) + sum(
+            algo.stats.exchanges_by_depth.values()
+        )
 
-    def test_rerun_reuses_instance(self, setup):
+    def test_actions_sit_at_their_depths(self, setup):
+        # `Near` runs only inside leaves; `Far` exchanges only between the
+        # children of an internal square.
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        first = proto.run(field, epsilon=0.4, rng=np.random.default_rng(15))
-        second = proto.run(field, epsilon=0.4, rng=np.random.default_rng(15))
-        assert first.converged and second.converged
-        assert first.total_transmissions == second.total_transmissions
+        algo = HierarchicalGossip(graph, tree=tree)
+        algo.run(field, epsilon=0.3, rng=np.random.default_rng(15))
+        assert set(algo.stats.near_ticks_by_depth) == {_leaf_depth(tree)}
+        assert set(algo.stats.exchanges_by_depth) <= set(range(_leaf_depth(tree)))
 
-    def test_time_budgets_monotone(self, setup):
+    def test_each_near_tick_charges_two_transmissions(self, setup):
+        # No sensor of this world is stranded in its leaf, so every `Near`
+        # tick averages one pair: one message each way.
         graph, tree, field = setup
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        proto.run(field, epsilon=0.4, rng=np.random.default_rng(17), max_ticks=10)
-        budgets = proto._time_budgets
-        assert all(b > 0 for b in budgets)
-        assert budgets[0] > budgets[-1]
+        assert all(a.size for a in tree.local_adjacency(graph.neighbors))
+        algo = HierarchicalGossip(graph, tree=tree)
+        result = algo.run(field, epsilon=0.3, rng=np.random.default_rng(17))
+        ticks = sum(algo.stats.near_ticks_by_depth.values())
+        assert result.transmissions["near"] == 2 * ticks
+
+    @pytest.mark.parametrize("mode", list(CoefficientMode))
+    def test_every_mode_conserves_the_sum(self, setup, mode):
+        graph, tree, field = setup
+        algo = HierarchicalGossip(
+            graph, tree=tree, config=RoundConfig(coefficient_mode=mode)
+        )
+        result = algo.run(field, epsilon=0.3, rng=np.random.default_rng(19))
+        assert result.converged
+        assert result.values.sum() == pytest.approx(field.sum(), abs=1e-9)
 
 
 class TestEngineStrides:
-    """Per-run setup happens in ``begin_run``, which the one tick driver
-    calls at every stride (a strided run used to skip it and index an
-    empty time-budget list)."""
+    """The engine runs the round executor natively at every stride, so
+    the numbers are the executor's own and do not depend on the stride."""
 
-    @pytest.fixture(scope="class")
-    def world(self):
-        rng = np.random.default_rng(97)
-        graph = RandomGeometricGraph.sample_connected(
-            128, rng, radius_constant=2.5
+    @pytest.mark.parametrize("check_stride", [1, 4])
+    def test_numbers_pinned_at_every_stride(self, setup, check_stride):
+        graph, tree, field = setup
+        result = run_batched(
+            HierarchicalGossip(graph, tree=tree),
+            field,
+            0.3,
+            np.random.default_rng(17),
+            check_stride=check_stride,
         )
-        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
-        field = np.random.default_rng(101).normal(size=graph.n)
-        return graph, tree, field
-
-    def _run(self, world, check_stride):
-        graph, tree, field = world
-        proto = AsyncHierarchicalProtocol(graph, tree=tree)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScalarFallbackWarning)
-            result = run_batched(
-                proto, field, 0.3, np.random.default_rng(17),
-                check_stride=check_stride,
-            )
-        return proto, result
-
-    def test_stride1_numbers_unchanged(self, world):
-        _, result = self._run(world, 1)
         assert result.converged
-        assert result.ticks == 33248
+        assert result.ticks == 1038
         assert result.transmissions == {
-            "activation": 373, "near": 39150, "far": 22, "total": 39545,
+            "activation": 1060, "near": 2012, "far": 148, "total": 3220,
         }
         digest = hashlib.sha256(result.values.tobytes()).hexdigest()
-        assert digest.startswith("14682978bf628119")
-
-    def test_stride4_runs_the_per_run_setup(self, world):
-        proto, result = self._run(world, 4)
-        assert result.converged
-        assert proto._time_budgets
-        assert proto.far_exchanges > 0
-        graph, _, field = world
-        assert result.values.sum() == pytest.approx(field.sum(), abs=1e-9)
-
-    def test_fault_free_wrapper_forwards_the_per_run_setup(self, world):
-        graph, tree, field = world
-        substrate = DynamicSubstrate(graph, FaultSpec(), seed=1)
-        wrapped = DynamicGossip(
-            AsyncHierarchicalProtocol(substrate, tree=tree), substrate
-        )
-        result = run_batched(wrapped, field, 0.3, np.random.default_rng(17))
-        _, plain = self._run(world, 1)
-        assert (result.ticks, result.transmissions) == (
-            plain.ticks, plain.transmissions,
-        )
-        np.testing.assert_array_equal(result.values, plain.values)
+        assert digest.startswith("ee6318bd25d290f2")

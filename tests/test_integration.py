@@ -12,11 +12,13 @@ import pytest
 from repro import (
     GeographicGossip,
     HierarchicalGossip,
+    HierarchyTree,
     RandomizedGossip,
     RandomGeometricGraph,
     normalized_error,
 )
 from repro.experiments import ExperimentConfig, run_convergence
+from repro.gossip.hierarchical import CoefficientMode, RoundConfig
 from repro.workloads import FIELD_GENERATORS
 
 
@@ -70,6 +72,47 @@ class TestThreeAlgorithmsOneWorld:
             assert result.values.mean() == pytest.approx(
                 field.mean(), abs=1e-9
             ), name
+
+
+class TestHierarchyProtocolAgreement:
+    @pytest.fixture(scope="class")
+    def small_world(self):
+        rng = np.random.default_rng(97)
+        graph = RandomGeometricGraph.sample_connected(128, rng, radius_constant=2.5)
+        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
+        field = np.random.default_rng(101).normal(size=graph.n)
+        return graph, tree, field
+
+    def test_round_executor_agrees_with_flat_gossip(self, small_world):
+        # The hierarchy changes how mass moves, not where it ends: on the
+        # same world both protocols reach the same average.
+        graph, tree, field = small_world
+        epsilon = 0.3
+        round_result = HierarchicalGossip(graph, tree=tree).run(
+            field, epsilon, np.random.default_rng(13)
+        )
+        flat_result = RandomizedGossip(graph.neighbors).run(
+            field, epsilon, np.random.default_rng(17)
+        )
+        assert round_result.converged and flat_result.converged
+        assert round_result.values.mean() == pytest.approx(
+            flat_result.values.mean(), abs=1e-9
+        )
+
+    def test_hierarchy_shared_between_algorithms(self, small_world):
+        graph, tree, field = small_world
+        a = HierarchicalGossip(graph, tree=tree)
+        b = HierarchicalGossip(
+            graph,
+            tree=tree,
+            config=RoundConfig(coefficient_mode=CoefficientMode.ACTUAL_MIN),
+        )
+        assert a.tree is b.tree
+        for algo in (a, b):
+            result = algo.run(field, 0.3, np.random.default_rng(19))
+            assert result.converged
+            # Running one never swaps in a tree of its own.
+            assert algo.tree is tree
 
 
 class TestHarnessEndToEnd:
