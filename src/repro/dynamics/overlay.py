@@ -395,8 +395,9 @@ class LossyRouter:
     """A router whose transmissions can be lost mid-route.
 
     Wraps any object with the :class:`~repro.routing.greedy.GreedyRouter`
-    routing surface (the plain router or the memoized
-    :class:`~repro.routing.cache.CachedGreedyRouter`).  The wrapped
+    routing surface — in a :class:`DynamicGossip`, the protocol's
+    memoized :class:`~repro.routing.cache.CachedGreedyRouter`, whose
+    columns the substrate keeps current.  The wrapped
     router computes the intended path as usual; the
     :class:`~repro.dynamics.schedule.LossChannel` then decides the fate
     of each hop in order.  On a loss at transmission ``k`` the packet
@@ -514,9 +515,9 @@ class DynamicGossip(AsynchronousGossip):
     the substrate's epoch transitions exactly at their boundaries
     (splitting batched owner blocks there, so results stay independent of
     the engine's block chunking), drops ticks owned by crashed nodes, and
-    injects the substrate's loss channel into the protocol's routers and
+    injects the substrate's loss channel into the protocol's router and
     loss hooks.  The wrapped protocol must be built *over the substrate*
-    (its routers must read the masked adjacency), which is what
+    (its router must read the masked adjacency), which is what
     :func:`repro.engine.executor.build_cell_algorithm` arranges.
 
     Round-based protocols (``batching_capability == "rounds"``, e.g. the
@@ -569,10 +570,8 @@ class DynamicGossip(AsynchronousGossip):
         self.wasted_ticks = 0
         self._tick = 0
         channel = substrate.channel
-        if hasattr(inner, "route_cache"):
-            substrate.register_cache(inner.route_cache)
-            inner.route_cache = LossyRouter(inner.route_cache, channel)
         if hasattr(inner, "router"):
+            substrate.register_cache(inner.router)
             inner.router = LossyRouter(inner.router, channel)
         # Single-hop / reverse-flash loss hooks (protocols that transmit
         # outside their router): see RandomizedGossip.loss_channel and

@@ -30,7 +30,6 @@ from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
-from repro.routing.greedy import GreedyRouter
 from repro.routing.rejection import RejectionSampler
 
 __all__ = ["GeographicGossip"]
@@ -71,11 +70,9 @@ class GeographicGossip(AsynchronousGossip):
                 f"unknown target mode {target_mode!r}; pick one of {_TARGET_MODES}"
             )
         self.graph = graph
-        self.router = GreedyRouter(graph)
-        # The batched tick path routes through the exact memoized router
-        # (the graph's shared one, if its owner attached one); the scalar
-        # loop keeps the plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter.for_router(self.router)
+        # Both tick paths route through the exact memoized router (the
+        # graph's shared one, if its owner attached one).
+        self.router = CachedGreedyRouter.for_graph(graph)
         self.target_mode = target_mode
         self.sampler = (
             RejectionSampler(graph.positions, reference_quantile)
@@ -119,7 +116,7 @@ class GeographicGossip(AsynchronousGossip):
         counter: TransmissionCounter,
         rng: np.random.Generator,
     ) -> None:
-        """Batched ticks: targets pre-sampled per block, routes memoized.
+        """Batched ticks: targets pre-sampled per block.
 
         ``uniform`` mode consumes one double per tick (mapped onto the
         ``n − 1`` other nodes); ``position`` mode consumes two (the random
@@ -128,12 +125,11 @@ class GeographicGossip(AsynchronousGossip):
         chunking cannot change the results.  ``rejection`` mode draws a
         *variable* number of doubles per proposal loop, which only stays
         chunk-invariant when consumed strictly in tick order — so it runs
-        the scalar per-tick loop (routes still memoized are not needed
-        there; each tick routes through :attr:`router` as usual).
+        :meth:`tick` once per owner.
 
         Exchanges are applied sequentially in owner order with the same
-        abort-on-void rule as :meth:`tick`; routed costs are charged via
-        :attr:`route_cache`, which replays greedy paths exactly.
+        abort-on-void rule as :meth:`tick`, routed through the same
+        memoized :attr:`router`.
         """
         if self.target_mode == "rejection":
             for node in owners:
@@ -152,7 +148,7 @@ class GeographicGossip(AsynchronousGossip):
                 self.graph.nearest_node(points[index])
                 for index in range(len(owners))
             ]
-        route = self.route_cache.round_trip
+        route = self.router.round_trip
         recorder = _events.active()
         pairs = [] if recorder is not None else None
         for node, target in zip(owners.tolist(), targets):

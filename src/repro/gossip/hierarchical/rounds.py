@@ -38,9 +38,9 @@ from repro.graphs.rgg import RandomGeometricGraph
 from repro.hierarchy.tree import HierarchyTree, SquareNode
 from repro.metrics.error import deviation_norm, normalized_error
 from repro.metrics.trace import ConvergenceTrace
+from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
 from repro.routing.flooding import flood
-from repro.routing.greedy import GreedyRouter
 
 __all__ = ["CoefficientMode", "RoundConfig", "RoundStats", "HierarchicalGossip"]
 
@@ -164,7 +164,9 @@ class HierarchicalGossip:
         self.tree = tree if tree is not None else HierarchyTree.build(graph.positions)
         self.parameters = parameters
         self.config = config if config is not None else RoundConfig()
-        self.router = GreedyRouter(graph)
+        # `Far` exchanges and child activations route through the
+        # graph's shared route table, if its owner attached one.
+        self.router = CachedGreedyRouter.for_graph(graph)
         self.stats = RoundStats()
         # Per-sensor `Near` adjacency: leaf-local, falling back to the
         # nearest ancestor square for sensors stranded within their leaf.

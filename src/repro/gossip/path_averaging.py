@@ -56,7 +56,7 @@ from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
-from repro.routing.greedy import GreedyRouter
+from repro.routing.greedy import RouteResult
 
 __all__ = ["PathAveragingGossip"]
 
@@ -112,11 +112,9 @@ class PathAveragingGossip(AsynchronousGossip):
                 f"unknown target mode {target_mode!r}; pick one of {_TARGET_MODES}"
             )
         self.graph = graph
-        self.router = GreedyRouter(graph)
-        # The batched tick path routes through the exact memoized router
-        # (the graph's shared one, if its owner attached one); the scalar
-        # loop keeps the plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter.for_router(self.router)
+        # Both tick paths route through the exact memoized router (the
+        # graph's shared one, if its owner attached one).
+        self.router = CachedGreedyRouter.for_graph(graph)
         self.target_mode = target_mode
         self.failed_exchanges = 0
 
@@ -133,20 +131,9 @@ class PathAveragingGossip(AsynchronousGossip):
             if target >= node:
                 target += 1
             route = self.router.route_to_node(node, target, counter)
-            if not route.delivered:
-                # A routing void: abort with no update so the sum is conserved.
-                self.failed_exchanges += 1
-                self._emit_abort()
-                return
         else:
             route = self.router.route_to_position(node, rng.random(2), counter)
-            if not route.delivered:
-                # Only a lossy substrate can sever a position walk; the
-                # packet (and its running sum) died in flight — abort.
-                self.failed_exchanges += 1
-                self._emit_abort()
-                return
-        self._average_route(route.path, route.hops, values, counter)
+        self._apply_route(route, values, counter)
 
     def tick_block(
         self,
@@ -155,44 +142,32 @@ class PathAveragingGossip(AsynchronousGossip):
         counter: TransmissionCounter,
         rng: np.random.Generator,
     ) -> None:
-        """Batched ticks: targets pre-sampled per block, routes memoized.
+        """Batched ticks: targets pre-sampled per block.
 
         ``uniform`` mode consumes one double per tick (mapped onto the
         ``n − 1`` other nodes), ``position`` mode two (the random
         location); both come from a single vectorized call per block, so
         the stream advances a fixed number of draws per tick and chunking
-        cannot change the results.  Node-target routes replay through
-        :attr:`route_cache`'s next-hop columns (bit-identical paths and
-        charges to the scalar router); position targets have no per-node
-        column to memoize and walk the plain router.  Averages are
-        applied sequentially in owner order with the same abort-on-void
-        rule as :meth:`tick`.
+        cannot change the results.  Routes go through the same
+        :attr:`router` as :meth:`tick`, and averages are applied
+        sequentially in owner order with the same abort-on-void rule.
         """
         if self.target_mode == "uniform":
             picks = rng.random(len(owners))
             last = self.n - 1
-            route_to_node = self.route_cache.route_to_node
+            route_to_node = self.router.route_to_node
             for node, pick in zip(owners.tolist(), picks.tolist()):
                 target = int(pick * last)
                 if target >= node:
                     target += 1
                 route = route_to_node(node, target, counter)
-                if not route.delivered:
-                    self.failed_exchanges += 1
-                    self._emit_abort()
-                    continue
-                self._average_route(route.path, route.hops, values, counter)
+                self._apply_route(route, values, counter)
         else:
             points = rng.random((len(owners), 2))
-            for index, node in enumerate(owners.tolist()):
-                route = self.router.route_to_position(
-                    node, points[index], counter
-                )
-                if not route.delivered:
-                    self.failed_exchanges += 1
-                    self._emit_abort()
-                    continue
-                self._average_route(route.path, route.hops, values, counter)
+            route_to_position = self.router.route_to_position
+            for node, point in zip(owners.tolist(), points):
+                route = route_to_position(node, point, counter)
+                self._apply_route(route, values, counter)
 
     def tick_budget(self, epsilon: float) -> int:
         """Order-optimality budget: O(n log(1/ε)) operations, 40x slack.
@@ -258,7 +233,19 @@ class PathAveragingGossip(AsynchronousGossip):
         else:
             values[nodes] = np.ascontiguousarray(block.T).mean(axis=1)
 
-    def _emit_abort(self) -> None:
+    def _apply_route(
+        self, route: RouteResult, values: np.ndarray, counter: TransmissionCounter
+    ) -> None:
+        """Average over a delivered route; abort with no update otherwise.
+
+        An undelivered route is a routing void (``"uniform"`` mode) or a
+        walk a lossy substrate severed in flight; the packet's running
+        sum never completed, so skipping the update conserves the sum.
+        """
+        if route.delivered:
+            self._average_route(route.path, route.hops, values, counter)
+            return
+        self.failed_exchanges += 1
         recorder = _events.active()
         if recorder is not None:
             recorder.emit({"e": "abort"})

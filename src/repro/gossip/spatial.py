@@ -31,7 +31,6 @@ from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
-from repro.routing.greedy import GreedyRouter
 
 __all__ = ["SpatialGossip"]
 
@@ -59,11 +58,9 @@ class SpatialGossip(AsynchronousGossip):
             raise ValueError(f"rho must be non-negative, got {rho}")
         self.graph = graph
         self.rho = rho
-        self.router = GreedyRouter(graph)
-        # The batched tick path routes through the exact memoized router
-        # (the graph's shared one, if its owner attached one); the scalar
-        # loop keeps the plain one (bit-identical legacy path).
-        self.route_cache = CachedGreedyRouter.for_router(self.router)
+        # Both tick paths route through the exact memoized router (the
+        # graph's shared one, if its owner attached one).
+        self.router = CachedGreedyRouter.for_graph(graph)
         self.failed_exchanges = 0
         self._cumulative = self._target_cdfs()
 
@@ -126,7 +123,7 @@ class SpatialGossip(AsynchronousGossip):
         counter: TransmissionCounter,
         rng: np.random.Generator,
     ) -> None:
-        """Batched ticks: one vectorized CDF draw per block, routes memoized.
+        """Batched ticks: one vectorized CDF draw per block.
 
         Target selection inverts the owner's cumulative distribution with
         one double per tick (exactly the scalar rule), drawn in a single
@@ -135,7 +132,7 @@ class SpatialGossip(AsynchronousGossip):
         """
         picks = rng.random(len(owners))
         cumulative = self._cumulative
-        route = self.route_cache.round_trip
+        route = self.router.round_trip
         last = self.n - 1
         recorder = _events.active()
         pairs = [] if recorder is not None else None

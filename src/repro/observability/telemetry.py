@@ -31,14 +31,12 @@ def cache_stats(algorithm) -> "dict[str, float] | None":
     Unwraps one :class:`~repro.dynamics.overlay.DynamicGossip` layer
     (``algorithm.inner``) and one
     :class:`~repro.dynamics.overlay.LossyRouter` layer
-    (``route_cache.inner``) to reach the underlying
+    (``router.inner``) to reach the underlying
     :class:`~repro.routing.cache.CachedGreedyRouter`; protocols without
-    a route cache (randomized, the affine comparators) return ``None``.
+    a router (randomized, the affine comparators) return ``None``.
     """
     inner = getattr(algorithm, "inner", algorithm)
-    cache = getattr(inner, "route_cache", None)
-    if cache is None:
-        return None
+    cache = getattr(inner, "router", None)
     cache = getattr(cache, "inner", cache)
     if getattr(cache, "hits", None) is None:
         return None

@@ -14,8 +14,9 @@ Three mechanisms from the paper and its predecessor (Dimakis et al. 2006):
 
 Greedy routing additionally has an exact memoized form
 (:mod:`repro.routing.cache`): greedy hops are deterministic per
-``(node, target)``, so the engine's batched tick path replays cached
-next-hop chains instead of re-walking paths, with identical results.
+``(node, target)``, so every routed protocol replays cached next-hop
+chains instead of re-walking paths, at every check stride, with
+identical results.
 
 All primitives charge their cost to a shared
 :class:`~repro.routing.cost.TransmissionCounter`.

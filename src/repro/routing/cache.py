@@ -14,22 +14,24 @@ Columns depend only on the graph, so protocols routed over one graph
 can share one cache.  Sharing is opt-in by the graph's owner:
 :meth:`CachedGreedyRouter.share` builds a cache and attaches it to the
 graph, and protocols built on that graph pick it up through
-:meth:`CachedGreedyRouter.for_router`; on any other graph they build a
-private cache, as before.  The sweep executor shares the route table of
-each ``(n, trial)`` graph it builds, so the geographic, spatial and
-path-averaging cells of a trial run in one process reuse each other's
-columns — the numbers are unaffected, because a column is the same
-whichever protocol built it.
+:meth:`CachedGreedyRouter.for_graph`; on any other graph they build a
+private cache.  The sweep executor shares the route table of each
+``(n, trial)`` graph it builds, so the geographic, spatial,
+path-averaging and hierarchical cells of a trial run in one process
+reuse each other's columns — the numbers are unaffected, because a
+column is the same whichever protocol built it.
 
 The cache is **exact**: the column applies the same elementwise IEEE
 arithmetic and the same first-minimum tie-breaking as the scalar
 :meth:`GreedyRouter._closest_neighbor` step, so
 :class:`CachedGreedyRouter` produces bit-identical
 :class:`~repro.routing.greedy.RouteResult` paths, delivery flags and
-transmission charges to the uncached router (tested).  It exists so the
-engine's batched tick path (`tick_block` in the routed protocols) can
-charge routed transmission costs without re-walking greedy paths; the
-per-tick ``tick`` path (stride 1) keeps using the plain router.
+transmission charges to the uncached router (tested).  It is every
+routed protocol's one router, at every check stride: the per-tick
+``tick`` and the batched ``tick_block`` both route node targets through
+it.  Position targets have no per-node column, so
+:meth:`CachedGreedyRouter.route_to_position` walks the plain
+:class:`GreedyRouter`.
 
 Memory is one ``n``-vector of node indices per distinct target ever
 routed to — at most O(n²) integers, and in practice bounded by the
@@ -67,7 +69,7 @@ __all__ = ["CachedGreedyRouter"]
 
 
 class CachedGreedyRouter:
-    """Exact drop-in for :class:`GreedyRouter`'s node-target routing.
+    """Exact drop-in for :class:`GreedyRouter`.
 
     Parameters
     ----------
@@ -92,7 +94,7 @@ class CachedGreedyRouter:
     _SHARED_ATTR = "_shared_route_cache"
 
     def __init__(self, router: GreedyRouter | RandomGeometricGraph):
-        if isinstance(router, RandomGeometricGraph):
+        if not isinstance(router, GreedyRouter):
             router = GreedyRouter(router)
         self.router = router
         self.graph = router.graph
@@ -134,17 +136,17 @@ class CachedGreedyRouter:
         is a graph object of its own, so a faulted cell built over a
         shared graph still gets a private cache.
         """
-        cache = cls(GreedyRouter(graph))
+        cache = cls(graph)
         setattr(graph, cls._SHARED_ATTR, weakref.ref(cache))
         return cache
 
     @classmethod
-    def for_router(cls, router: GreedyRouter) -> "CachedGreedyRouter":
-        """``router.graph``'s shared cache if it has a live one, else a
-        private cache over ``router``."""
-        ref = getattr(router.graph, cls._SHARED_ATTR, None)
+    def for_graph(cls, graph) -> "CachedGreedyRouter":
+        """``graph``'s shared cache if it has a live one, else a private
+        cache over ``graph``."""
+        ref = getattr(graph, cls._SHARED_ATTR, None)
         shared = ref() if ref is not None else None
-        return shared if shared is not None else cls(router)
+        return shared if shared is not None else cls(graph)
 
     def _refresh_adjacency(self) -> None:
         """Snapshot ``graph.neighbors`` into the flattened reduceat layout.
@@ -236,6 +238,17 @@ class CachedGreedyRouter:
                     {"e": "route", "hops": len(path) - 1, "cat": category}
                 )
         return RouteResult(path=tuple(path), delivered=current == target_node)
+
+    def route_to_position(
+        self,
+        source: int,
+        target: np.ndarray,
+        counter: TransmissionCounter | None = None,
+        category: str = "route",
+    ) -> RouteResult:
+        """:meth:`GreedyRouter.route_to_position`, uncached: a location
+        target has no next-hop column to memoize."""
+        return self.router.route_to_position(source, target, counter, category)
 
     def round_trip(
         self,

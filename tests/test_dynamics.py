@@ -260,8 +260,8 @@ class TestDynamicSubstrate:
         cache = CachedGreedyRouter.share(substrate)
         geographic = GeographicGossip(substrate)
         averaging = PathAveragingGossip(substrate)
-        assert geographic.route_cache is cache
-        assert averaging.route_cache is cache
+        assert geographic.router is cache
+        assert averaging.router is cache
         DynamicGossip(geographic, substrate)
         DynamicGossip(averaging, substrate)
         for target in (0, 11, 23, 47):

@@ -157,6 +157,21 @@ class TestSharedSubstrate:
             assert dict(record.transmissions) == result.transmissions
             assert (record.ticks, record.error) == (result.ticks, result.error)
 
+    def test_stride1_hierarchical_cell_routes_through_the_shared_table(self):
+        config = ExperimentConfig(
+            sizes=(64,),
+            epsilon=0.3,
+            trials=1,
+            radius_constant=3.0,
+            algorithms=("geographic", "hierarchical"),
+        )
+        records = run_sweep_records(config)
+        for cell in expand_grid(config):
+            result, _ = _isolated_run(config, cell, 1)
+            record = records[cell.key]
+            assert dict(record.transmissions) == result.transmissions
+            assert record.telemetry["cache_hits"] > 0, cell
+
     def test_faulted_records_are_order_invariant(self):
         faulted = ExperimentConfig(
             sizes=(48,),
@@ -194,8 +209,8 @@ class TestSharedSubstrate:
         graph, _ = cell_substrate(ROUTED, SweepCell("geographic", 64, 0))
         geographic = build_cell_algorithm(ROUTED, graph, "geographic", 64, 0)
         spatial = build_cell_algorithm(ROUTED, graph, "spatial", 64, 0)
-        assert geographic.route_cache is spatial.route_cache
-        shared = weakref.ref(geographic.route_cache)
+        assert geographic.router is spatial.router
+        shared = weakref.ref(geographic.router)
         del geographic, spatial
         clear_substrate()
         # No graph<->cache cycle: the table is freed with its owner.

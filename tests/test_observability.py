@@ -244,16 +244,19 @@ def test_replay_rejects_interleaved_traces():
 # -- telemetry + CellRecord ---------------------------------------------------
 
 
-def test_cache_stats_reaches_the_route_cache():
-    # The memoized router only engages on the batched tick path (the
-    # scalar loop keeps the plain router for legacy bit-identity).
-    algorithm, _, _ = run_traced(CASES["path-averaging"], check_stride=4)
+@pytest.mark.parametrize("check_stride", [1, 4])
+def test_cache_stats_reaches_the_route_cache(check_stride):
+    # The memoized router is the protocol's one router: the per-tick and
+    # the batched paths both route through it.
+    algorithm, _, _ = run_traced(
+        CASES["path-averaging"], check_stride=check_stride
+    )
     stats = cache_stats(algorithm)
     assert stats is not None
     assert stats["cache_hits"] + stats["cache_misses"] > 0
     # Through the DynamicGossip + LossyRouter wrappers too.
     faulted, _, _ = run_traced(
-        CASES["path-averaging-faulted"], check_stride=4
+        CASES["path-averaging-faulted"], check_stride=check_stride
     )
     assert cache_stats(faulted) is not None
     # Cache-less protocols report nothing rather than zeros.

@@ -176,12 +176,13 @@ class TestInvalidate:
 
 
 class TestSharedCache:
-    """``share``/``for_router``: one route table per graph, when its owner
+    """``share``/``for_graph``: one route table per graph, when its owner
     asks for one."""
 
     @staticmethod
     def _protocols(graph):
         from repro.gossip.geographic import GeographicGossip
+        from repro.gossip.hierarchical import HierarchicalGossip
         from repro.gossip.path_averaging import PathAveragingGossip
         from repro.gossip.spatial import SpatialGossip
 
@@ -189,6 +190,7 @@ class TestSharedCache:
             GeographicGossip(graph),
             SpatialGossip(graph),
             PathAveragingGossip(graph),
+            HierarchicalGossip(graph),
         )
 
     def _graph(self):
@@ -200,11 +202,11 @@ class TestSharedCache:
         graph = self._graph()
         shared = CachedGreedyRouter.share(graph)
         for protocol in self._protocols(graph):
-            assert protocol.route_cache is shared
+            assert protocol.router is shared
 
     def test_unshared_graphs_get_private_caches(self):
-        caches = {id(p.route_cache) for p in self._protocols(self._graph())}
-        assert len(caches) == 3
+        protocols = self._protocols(self._graph())
+        assert len({id(p.router) for p in protocols}) == len(protocols)
 
     def test_graph_does_not_keep_the_shared_cache_alive(self):
         graph = self._graph()
@@ -212,7 +214,7 @@ class TestSharedCache:
         # The owner dropped it: freed by reference counting, no cycle.
         assert shared() is None
         protocol = self._protocols(graph)[0]
-        assert protocol.route_cache.graph is graph
+        assert protocol.router.graph is graph
 
 
 class TestColumnBuildAfterResize:
