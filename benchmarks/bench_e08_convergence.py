@@ -45,6 +45,17 @@ FAST_PATH_PROTOCOLS = ("randomized", "geographic", "spatial")
 #: must show over the plain greedy walk.
 ROUTE_TABLE_GATES = {"geographic": 2.0, "spatial": 1.5}
 
+#: Floor on the routed protocols' stride-16 over stride-1 speedup.  Their
+#: ``tick`` routes through the same table as their ``tick_block``, so the
+#: block path's margin is thin (geographic measured 0.96–1.56× on a
+#: 2-core host); the floor leaves room for that timing noise and still
+#: fails a ``tick_block`` that costs real time.
+TICK_BLOCK_FLOOR = 0.8
+
+#: Runs per timing; the gates compare best-of-``REPEATS`` seconds, so
+#: one scheduler hiccup on a shared host cannot flip a close ratio.
+REPEATS = 5
+
 
 def test_e08_convergence_traces(benchmark):
     config = ExperimentConfig(
@@ -109,8 +120,10 @@ def test_e08_fast_path_speedup(benchmark):
     memoized route table, which is their one router at every stride, so
     each also runs at stride 1 with the plain greedy walk swapped in: it
     must spend the same transmissions, and the gate is its time against
-    the route table's.  The timings land in per-protocol
-    ``BENCH_e08_<protocol>.json`` artifacts for trend tracking.
+    the route table's.  Their stride-16 ``tick_block`` is gated only
+    against regression: no slower than stride 1, up to timing noise.
+    The timings land in per-protocol ``BENCH_e08_<protocol>.json``
+    artifacts for trend tracking.
     """
     config = ExperimentConfig(
         sizes=(N,),
@@ -121,25 +134,35 @@ def test_e08_fast_path_speedup(benchmark):
     )
     graph, values = build_instance(config, N, 0)
 
-    def timed(name, stride, plain=False):
+    def timed(name, variant):
         algorithm = make_algorithm(name, graph)
-        if plain:
+        if variant == "plain":
             algorithm.router = GreedyRouter(graph)
+        stride = FAST_STRIDE if variant == FAST_STRIDE else 1
         rng = spawn_rng(config.root_seed, "run", name, N, 0)
         start = time.perf_counter()
         result = run_batched(algorithm, values, EPSILON, rng, check_stride=stride)
         seconds = time.perf_counter() - start
-        assert result.converged, (name, stride, plain)
+        assert result.converged, (name, variant)
         return seconds, result
 
     def compare():
         measured = {}
         for name in FAST_PATH_PROTOCOLS:
-            cached, result = timed(name, 1)
-            seconds = {1: cached, FAST_STRIDE: timed(name, FAST_STRIDE)[0]}
+            variants = [1, FAST_STRIDE]
             if name in ROUTE_TABLE_GATES:
-                seconds["plain"], plain = timed(name, 1, plain=True)
-                assert plain.transmissions == result.transmissions, name
+                variants.append("plain")
+            seconds = dict.fromkeys(variants, float("inf"))
+            # Interleaved, so drift in the host's speed hits every
+            # variant alike.
+            for _ in range(REPEATS):
+                for variant in variants:
+                    elapsed, result = timed(name, variant)
+                    seconds[variant] = min(seconds[variant], elapsed)
+                    if variant == 1:
+                        transmissions = result.transmissions
+                    elif variant == "plain":
+                        assert result.transmissions == transmissions, name
             measured[name] = seconds
         return measured
 
@@ -200,6 +223,9 @@ def test_e08_fast_path_speedup(benchmark):
     assert speedups["randomized"] >= 1.5, speedups
     for name, gate in ROUTE_TABLE_GATES.items():
         assert speedups[f"{name}_route_table"] >= gate, (name, speedups)
+        # The routed protocols' ``tick_block`` is a second exchange loop
+        # beside ``tick``; it must not cost time at stride 16.
+        assert speedups[name] >= TICK_BLOCK_FLOOR, (name, speedups)
     benchmark.extra_info.update(
         {f"speedup_{k}": round(v, 2) for k, v in speedups.items()}
     )

@@ -33,9 +33,9 @@ it.  Position targets have no per-node column, so
 :meth:`CachedGreedyRouter.route_to_position` walks the plain
 :class:`GreedyRouter`.
 
-Memory is one ``n``-vector of node indices per distinct target ever
-routed to — at most O(n²) integers, and in practice bounded by the
-targets a run actually draws.
+Memory is one ``n``-list of pointers to shared node ints per distinct
+target ever routed to — at most O(n²) pointers, and in practice bounded
+by the targets a run actually draws.
 
 >>> import numpy as np
 >>> from repro.graphs.rgg import RandomGeometricGraph
@@ -73,8 +73,9 @@ class CachedGreedyRouter:
 
     Parameters
     ----------
-    router:
-        The router to memoize, or a graph (a fresh router is built).
+    graph:
+        The graph to route over; the cache walks a :class:`GreedyRouter`
+        built on it for position targets.
 
     Attributes
     ----------
@@ -93,12 +94,13 @@ class CachedGreedyRouter:
     #: shared cache under.
     _SHARED_ATTR = "_shared_route_cache"
 
-    def __init__(self, router: GreedyRouter | RandomGeometricGraph):
-        if not isinstance(router, GreedyRouter):
-            router = GreedyRouter(router)
-        self.router = router
-        self.graph = router.graph
+    def __init__(self, graph: RandomGeometricGraph):
+        self.router = GreedyRouter(graph)
+        self.graph = graph
         self._nodes = np.arange(self.graph.n, dtype=np.int64)
+        #: One Python int per node.  Columns are gathered from it, so an
+        #: entry costs one pointer, not a fresh int object (4.5x smaller).
+        self._node_ints = self._nodes.astype(object)
         #: target node -> next-hop column (a plain list: per-hop indexing
         #: is the innermost loop); ``column[u] == u`` marks "the route
         #: towards this target ends at u" (arrived, or a void).
@@ -216,7 +218,7 @@ class CachedGreedyRouter:
         column = self._columns.get(target_node)
         if column is None:
             self.misses += 1
-            column = self._build_column(target_node).tolist()
+            column = self._node_ints[self._build_column(target_node)].tolist()
             self._columns[target_node] = column
         else:
             self.hits += 1
@@ -289,7 +291,7 @@ class CachedGreedyRouter:
         if column is None:
             self.misses += 1
             array = self._build_column(target_node)
-            self._columns[target_node] = array.tolist()
+            self._columns[target_node] = self._node_ints[array].tolist()
         else:
             self.hits += 1
             array = np.asarray(column, dtype=np.int64)

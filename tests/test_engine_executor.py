@@ -166,11 +166,18 @@ class TestSharedSubstrate:
             algorithms=("geographic", "hierarchical"),
         )
         records = run_sweep_records(config)
+        isolated_misses = {}
         for cell in expand_grid(config):
-            result, _ = _isolated_run(config, cell, 1)
+            result, algorithm = _isolated_run(config, cell, 1)
             record = records[cell.key]
             assert dict(record.transmissions) == result.transmissions
             assert record.telemetry["cache_hits"] > 0, cell
+            isolated_misses[cell.algorithm] = algorithm.router.misses
+        # The serial sweep runs the geographic cell first; the
+        # hierarchical cell then routes over the columns it built, so it
+        # builds fewer of its own than on a private table.
+        shared = records[SweepCell("hierarchical", 64, 0).key]
+        assert shared.telemetry["cache_misses"] < isolated_misses["hierarchical"]
 
     def test_faulted_records_are_order_invariant(self):
         faulted = ExperimentConfig(

@@ -40,7 +40,7 @@ class TestExactEquivalence:
 
     def test_round_trip_matches_and_charges_identically(self, graph):
         plain = GreedyRouter(graph)
-        cached = CachedGreedyRouter(plain)
+        cached = CachedGreedyRouter(graph)
         plain_counter = TransmissionCounter()
         cached_counter = TransmissionCounter()
         rng = np.random.default_rng(19)
@@ -102,6 +102,19 @@ class TestCacheBehaviour:
 
     def test_hit_rate_defined_before_any_route(self, graph):
         assert CachedGreedyRouter(graph).hit_rate == 0.0
+
+    def test_columns_share_one_int_per_node(self):
+        # Memory: a column holds pointers to the table's node ints, not
+        # a fresh int object per entry.  Past n=256, where Python's
+        # small-int cache ends, fresh ints would not be these objects.
+        rng = np.random.default_rng(29)
+        graph = RandomGeometricGraph.sample_connected(400, rng, radius_constant=3.0)
+        cached = CachedGreedyRouter(graph)
+        cached.route_to_node(0, graph.n - 1)
+        cached.route_stats(1)
+        assert len(cached) == 2
+        for column in cached._columns.values():
+            assert all(hop is cached._node_ints[hop] for hop in column)
 
 
 class TestInvalidate:
