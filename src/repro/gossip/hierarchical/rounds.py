@@ -16,6 +16,10 @@ A square's **round** is the unit of work:
 Leaf rounds are plain `Near` gossip: each tick, a uniform member averages
 with a uniform neighbour inside the leaf square.
 
+A leaf's flood charge depends only on the graph, its supernode and its
+members, so each protocol instance computes it once, on the leaf's first
+switch, and charges the memoised count on every later one.
+
 Stopping: with ``adaptive=True`` (default) the exchange
 and `Near` loops stop as soon as the square's internal deviation falls to
 its depth's accuracy target ``ε_r · ‖x(0)‖`` (measured oracularly; costs
@@ -35,6 +39,7 @@ import numpy as np
 from repro.gossip.base import GossipRunResult, check_state_shape
 from repro.gossip.hierarchical.parameters import ProtocolParameters
 from repro.graphs.rgg import RandomGeometricGraph
+from repro.hierarchy.addresses import SquareAddress
 from repro.hierarchy.tree import HierarchyTree, SquareNode
 from repro.metrics.error import deviation_norm, normalized_error
 from repro.metrics.trace import ConvergenceTrace
@@ -177,6 +182,9 @@ class HierarchicalGossip:
             depth: self.tree.squares_at_depth(depth)
             for depth in range(len(self.tree.factors) + 1)
         }
+        # Each leaf's flood charge, filled on its first switch; the graph
+        # is static (`DynamicGossip` rejects round-based protocols).
+        self._flood_charges: dict[SquareAddress, int] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -275,17 +283,38 @@ class HierarchicalGossip:
     def _leaf_round(
         self, node: SquareNode, depth: int, target: float, state: "_RunState"
     ) -> None:
-        """`Near` gossip among the leaf's members until the target accuracy."""
-        members = node.members
+        """`Near` gossip among the leaf's members until the target accuracy.
+
+        Each tick, a uniform member averages with a uniform neighbour
+        inside the same leaf square (paper Section 4.2); a member stranded
+        within its leaf wastes its tick.  A check window's ticks run as one
+        loop, and its exchanges are charged together, two transmissions
+        (one message each way) per exchange.
+        """
         self._switch_leaf(node, state)
         prescribed = state.parameters.near_ticks(node.occupancy, depth)
         cap = int(math.ceil(prescribed * self.config.hard_cap_factor))
-        check_period = max(1, len(members))
+        members = node.members.tolist()
+        size = len(members)
+        check_period = max(1, size)
+        integers = state.rng.integers
+        values = state.values
+        adjacency = self._leaf_neighbors
         ticks = 0
         while ticks < (cap if self.config.adaptive else prescribed):
+            exchanges = 0
             for _ in range(check_period):
-                self._near_tick(node, state)
-                ticks += 1
+                sensor = members[integers(size)]
+                local = adjacency[sensor]
+                if local.size:
+                    partner = local[integers(local.size)]
+                    average = 0.5 * (values[sensor] + values[partner])
+                    values[sensor] = average
+                    values[partner] = average
+                    exchanges += 1
+            ticks += check_period
+            if exchanges:
+                state.counter.charge(2 * exchanges, "near")
             if self.config.adaptive:
                 if self._square_deviation(node, state) <= target:
                     break
@@ -339,20 +368,6 @@ class HierarchicalGossip:
         self._switch_children(node, children, state)
 
     # -- protocol actions ------------------------------------------------------
-
-    def _near_tick(self, node: SquareNode, state: "_RunState") -> None:
-        """One `Near` action: a uniform member averages with a uniform
-        neighbour inside the same leaf square (paper Section 4.2)."""
-        members = node.members
-        sensor = int(members[state.rng.integers(members.size)])
-        local = self._leaf_neighbors[sensor]
-        if local.size == 0:
-            return  # stranded within its leaf; its tick is wasted
-        partner = int(local[state.rng.integers(local.size)])
-        average = 0.5 * (state.values[sensor] + state.values[partner])
-        state.values[sensor] = average
-        state.values[partner] = average
-        state.counter.charge(2, "near")
 
     def _pick_partner(
         self,
@@ -423,14 +438,18 @@ class HierarchicalGossip:
     # -- activation / deactivation ---------------------------------------------
 
     def _switch_leaf(self, node: SquareNode, state: "_RunState") -> None:
-        """Flood an on- or off-switch from the supernode to the leaf's members."""
-        flood(
-            self.graph.neighbors,
-            node.supernode,
-            node.members.tolist(),
-            state.counter,
-            category="activation",
-        )
+        """Flood an on- or off-switch from the supernode to the leaf's members.
+
+        The flood is charged one transmission per member it reaches; the
+        count is computed on the leaf's first switch and memoised.
+        """
+        charge = self._flood_charges.get(node.address)
+        if charge is None:
+            charge = len(
+                flood(self.graph.neighbors, node.supernode, node.members.tolist())
+            )
+            self._flood_charges[node.address] = charge
+        state.counter.charge(charge, "activation")
 
     def _switch_children(
         self, node: SquareNode, children: list[SquareNode], state: "_RunState"
@@ -455,8 +474,11 @@ class HierarchicalGossip:
         (this executor runs multi-field state per column, via the
         engine's fallback), so no matrix branch exists here.
         """
+        # The reductions `mean` and `linalg.norm` run, without their
+        # Python-level overhead.
         slice_ = state.values[node.members]
-        return float(np.linalg.norm(slice_ - slice_.mean()))
+        deviation = slice_ - slice_.sum() / slice_.size
+        return math.sqrt(deviation.dot(deviation))
 
 
 @dataclass

@@ -18,7 +18,6 @@ routed round trip in the real protocol).
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = ["voronoi_cell_areas", "RejectionSampler"]
 
@@ -30,6 +29,10 @@ def voronoi_cell_areas(positions: np.ndarray, resolution: int = 256) -> np.ndarr
     nearest node; the returned fractions sum to 1.  Accuracy is O(1/resolution)
     per linear dimension, ample for sampling and for E13's statistics.
     """
+    # Imported here: only rejection targeting and E13 need SciPy, so the
+    # CLI does not load it at start-up.
+    from scipy.spatial import cKDTree
+
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
@@ -65,6 +68,8 @@ class RejectionSampler:
         reference_quantile: float = 0.5,
         resolution: int = 256,
     ):
+        from scipy.spatial import cKDTree
+
         if not 0.0 < reference_quantile <= 1.0:
             raise ValueError(
                 f"reference quantile must be in (0, 1], got {reference_quantile}"

@@ -1,9 +1,35 @@
 """Unit tests for repro.cli."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        # Only rejection targeting and E13 need SciPy; a fresh interpreter
+        # importing the CLI must not pay for it.
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('scipy.spatial' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestParser:

@@ -11,8 +11,10 @@ from repro.gossip.hierarchical import (
     ProtocolParameters,
     RoundConfig,
 )
+from repro.gossip.hierarchical import rounds
 from repro.graphs import RandomGeometricGraph
-from repro.hierarchy import HierarchyTree
+from repro.hierarchy import HierarchyTree, SquareAddress
+from repro.routing import flooding
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +215,52 @@ class TestConfigurations:
         assert algo.tree is tree
         result = algo.run(field, epsilon=0.3, rng=np.random.default_rng(27))
         assert result.converged
+
+
+class TestFloodMemo:
+    """A leaf's flood charge is computed once per protocol instance."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting_flood(neighbors, source, members, *args, **kwargs):
+            calls.append(source)
+            return flooding.flood(neighbors, source, members, *args, **kwargs)
+
+        monkeypatch.setattr(rounds, "flood", counting_flood)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def stranded_world(self):
+        # A world with a leaf whose intra-square flood from its supernode
+        # misses a member: leaf (11,) reaches 1 of its 2 sensors.
+        graph = RandomGeometricGraph.sample_connected(
+            128, np.random.default_rng(5), radius_constant=2.0
+        )
+        tree = HierarchyTree.build(graph.positions, leaf_threshold=16.0)
+        return graph, tree
+
+    def test_each_leaf_floods_at_most_once_per_instance(self, graph, field, counted):
+        algo = HierarchicalGossip(graph)
+        algo.run(field, epsilon=0.3, rng=np.random.default_rng(29))
+        leaf_rounds = algo.stats.rounds_by_depth[len(algo.tree.factors)]
+        assert counted
+        assert len(counted) == len(set(counted)) < leaf_rounds
+        algo.run(field, epsilon=0.3, rng=np.random.default_rng(31))
+        assert len(counted) == len(set(counted))
+
+    def test_memoised_charges_equal_fresh_floods(self, stranded_world, counted):
+        graph, tree = stranded_world
+        field = np.random.default_rng(37).normal(size=graph.n)
+        algo = HierarchicalGossip(graph, tree=tree)
+        algo.run(field, epsilon=0.3, rng=np.random.default_rng(41))
+        assert len(counted) == len(algo._flood_charges)
+        short = []
+        for address, charge in algo._flood_charges.items():
+            leaf = tree.node(address)
+            fresh = flooding.flood(graph.neighbors, leaf.supernode, leaf.members.tolist())
+            assert charge == len(fresh)
+            if charge < leaf.occupancy:
+                short.append(address)
+        assert short == [SquareAddress((11,))]
