@@ -224,9 +224,9 @@ class TestFloodMemo:
     def counted(self, monkeypatch):
         calls = []
 
-        def counting_flood(neighbors, source, members, *args, **kwargs):
+        def counting_flood(neighbors, source, members):
             calls.append(source)
-            return flooding.flood(neighbors, source, members, *args, **kwargs)
+            return flooding.flood(neighbors, source, members)
 
         monkeypatch.setattr(rounds, "flood", counting_flood)
         return calls
@@ -259,7 +259,9 @@ class TestFloodMemo:
         short = []
         for address, charge in algo._flood_charges.items():
             leaf = tree.node(address)
-            fresh = flooding.flood(graph.neighbors, leaf.supernode, leaf.members.tolist())
+            fresh = flooding.flood(
+                graph.neighbors, leaf.supernode, leaf.members.tolist()
+            )
             assert charge == len(fresh)
             if charge < leaf.occupancy:
                 short.append(address)
