@@ -57,9 +57,9 @@ EPSILON = 0.2
 # makes the numbers identical at any worker count, so parallelism is free.
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 
-# Strided error checks ride the vectorized tick_block fast paths (all
-# three tick-driven contenders implement them; hierarchical is
-# round-based and passes through).  The coarser stopping rule can only
+# Strided error checks ride the engine's strided path (pre-sampled
+# owners, chunked protocol draws; hierarchical is round-based and passes
+# through).  The coarser stopping rule can only
 # overshoot the ε-crossing by one check window, which scales like the
 # tick count itself — so fitted slopes are unaffected.
 CHECK_STRIDE = 4

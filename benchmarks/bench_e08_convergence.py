@@ -8,10 +8,11 @@ exchanges with complete-graph mixing (geographic, hierarchical).
 Measured here: the error reached by each algorithm at shared transmission
 budgets on one instance (vertical slices through the three curves, at
 stride 1 for maximally dense traces), plus the engine's two fast-path
-dividends on the same instance: the vectorized ``tick_block`` path
-(``check_stride=16``: pre-sampled owners and targets) against the
-stride-1 loop, and the routed protocols' memoized route table against
-the plain greedy walk at stride 1.
+dividends on the same instance: the strided path (``check_stride=16``:
+pre-sampled owners, chunked protocol draws, and randomized gossip's
+vectorized ``tick_block``) against the stride-1 loop, and the routed
+protocols' memoized route table against the plain greedy walk at
+stride 1.
 """
 
 import time
@@ -45,11 +46,12 @@ FAST_PATH_PROTOCOLS = ("randomized", "geographic", "spatial")
 #: must show over the plain greedy walk.
 ROUTE_TABLE_GATES = {"geographic": 2.0, "spatial": 1.5}
 
-#: Floor on the routed protocols' stride-16 over stride-1 speedup.  Their
-#: ``tick`` routes through the same table as their ``tick_block``, so the
-#: block path's margin is thin (geographic measured 0.96–1.56× on a
-#: 2-core host); the floor leaves room for that timing noise and still
-#: fails a ``tick_block`` that costs real time.
+#: Floor on the routed protocols' stride-16 over stride-1 speedup.  One
+#: ``tick`` serves both strides; stride 16 only swaps per-tick generator
+#: calls for the chunked ``DrawStream`` and strides the error check, so
+#: the margin is thin (geographic measured 0.96–1.56× on a 2-core host);
+#: the floor leaves room for that timing noise and still fails a strided
+#: loop that costs real time.
 TICK_BLOCK_FLOOR = 0.8
 
 #: Runs per timing; the gates compare best-of-``REPEATS`` seconds, so
@@ -120,8 +122,9 @@ def test_e08_fast_path_speedup(benchmark):
     memoized route table, which is their one router at every stride, so
     each also runs at stride 1 with the plain greedy walk swapped in: it
     must spend the same transmissions, and the gate is its time against
-    the route table's.  Their stride-16 ``tick_block`` is gated only
-    against regression: no slower than stride 1, up to timing noise.
+    the route table's.  Their stride-16 run (the same ``tick`` on a
+    ``DrawStream``) is gated only against regression: no slower than
+    stride 1, up to timing noise.
     The timings land in per-protocol ``BENCH_e08_<protocol>.json``
     artifacts for trend tracking.
     """
@@ -223,8 +226,8 @@ def test_e08_fast_path_speedup(benchmark):
     assert speedups["randomized"] >= 1.5, speedups
     for name, gate in ROUTE_TABLE_GATES.items():
         assert speedups[f"{name}_route_table"] >= gate, (name, speedups)
-        # The routed protocols' ``tick_block`` is a second exchange loop
-        # beside ``tick``; it must not cost time at stride 16.
+        # The routed protocols run the same ``tick`` at stride 16; the
+        # strided loop must not cost time.
         assert speedups[name] >= TICK_BLOCK_FLOOR, (name, speedups)
     benchmark.extra_info.update(
         {f"speedup_{k}": round(v, 2) for k, v in speedups.items()}

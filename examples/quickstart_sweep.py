@@ -28,7 +28,7 @@ from repro.experiments import (
     run_scaling_sweep,
 )
 
-CHECK_STRIDE = 4  # strided error checks ride the vectorized tick_block paths
+CHECK_STRIDE = 4  # strided error checks ride the vectorized owner-block path
 
 
 def main() -> None:

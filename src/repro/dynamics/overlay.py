@@ -19,8 +19,8 @@ scenario any tick-driven protocol can run on unchanged:
 * :class:`DynamicGossip` — an :class:`~repro.gossip.base.AsynchronousGossip`
   wrapper that advances the substrate's epoch clock as ticks elapse,
   drops ticks owned by crashed nodes, and otherwise delegates to the
-  wrapped protocol's ``tick`` / ``tick_block``.  It preserves both engine
-  contracts (stride-1 bit-identity, block-size invariance) because epoch
+  wrapped protocol's ``tick``.  It preserves both engine contracts
+  (stride-1 bit-identity, block-size invariance) because epoch
   boundaries are functions of the absolute tick index and all fault
   randomness lives on dedicated streams.
 
@@ -512,12 +512,17 @@ class DynamicGossip(AsynchronousGossip):
     """Run any tick-driven protocol on a :class:`DynamicSubstrate`.
 
     The wrapper owns the run's notion of time: it counts ticks, applies
-    the substrate's epoch transitions exactly at their boundaries
-    (splitting batched owner blocks there, so results stay independent of
-    the engine's block chunking), drops ticks owned by crashed nodes, and
-    injects the substrate's loss channel into the protocol's router and
-    loss hooks.  The wrapped protocol must be built *over the substrate*
-    (its router must read the masked adjacency), which is what
+    the substrate's epoch transitions exactly at their boundaries, drops
+    ticks owned by crashed nodes, and injects the substrate's loss
+    channel into the protocol's router and loss hooks.  It has one tick
+    path at every stride: at strides ``>= 2`` the engine's base loop runs
+    :meth:`tick` per owner on the protocol's
+    :class:`~repro.gossip.base.DrawStream`, and the epoch clock advances
+    by absolute tick index, so results stay independent of the engine's
+    block chunking.  The wrapped protocol's own ``tick_block`` (if any)
+    is never called: its adjacency may change between any two ticks.
+    The wrapped protocol must be built *over the substrate* (its router
+    must read the masked adjacency), which is what
     :func:`repro.engine.executor.build_cell_algorithm` arranges.
 
     Round-based protocols (``batching_capability == "rounds"``, e.g. the
@@ -616,50 +621,6 @@ class DynamicGossip(AsynchronousGossip):
                 ).inc()
             return
         self.inner.tick(node, values, counter, rng)
-
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks, split at epoch boundaries, dead owners dropped.
-
-        Segments are delimited by the *absolute* tick index, and the
-        liveness filter is a deterministic function of the schedule — so
-        the inner protocol sees the same live-owner sequence (and draws
-        the same randomness) however the engine chunked the run, which is
-        what keeps the block-size-invariance contract intact (tested).
-        """
-        recorder = _events.active()
-        epoch_ticks = self.substrate.spec.epoch_ticks
-        start = self._tick
-        total = len(owners)
-        index = 0
-        while index < total:
-            tick = start + index
-            self.substrate.advance_to(tick)
-            boundary = (tick // epoch_ticks + 1) * epoch_ticks
-            segment_end = min(total, index + (boundary - tick))
-            segment = owners[index:segment_end]
-            mask = self.substrate.live[segment]
-            dead = int(mask.size - mask.sum())
-            if dead:
-                self.wasted_ticks += dead
-                segment = segment[mask]
-                if recorder is not None:
-                    recorder.emit({"e": "dead", "ticks": dead})
-                registry = _metrics.active()
-                if registry is not None:
-                    registry.counter(
-                        "repro_fault_dead_ticks_total",
-                        "Ticks owned by crashed nodes (wasted).",
-                    ).inc(dead)
-            if segment.size:
-                self.inner.tick_block(segment, values, counter, rng)
-            index = segment_end
-        self._tick = start + total
 
     def tick_budget(self, epsilon: float) -> int:
         """The wrapped budget, doubled when faults are live.

@@ -36,7 +36,6 @@ benchmarks route through them, so every experiment inherits the engine.
 from repro.engine.batching import (
     DEFAULT_BLOCK_SIZE,
     MultiFieldFallbackWarning,
-    ScalarFallbackWarning,
     UncenteredFieldWarning,
     batching_capability,
     multifield_capability,
@@ -81,7 +80,6 @@ __all__ = [
     "MultiFieldFallbackWarning",
     "QueueStats",
     "ResultStore",
-    "ScalarFallbackWarning",
     "ShardDivergenceError",
     "SweepCell",
     "UncenteredFieldWarning",

@@ -5,8 +5,8 @@ Every tick-driven run goes through one loop,
 of ``check_stride * max(1, n // 4)`` and re-measures the oracular error
 at the end of each window.  :func:`run_batched` validates a run, picks
 its fallbacks (per-column multi-field state, round-based protocols) and
-hands the rest to that loop.  The stride decides where tick owners come
-from:
+hands the rest to that loop.  The stride decides where the randomness
+comes from:
 
 * ``check_stride=1`` — one interleaved stream: each tick draws its owner
   and then its protocol randomness from the caller's generator, the
@@ -16,18 +16,20 @@ from:
   split into an *owner* stream and a *protocol* stream via deterministic
   ``Generator.spawn``; owners are pre-sampled in vectorized NumPy blocks
   (one ``Generator.integers`` call per block instead of one per tick)
-  and handed to the protocol's
-  :meth:`~repro.gossip.base.AsynchronousGossip.tick_block` hook, which
-  protocols may override to amortize their own per-tick randomness too.
-  The error check runs ``check_stride`` times less often.
+  and every ``tick`` draws from a
+  :class:`~repro.gossip.base.DrawStream` that serves the protocol
+  stream's doubles from chunked ``Generator.random`` calls.  The error
+  check runs ``check_stride`` times less often.
 
-Owner draws and protocol draws each consume their stream in tick order
-with a fixed number of draws per tick, so a strided result is a pure
-function of ``(rng state, check_stride)`` — independent of the internal
-``block_size`` used to chunk the sampling (verified in the test suite).
-Strided trajectories are statistically equivalent to stride 1 but not
-bit-identical (the RNG stream is split, and the coarser stopping rule can
-only run *past* the crossing, never stop short of it).
+The protocol stream is one continuous sequence of doubles, consumed in
+tick order, so a strided result is a pure function of
+``(rng state, check_stride)`` — independent of the internal
+``block_size`` used to chunk the owner sampling (verified in the test
+suite).  Strided trajectories are statistically equivalent to stride 1
+but not bit-identical (the RNG stream is split, integer draws map a
+double instead of calling ``Generator.integers``, and the coarser
+stopping rule can only run *past* the crossing, never stop short of it).
+See ``docs/batching.md`` for the contract a ``tick`` must keep.
 """
 
 from __future__ import annotations
@@ -50,31 +52,12 @@ from repro.routing.cost import TransmissionCounter
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "MultiFieldFallbackWarning",
-    "ScalarFallbackWarning",
     "UncenteredFieldWarning",
     "batching_capability",
     "multifield_capability",
     "run_batched",
     "split_streams",
 ]
-
-class ScalarFallbackWarning(UserWarning):
-    """A ``check_stride > 1`` run hit the scalar per-tick fallback.
-
-    The protocol never overrode
-    :meth:`~repro.gossip.base.AsynchronousGossip.tick_block`, so the
-    batched engine is only amortizing owner sampling and error checks —
-    the protocol's own per-tick randomness still runs one scalar RNG call
-    at a time.  The run is correct; it is just not getting the fast path
-    the stride suggests it should.
-
-    The warning message points at ``docs/batching.md`` (the batching
-    contract and how to write a ``tick_block`` override) and at
-    :func:`repro.experiments.config.protocol_batching`, which reports the
-    capability (``"block"`` / ``"scalar"`` / ``"rounds"``) of every
-    registered protocol without running anything.
-    """
-
 
 class MultiFieldFallbackWarning(UserWarning):
     """An ``(n, k)`` run hit the per-column scalar fallback.
@@ -157,11 +140,14 @@ def batching_capability(algorithm: AsynchronousGossip | type) -> str:
 
     Returns one of:
 
-    * ``"block"``  — overrides ``tick_block``; the vectorized fast path.
-    * ``"scalar"`` — tick-driven but falls back to per-tick execution
-      inside each block (the base-class hook).
+    * ``"block"``  — tick-driven: at strides ``>= 2`` owners come in
+      vectorized blocks and every ``tick`` draws from one
+      :class:`~repro.gossip.base.DrawStream`.
     * ``"rounds"`` — not tick-driven at all (e.g. the hierarchical
       executor); the engine passes it through to its native ``run``.
+
+    Stores record this map in ``config.json``; the strings are those
+    older stores wrote, so they still resume.
 
     >>> from repro.gossip.randomized import RandomizedGossip
     >>> batching_capability(RandomizedGossip)
@@ -171,11 +157,7 @@ def batching_capability(algorithm: AsynchronousGossip | type) -> str:
     'rounds'
     """
     cls = algorithm if isinstance(algorithm, type) else type(algorithm)
-    if not issubclass(cls, AsynchronousGossip):
-        return "rounds"
-    if cls.tick_block is AsynchronousGossip.tick_block:
-        return "scalar"
-    return "block"
+    return "block" if issubclass(cls, AsynchronousGossip) else "rounds"
 
 
 def multifield_capability(algorithm) -> str:
@@ -303,7 +285,7 @@ def run_batched(
                 "independent scalar passes (column 0 on the caller's "
                 "RNG, secondaries on spawned child streams), so routing "
                 "and owner sampling are not amortized across fields — "
-                "audit tick/tick_block against the multi-field checklist "
+                "audit tick against the multi-field checklist "
                 "in docs/workloads.md and declare supports_multifield = "
                 "True for the single-pass fast path; "
                 "repro.experiments.config.multifield_support reports "
@@ -341,19 +323,6 @@ def run_batched(
             return algorithm.run(
                 initial_values, epsilon, rng, trace_thinning=trace_thinning
             )
-    if check_stride > 1 and batching_capability(algorithm) == "scalar":
-        warnings.warn(
-            f"{algorithm.name!r} does not override tick_block: "
-            f"check_stride={check_stride} amortizes owner sampling and "
-            "error checks, but the protocol's per-tick randomness still "
-            "runs scalar — implement tick_block for the full fast path. "
-            "See docs/batching.md for the tick_block contract and the "
-            "protocol batching matrix; "
-            "repro.experiments.config.protocol_batching reports every "
-            "registered protocol's capability",
-            ScalarFallbackWarning,
-            stacklevel=stacklevel,
-        )
     n = algorithm.n
     initial_values = check_state_shape(initial_values, n)
     if epsilon <= 0:

@@ -27,17 +27,14 @@ stays in :mod:`repro.experiments.runner`, which sits above this module.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.engine.batching import (
-    batching_capability,
-    multifield_capability,
-    run_batched,
-)
+from repro.engine.batching import multifield_capability, run_batched
 from repro.gossip.base import AsynchronousGossip
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
@@ -413,26 +410,8 @@ def execute_cell(
     cache_before = cache_stats(algorithm)
     run_rng = spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)
     tracing = trace_dir is not None and cell_traceable(algorithm, values)
-    trace_events = None
-    if tracing:
-        with _events.capture() as recorder:
-            started = time.perf_counter()
-            with _profile.span("run"):
-                result = run_batched(
-                    algorithm,
-                    values,
-                    config.epsilon,
-                    run_rng,
-                    check_stride=check_stride,
-                    stacklevel=stacklevel + 1,
-                )
-            wall_clock = time.perf_counter() - started
-        recorder.annotate(
-            cell={"algorithm": cell.algorithm, "n": cell.n, "trial": cell.trial}
-        )
-        recorder.write(cell_trace_path(trace_dir, cell))
-        trace_events = len(recorder)
-    else:
+    capture = _events.capture() if tracing else contextlib.nullcontext()
+    with capture as recorder:
         started = time.perf_counter()
         with _profile.span("run"):
             result = run_batched(
@@ -444,6 +423,13 @@ def execute_cell(
                 stacklevel=stacklevel + 1,
             )
         wall_clock = time.perf_counter() - started
+    trace_events = None
+    if tracing:
+        recorder.annotate(
+            cell={"algorithm": cell.algorithm, "n": cell.n, "trial": cell.trial}
+        )
+        recorder.write(cell_trace_path(trace_dir, cell))
+        trace_events = len(recorder)
     cell_metrics = None
     if registry is not None:
         registry.counter(
@@ -461,9 +447,6 @@ def execute_cell(
         algorithm,
         wall_clock=wall_clock,
         ticks=result.ticks,
-        scalar_fallback=(
-            check_stride > 1 and batching_capability(algorithm) == "scalar"
-        ),
         multifield_fallback=multifield_fallback,
         # The per-column fallback reuses one instance across k nested
         # runs, so its cumulative counters (route-cache hits/misses)
@@ -525,8 +508,8 @@ def run_sweep_records(
         recomputed; newly finished cells are appended as they complete.
         Opening the store enforces the capability guard: a
         ``check_stride > 1`` store refuses to resume if any protocol's
-        batching capability (scalar fallback vs vectorized ``tick_block``)
-        changed since the store was created.
+        batching capability (tick-driven ``"block"`` vs round-based
+        ``"rounds"``) changed since the store was created.
     on_record:
         Optional callback ``(record, fresh)`` invoked once per grid cell —
         ``fresh`` is False for cells reused from the store.

@@ -20,16 +20,16 @@ run killed mid-write leaves at most one truncated trailing line, which
 parse.  A skipped line simply means that cell gets recomputed.
 
 ``config.json`` additionally records each protocol's engine batching
-capability (``"block"`` / ``"scalar"`` / ``"rounds"``) and multi-field
+capability (``"block"`` / ``"rounds"``) and multi-field
 capability (``"native"`` / ``"per-column"``) at the time the
 store was created.  The capability is *not* part of the content key —
 the key identifies the sweep definition, not the engine version — but a
 ``check_stride > 1`` store refuses to reopen if a protocol's capability
-has since changed: the scalar fallback and the vectorized block path
-consume protocol randomness differently, so mixing their cells in one
-``cells.jsonl`` would blend non-identical numbers (mirrors the
-stride-mismatch guard in the executor).  At stride 1 every protocol runs
-the same legacy loop, so the guard does not apply.
+has since changed: a tick-driven protocol and a round-based one consume
+randomness differently, so mixing their cells in one ``cells.jsonl``
+would blend non-identical numbers (mirrors the stride-mismatch guard in
+the executor).  At stride 1 every protocol runs the same legacy loop,
+so the guard does not apply.
 """
 
 from __future__ import annotations

@@ -97,12 +97,12 @@ ALGORITHM_CLASSES: dict[str, type] = {
 def protocol_batching(algorithms: tuple[str, ...] | list[str]) -> dict[str, str]:
     """Engine batching capability for each named algorithm.
 
-    Maps each name to ``"block"`` / ``"scalar"`` / ``"rounds"`` (see
+    Maps each name to ``"block"`` / ``"rounds"`` (see
     :func:`repro.engine.batching.batching_capability`).  The result store
     persists this map so a resumed ``check_stride > 1`` sweep can detect
     that a protocol's execution path changed between engine versions —
-    scalar-path and block-path cells carry non-identical numbers and must
-    not be mixed.
+    cells from different paths carry non-identical numbers and must not
+    be mixed.
     """
     from repro.engine.batching import batching_capability
 

@@ -141,41 +141,6 @@ class AffineGossipKn(AsynchronousGossip):
                 {"e": "pairs", "op": "affine", "pairs": [[node, partner]]}
             )
 
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks: partners drawn as one vectorized call per block.
-
-        Partner selection maps one double per tick onto the ``n - 1``
-        other nodes (``⌊u · (n−1)⌋``, shifted past the owner), so the
-        block consumes exactly ``len(owners)`` draws regardless of
-        chunking.  The cross-weighted pair updates themselves stay
-        sequential — each exchange reads the values earlier exchanges in
-        the block wrote, exactly as the scalar loop would.
-        """
-        picks = rng.random(len(owners))
-        alphas = self.alphas
-        last = self.n - 1
-        recorder = _events.active()
-        pairs = [] if recorder is not None else None
-        for node, pick in zip(owners.tolist(), picks.tolist()):
-            partner = int(pick * last)
-            if partner >= node:
-                partner += 1
-            affine_pair_update(
-                values, node, partner, alphas[node], alphas[partner]
-            )
-            if pairs is not None:
-                pairs.append([node, partner])
-        if len(owners):
-            counter.charge(2 * len(owners), "exchange")
-            if pairs is not None:
-                recorder.emit({"e": "pairs", "op": "affine", "pairs": pairs})
-
     def tick_budget(self, epsilon: float) -> int:
         # Lemma 1: rate (1 - 1/2n) per tick => ~2n·log(1/ε²) ticks; 30x slack.
         log_term = 1 + 2 * abs(np.log(max(epsilon, 1e-12)))
@@ -236,48 +201,3 @@ class PerturbedAffineGossipKn(AffineGossipKn):
                     "nus": [float(nu)],
                 }
             )
-
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks: two doubles per tick (partner pick, noise).
-
-        The draws come from one ``(len(owners), 2)`` call, filled from
-        the stream in row-major order — tick ``t`` always consumes
-        doubles ``2t`` and ``2t + 1``, so chunking a run into different
-        block sizes leaves the stream alignment (and hence the results)
-        unchanged.
-        """
-        draws = rng.random((len(owners), 2))
-        alphas = self.alphas
-        last = self.n - 1
-        bound = self.noise_bound
-        recorder = _events.active()
-        pairs = [] if recorder is not None else None
-        nus = [] if recorder is not None else None
-        for index, node in enumerate(owners.tolist()):
-            partner = int(draws[index, 0] * last)
-            if partner >= node:
-                partner += 1
-            affine_pair_update(
-                values, node, partner, alphas[node], alphas[partner]
-            )
-            # ±ν on the exchanging pair, exactly as tick() composes it:
-            # antisymmetric, sum-conserving, one ν per tick perturbing
-            # every column alike.
-            nu = (2.0 * draws[index, 1] - 1.0) * bound
-            values[node] += nu
-            values[partner] -= nu
-            if pairs is not None:
-                pairs.append([node, partner])
-                nus.append(nu)
-        if len(owners):
-            counter.charge(2 * len(owners), "exchange")
-            if pairs is not None:
-                recorder.emit(
-                    {"e": "pairs", "op": "affine", "pairs": pairs, "nus": nus}
-                )

@@ -36,6 +36,7 @@ from repro.routing.cost import TransmissionCounter
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "AsynchronousGossip",
+    "DrawStream",
     "GossipRunResult",
     "check_state_shape",
     "drive_ticks",
@@ -45,6 +46,69 @@ __all__ = [
 #: Upper bound on one vectorized owner-sampling block.  Large enough to
 #: amortize the RNG call, small enough to keep peak memory trivial.
 DEFAULT_BLOCK_SIZE = 8192
+
+
+class DrawStream:
+    """A protocol generator's doubles, fetched in chunks, served one by one.
+
+    At strides ``>= 2`` :func:`drive_ticks` hands this to every ``tick``
+    (and ``tick_block``) in place of the protocol generator.  It serves
+    the three draws a tick may make, all mapped from the doubles of
+    ``rng.random`` in stream order:
+
+    * ``random()`` / ``random(size)`` — the doubles themselves, the same
+      values in the same order as ``Generator.random``;
+    * ``integers(k)`` — ``int(u * k)``, a uniform index below ``k``;
+    * ``uniform(lo, hi)`` — ``lo + (hi - lo) * u``, the formula of
+      ``Generator.uniform``.
+
+    One continuous stream makes a strided run independent of how its
+    owners were chunked into blocks, even when a tick draws a variable
+    number of doubles (rejection sampling).
+    """
+
+    __slots__ = ("_rng", "_block", "_doubles", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = np.empty(0)
+        self._doubles: list[float] = []
+        self._pos = 0
+
+    def _refill(self) -> None:
+        self._block = self._rng.random(DEFAULT_BLOCK_SIZE)
+        self._doubles = self._block.tolist()
+        self._pos = 0
+
+    def _next(self) -> float:
+        pos = self._pos
+        if pos == len(self._doubles):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._doubles[pos]
+
+    def random(self, size: int | None = None):
+        """The next double, or an array of the next ``size`` doubles."""
+        if size is None:
+            return self._next()
+        parts = []
+        while size:
+            if self._pos == len(self._doubles):
+                self._refill()
+            take = min(size, len(self._doubles) - self._pos)
+            parts.append(self._block[self._pos : self._pos + take])
+            self._pos += take
+            size -= take
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def integers(self, k: int) -> int:
+        """A uniform index in ``range(k)``: ``int(u * k)``."""
+        return int(self._next() * k)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """A uniform double in ``[lo, hi)``: ``lo + (hi - lo) * u``."""
+        return lo + (hi - lo) * self._next()
 
 
 def check_state_shape(initial_values: np.ndarray, n: int) -> np.ndarray:
@@ -137,7 +201,7 @@ class AsynchronousGossip(ABC):
 
     name = "abstract-gossip"
 
-    #: Whether ``tick``/``tick_block`` handle an ``(n, k)`` field matrix
+    #: Whether ``tick`` handles an ``(n, k)`` field matrix
     #: natively (row operations, no scalar assumptions, no view aliasing).
     #: Conservative default for third-party subclasses: the engine falls
     #: back to per-column scalar passes (with a
@@ -166,30 +230,33 @@ class AsynchronousGossip(ABC):
         node: int,
         values: np.ndarray,
         counter: TransmissionCounter,
-        rng: np.random.Generator,
+        rng: np.random.Generator | DrawStream,
     ) -> None:
-        """Execute ``node``'s action for one clock tick, in place."""
+        """Execute ``node``'s action for one clock tick, in place.
+
+        ``rng`` is the run's generator at stride 1 and a
+        :class:`DrawStream` at strides ``>= 2``, so a tick may call only
+        ``rng.random``, ``rng.integers(k)`` and ``rng.uniform(lo, hi)``.
+        """
 
     def tick_block(
         self,
         owners: np.ndarray,
         values: np.ndarray,
         counter: TransmissionCounter,
-        rng: np.random.Generator,
+        rng: DrawStream,
     ) -> None:
         """Execute a pre-sampled block of tick owners, in order, in place.
 
         At strides ``>= 2`` the tick driver (:func:`drive_ticks`)
-        pre-samples owners in vectorized blocks and calls this hook instead
-        of :meth:`tick`.  Subclasses may override it to amortize per-tick
-        protocol randomness across the block; an override must stay
-        sequentially equivalent to ticking each owner in order and must
-        draw its randomness from ``rng`` with a fixed number of draws per
-        tick, so that results never depend on how a run was chunked into
-        blocks.
+        pre-samples owners in vectorized blocks and calls this hook, which
+        runs :meth:`tick` for each owner on the protocol's
+        :class:`DrawStream`.  An override must equal this loop bit for
+        bit: the same values, ledger and draws from ``rng``.
         """
-        for node in owners:
-            self.tick(int(node), values, counter, rng)
+        tick = self.tick
+        for node in owners.tolist():
+            tick(node, values, counter, rng)
 
     def tick_budget(self, epsilon: float) -> int:
         """Default safety budget of clock ticks for :meth:`run`.
@@ -240,7 +307,7 @@ class AsynchronousGossip(ABC):
             raise TypeError(
                 f"{self.name!r} does not declare supports_multifield, so "
                 f"run() only accepts scalar ({self.n},) state — audit "
-                "tick/tick_block against the checklist in "
+                "tick against the checklist in "
                 "docs/workloads.md and declare supports_multifield = "
                 "True, or use repro.engine.run_batched, whose per-column "
                 "fallback runs unaudited protocols one field at a time"
@@ -299,8 +366,8 @@ def drive_ticks(
       without a check, as the per-tick loop always did.
     * ``>= 2`` — :func:`split_streams`: owners come in vectorized blocks
       of at most ``block_size`` from the owner stream and run through
-      :meth:`AsynchronousGossip.tick_block` on the protocol stream; every
-      window ends with a check.
+      :meth:`AsynchronousGossip.tick_block` on a :class:`DrawStream` over
+      the protocol stream; every window ends with a check.
 
     Windows, checks, spans, metrics and trace events all live here, so
     every stride is instrumented alike.  Metrics and spans are
@@ -322,13 +389,14 @@ def drive_ticks(
 
     else:
         owner_rng, protocol_rng = split_streams(rng)
+        stream = DrawStream(protocol_rng)
 
         def advance(count: int) -> None:
             done = 0
             while done < count:
                 block = min(block_size, count - done)
                 owners = owner_rng.integers(n, size=block)
-                algorithm.tick_block(owners, values, counter, protocol_rng)
+                algorithm.tick_block(owners, values, counter, stream)
                 done += block
                 if recorder is not None:
                     recorder.emit({"e": "batch", "ticks": block})

@@ -70,7 +70,7 @@ class GeographicGossip(AsynchronousGossip):
                 f"unknown target mode {target_mode!r}; pick one of {_TARGET_MODES}"
             )
         self.graph = graph
-        # Both tick paths route through the exact memoized router (the
+        # Every stride routes through the exact memoized router (the
         # graph's shared one, if its owner attached one).
         self.router = CachedGreedyRouter.for_graph(graph)
         self.target_mode = target_mode
@@ -108,65 +108,6 @@ class GeographicGossip(AsynchronousGossip):
             recorder.emit(
                 {"e": "pairs", "op": "avg", "pairs": [[node, target]]}
             )
-
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks: targets pre-sampled per block.
-
-        ``uniform`` mode consumes one double per tick (mapped onto the
-        ``n − 1`` other nodes); ``position`` mode consumes two (the random
-        location).  Both come from a single vectorized call per block, so
-        the stream advances by a fixed number of draws per tick and
-        chunking cannot change the results.  ``rejection`` mode draws a
-        *variable* number of doubles per proposal loop, which only stays
-        chunk-invariant when consumed strictly in tick order — so it runs
-        :meth:`tick` once per owner.
-
-        Exchanges are applied sequentially in owner order with the same
-        abort-on-void rule as :meth:`tick`, routed through the same
-        memoized :attr:`router`.
-        """
-        if self.target_mode == "rejection":
-            for node in owners:
-                self.tick(int(node), values, counter, rng)
-            return
-        if self.target_mode == "uniform":
-            picks = rng.random(len(owners))
-            last = self.n - 1
-            targets = []
-            for node, pick in zip(owners.tolist(), picks.tolist()):
-                target = int(pick * last)
-                targets.append(target + 1 if target >= node else target)
-        else:  # position: nearest node to a pre-sampled random location
-            points = rng.random((len(owners), 2))
-            targets = [
-                self.graph.nearest_node(points[index])
-                for index in range(len(owners))
-            ]
-        route = self.router.round_trip
-        recorder = _events.active()
-        pairs = [] if recorder is not None else None
-        for node, target in zip(owners.tolist(), targets):
-            if target == node:
-                continue
-            forward, backward = route(node, target, counter)
-            if not (forward.delivered and backward.delivered):
-                self.failed_exchanges += 1
-                if recorder is not None:
-                    recorder.emit({"e": "abort"})
-                continue
-            average = 0.5 * (values[node] + values[target])
-            values[node] = average
-            values[target] = average
-            if pairs is not None:
-                pairs.append([node, target])
-        if pairs:
-            recorder.emit({"e": "pairs", "op": "avg", "pairs": pairs})
 
     def tick_budget(self, epsilon: float) -> int:
         # O(n log(1/ε)) exchanges suffice (complete-graph mixing); 40x slack.

@@ -112,7 +112,7 @@ class PathAveragingGossip(AsynchronousGossip):
                 f"unknown target mode {target_mode!r}; pick one of {_TARGET_MODES}"
             )
         self.graph = graph
-        # Both tick paths route through the exact memoized router (the
+        # Every stride routes through the exact memoized router (the
         # graph's shared one, if its owner attached one).
         self.router = CachedGreedyRouter.for_graph(graph)
         self.target_mode = target_mode
@@ -134,40 +134,6 @@ class PathAveragingGossip(AsynchronousGossip):
         else:
             route = self.router.route_to_position(node, rng.random(2), counter)
         self._apply_route(route, values, counter)
-
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks: targets pre-sampled per block.
-
-        ``uniform`` mode consumes one double per tick (mapped onto the
-        ``n − 1`` other nodes), ``position`` mode two (the random
-        location); both come from a single vectorized call per block, so
-        the stream advances a fixed number of draws per tick and chunking
-        cannot change the results.  Routes go through the same
-        :attr:`router` as :meth:`tick`, and averages are applied
-        sequentially in owner order with the same abort-on-void rule.
-        """
-        if self.target_mode == "uniform":
-            picks = rng.random(len(owners))
-            last = self.n - 1
-            route_to_node = self.router.route_to_node
-            for node, pick in zip(owners.tolist(), picks.tolist()):
-                target = int(pick * last)
-                if target >= node:
-                    target += 1
-                route = route_to_node(node, target, counter)
-                self._apply_route(route, values, counter)
-        else:
-            points = rng.random((len(owners), 2))
-            route_to_position = self.router.route_to_position
-            for node, point in zip(owners.tolist(), points):
-                route = route_to_position(node, point, counter)
-                self._apply_route(route, values, counter)
 
     def tick_budget(self, epsilon: float) -> int:
         """Order-optimality budget: O(n log(1/ε)) operations, 40x slack.

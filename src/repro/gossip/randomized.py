@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip
+from repro.gossip.base import AsynchronousGossip, DrawStream
 from repro.observability import events as _events
 from repro.routing.cost import TransmissionCounter
 
@@ -106,16 +106,17 @@ class RandomizedGossip(AsynchronousGossip):
         owners: np.ndarray,
         values: np.ndarray,
         counter: TransmissionCounter,
-        rng: np.random.Generator,
+        rng: DrawStream,
     ) -> None:
-        """Batched ticks: one vectorized uniform draw covers the whole block.
+        """Batched ticks: one vectorized draw covers the whole block.
 
-        Partner selection maps one double per tick onto the owner's
-        adjacency list (``⌊u · degree⌋``), so the block consumes exactly
-        ``len(owners)`` draws regardless of chunking — the block-invariance
-        contract of :meth:`AsynchronousGossip.tick_block`.  The averaging
-        itself must stay sequential: successive exchanges read the values
-        earlier exchanges wrote.
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        owner on the same :class:`~repro.gossip.base.DrawStream`: each
+        owner with neighbours takes the next double ``u`` and picks
+        ``adjacency[int(u · degree)]``, exactly what ``rng.integers``
+        serves :meth:`tick`; an isolated owner's tick is wasted before it
+        draws.  The averaging itself must stay sequential: successive
+        exchanges read the values earlier exchanges wrote.
 
         Multi-field state takes an allocation-free branch: the owner row
         is averaged in place (``(x + y) · 0.5`` — bitwise equal to the
@@ -123,15 +124,19 @@ class RandomizedGossip(AsynchronousGossip):
         and copied onto the partner row.  This is what makes one (n, k)
         pass cost barely more than one scalar run (benchmark E19).
         """
-        picks = rng.random(len(owners))
+        nodes = owners.tolist()
+        adjacencies = list(map(self.neighbors.__getitem__, nodes))
+        if not all(map(len, adjacencies)):
+            # An isolated owner's tick is wasted before it draws.
+            live = [index for index, adj in enumerate(adjacencies) if len(adj)]
+            nodes = [nodes[index] for index in live]
+            adjacencies = [adjacencies[index] for index in live]
+        picks = rng.random(len(nodes)).tolist()
         exchanges = 0
         multifield = values.ndim == 2
         recorder = _events.active()
         pairs = [] if recorder is not None else None
-        for node, pick in zip(owners.tolist(), picks.tolist()):
-            adjacency = self.neighbors[node]
-            if adjacency.size == 0:
-                continue  # isolated node: its tick is wasted
+        for node, adjacency, pick in zip(nodes, adjacencies, picks):
             partner = int(adjacency[int(pick * adjacency.size)])
             if not self._exchange_survives(counter):
                 continue

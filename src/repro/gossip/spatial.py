@@ -58,7 +58,7 @@ class SpatialGossip(AsynchronousGossip):
             raise ValueError(f"rho must be non-negative, got {rho}")
         self.graph = graph
         self.rho = rho
-        # Both tick paths route through the exact memoized router (the
+        # Every stride routes through the exact memoized router (the
         # graph's shared one, if its owner attached one).
         self.router = CachedGreedyRouter.for_graph(graph)
         self.failed_exchanges = 0
@@ -115,44 +115,6 @@ class SpatialGossip(AsynchronousGossip):
             recorder.emit(
                 {"e": "pairs", "op": "avg", "pairs": [[node, target]]}
             )
-
-    def tick_block(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        counter: TransmissionCounter,
-        rng: np.random.Generator,
-    ) -> None:
-        """Batched ticks: one vectorized CDF draw per block.
-
-        Target selection inverts the owner's cumulative distribution with
-        one double per tick (exactly the scalar rule), drawn in a single
-        call per block so chunking never shifts the stream.  Exchanges are
-        applied sequentially with the scalar loop's abort-on-void rule.
-        """
-        picks = rng.random(len(owners))
-        cumulative = self._cumulative
-        route = self.router.round_trip
-        last = self.n - 1
-        recorder = _events.active()
-        pairs = [] if recorder is not None else None
-        for node, pick in zip(owners.tolist(), picks.tolist()):
-            target = min(int(np.searchsorted(cumulative[node], pick)), last)
-            if target == node:
-                continue
-            forward, backward = route(node, target, counter)
-            if not (forward.delivered and backward.delivered):
-                self.failed_exchanges += 1
-                if recorder is not None:
-                    recorder.emit({"e": "abort"})
-                continue
-            average = 0.5 * (values[node] + values[target])
-            values[node] = average
-            values[target] = average
-            if pairs is not None:
-                pairs.append([node, target])
-        if pairs:
-            recorder.emit({"e": "pairs", "op": "avg", "pairs": pairs})
 
     def tick_budget(self, epsilon: float) -> int:
         # Between randomized (n²) and geographic (n); allow the worst.

@@ -1,10 +1,10 @@
 """The structured event stream: recorder, activation, JSONL persistence.
 
 Every instrumented layer of the engine (the batched driver, the routers,
-the dynamics overlay, each protocol's ``tick``/``tick_block``) asks
-:func:`active` for the current recorder and emits plain-dictionary
-events only when one is installed.  Design rules that keep the stream
-trustworthy:
+the dynamics overlay, each protocol's ``tick`` and randomized gossip's
+``tick_block``) asks :func:`active` for the current recorder and emits
+plain-dictionary events only when one is installed.  Design rules that
+keep the stream trustworthy:
 
 * **Purely observational.**  Emission never consumes randomness, never
   allocates on the hot path when no recorder is active (one module-level

@@ -1,7 +1,7 @@
 """Run telemetry: lightweight counters and timers for sweep cells.
 
 Complements the event stream with always-cheap aggregates: wall-clock
-throughput, route-cache effectiveness, and which engine fallbacks a cell
+throughput, route-cache effectiveness, and which engine fallback a cell
 hit.  The sweep executor collects one flat ``{name: float}`` mapping per
 cell (:func:`collect_telemetry`) and stores it on the
 :class:`~repro.engine.executor.CellRecord` — excluded from record
@@ -12,7 +12,7 @@ Everything here duck-types its inputs (stdlib only, no ``repro``
 imports): this module is a leaf the engine layers can import freely.
 
 >>> collect_telemetry(object(), wall_clock=2.0, ticks=1000)
-{'ticks_per_sec': 500.0, 'scalar_fallback': 0.0, 'multifield_fallback': 0.0}
+{'ticks_per_sec': 500.0, 'multifield_fallback': 0.0}
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def collect_telemetry(
     *,
     wall_clock: float,
     ticks: int,
-    scalar_fallback: bool = False,
     multifield_fallback: bool = False,
     multifield_runs: "int | None" = None,
     trace_events: "int | None" = None,
@@ -63,9 +62,10 @@ def collect_telemetry(
 ) -> dict[str, float]:
     """One cell's flat telemetry mapping.
 
-    Always present: ``ticks_per_sec`` and the fallback indicators
-    (``1.0`` when the cell hit the engine's scalar-tick or per-column
-    multi-field fallback — the run is correct but missed a fast path).
+    Always present: ``ticks_per_sec`` and the fallback indicator
+    ``multifield_fallback`` (``1.0`` when the cell hit the engine's
+    per-column multi-field fallback — the run is correct but missed the
+    single-pass fast path).
     Added when applicable: the route-cache counters of
     :func:`cache_stats`, ``trace_events`` (events captured when the cell
     ran traced), and ``multifield_fallback_runs`` — the
@@ -85,7 +85,6 @@ def collect_telemetry(
         "ticks_per_sec": (
             float(ticks) / wall_clock if wall_clock > 0 else 0.0
         ),
-        "scalar_fallback": 1.0 if scalar_fallback else 0.0,
         "multifield_fallback": 1.0 if multifield_fallback else 0.0,
     }
     if multifield_runs is not None:

@@ -27,11 +27,10 @@ arithmetic and the same first-minimum tie-breaking as the scalar
 :class:`CachedGreedyRouter` produces bit-identical
 :class:`~repro.routing.greedy.RouteResult` paths, delivery flags and
 transmission charges to the uncached router (tested).  It is every
-routed protocol's one router, at every check stride: the per-tick
-``tick`` and the batched ``tick_block`` both route node targets through
-it.  Position targets have no per-node column, so
-:meth:`CachedGreedyRouter.route_to_position` walks the plain
-:class:`GreedyRouter`.
+routed protocol's one router, at every check stride: ``tick`` serves
+every stride and routes node targets through it.  Position targets have
+no per-node column, so :meth:`CachedGreedyRouter.route_to_position`
+walks the plain :class:`GreedyRouter`.
 
 Memory is one ``n``-list of pointers to shared node ints per distinct
 target ever routed to — at most O(n²) pointers, and in practice bounded

@@ -20,6 +20,12 @@ Since the multi-field engine, a third contract joins them:
    protocol randomness is value-independent, so the scalar run replays
    inside every multi-field run.
 
+A fourth keeps the strided fast paths honest:
+
+4. **Override ≡ base loop** — a class that overrides ``tick_block`` must
+   equal the base loop (its own ``tick`` per owner on the same
+   ``DrawStream``) bit for bit, at any stride and field count.
+
 This module factors those assertions (plus strided determinism) into
 reusable helpers and a registry of ready-made protocol cases, so adding a
 protocol to the golden suite is one `ProtocolCase` entry — future
@@ -35,7 +41,7 @@ Not a test module itself (no ``test_`` prefix): imported by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +54,7 @@ from repro.gossip.affine import (
     PerturbedAffineGossipKn,
     sample_alphas,
 )
-from repro.gossip.base import GossipRunResult
+from repro.gossip.base import AsynchronousGossip, GossipRunResult
 from repro.gossip.geographic import GeographicGossip
 from repro.gossip.hierarchical.rounds import HierarchicalGossip
 from repro.gossip.path_averaging import PathAveragingGossip
@@ -162,6 +168,16 @@ def case_names(tick_driven: bool | None = None) -> list[str]:
         name
         for name, case in CASES.items()
         if tick_driven is None or case.tick_driven == tick_driven
+    ]
+
+
+def override_case_names() -> list[str]:
+    """Tick-driven cases whose class overrides ``tick_block``."""
+    return [
+        name
+        for name, case in CASES.items()
+        if case.tick_driven
+        and type(case.factory()).tick_block is not AsynchronousGossip.tick_block
     ]
 
 
@@ -379,4 +395,29 @@ def assert_multifield_strided_deterministic(
         first.column_errors,
         second.column_errors,
         err_msg=f"column errors differ ({case.name}, repeat run)",
+    )
+
+
+def assert_override_matches_base_loop(
+    case: ProtocolCase,
+    check_stride: int,
+    fields: int | None = None,
+    seed: int = 7,
+) -> None:
+    """Contract 4: the ``tick_block`` override equals the base loop."""
+
+    def base_loop():
+        algorithm = case.factory()
+        algorithm.tick_block = AsynchronousGossip.tick_block.__get__(algorithm)
+        return algorithm
+
+    override = run_engine(case, seed, check_stride, fields=fields)
+    reference = run_engine(
+        replace(case, factory=base_loop), seed, check_stride, fields=fields
+    )
+    assert_results_identical(
+        override,
+        reference,
+        f"{case.name}, stride {check_stride}, "
+        f"fields={fields or 'scalar'}, override vs base loop",
     )

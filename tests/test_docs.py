@@ -144,10 +144,12 @@ class TestDocsSite:
                         dangling.append(f"{path.relative_to(REPO)}: {name}")
         assert dangling == []
 
-    def test_batching_page_backs_the_warning_message(self):
-        """The ScalarFallbackWarning names this page; keep it load-bearing."""
+    def test_batching_page_states_the_draw_stream_contract(self):
+        """The page names the draws a strided tick may make."""
         page = (DOCS / "batching.md").read_text(encoding="utf-8")
-        assert "ScalarFallbackWarning" in page
+        assert "DrawStream" in page
+        for draw in ("random", "integers", "uniform"):
+            assert f"`{draw}" in page, draw
         assert "tick_block" in page
         assert "protocol_batching" in page
 

@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from repro.engine.batching import (
-    ScalarFallbackWarning,
     batching_capability,
     run_batched,
     split_streams,
 )
 from repro.experiments.config import make_algorithm, protocol_batching
 from repro.experiments.seeds import spawn_rng
-from repro.gossip.base import AsynchronousGossip
+from repro.gossip.base import AsynchronousGossip, DrawStream
 from repro.gossip.hierarchical.rounds import HierarchicalGossip
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing.cost import TransmissionCounter
 
 
 class ScalarOnlyGossip(AsynchronousGossip):
-    """A protocol that never overrode tick_block (the fallback path)."""
+    """A protocol with only a ``tick``: the base loop serves every stride."""
 
     name = "scalar-only"
 
@@ -206,20 +205,19 @@ class TestSplitStreams:
 
 class TestTickBlockHooks:
     def test_default_tick_block_matches_scalar_ticks(self, instance):
-        """The base-class hook is literally the scalar loop."""
+        """The base-class hook is literally the per-owner tick loop."""
         graph, values = instance
         algorithm = ScalarOnlyGossip(graph.n)
         owners = spawn_rng(3, "owners").integers(graph.n, size=50)
 
         block_values = values.copy()
         block_counter = TransmissionCounter()
-        algorithm.tick_block(
-            owners, block_values, block_counter, spawn_rng(3, "proto")
-        )
+        block_rng = DrawStream(spawn_rng(3, "proto"))
+        algorithm.tick_block(owners, block_values, block_counter, block_rng)
 
         scalar_values = values.copy()
         scalar_counter = TransmissionCounter()
-        scalar_rng = spawn_rng(3, "proto")
+        scalar_rng = DrawStream(spawn_rng(3, "proto"))
         for node in owners:
             algorithm.tick(int(node), scalar_values, scalar_counter, scalar_rng)
 
@@ -246,6 +244,31 @@ class TestTickBlockHooks:
         reference.random(len(owners))
         np.testing.assert_array_equal(rng.random(4), reference.random(4))
 
+    def test_randomized_override_skips_isolated_owners_like_tick(self):
+        """An isolated owner wastes its tick before drawing, in both paths."""
+        from repro.gossip.randomized import RandomizedGossip
+
+        # A path 0-1-2 plus an isolated node 3.
+        neighbors = [
+            np.array([1]),
+            np.array([0, 2]),
+            np.array([1]),
+            np.array([], dtype=int),
+        ]
+        owners = spawn_rng(3, "owners").integers(4, size=40)
+        assert (owners == 3).any()
+        runs = []
+        for hook in (RandomizedGossip.tick_block, AsynchronousGossip.tick_block):
+            algorithm = RandomizedGossip(neighbors)
+            out = np.arange(4.0)
+            counter = TransmissionCounter()
+            stream = DrawStream(spawn_rng(3, "proto"))
+            hook(algorithm, owners, out, counter, stream)
+            runs.append((out, counter.snapshot(), stream.random()))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][2] == runs[1][2]  # the same number of draws
+
     def test_chunked_tick_blocks_equal_one_block(self, instance):
         graph, values = instance
         algorithm = make_algorithm("randomized", graph)
@@ -268,8 +291,9 @@ class TestTickBlockHooks:
 class TestBatchingCapability:
     def test_classification(self, instance):
         graph, _ = instance
-        assert batching_capability(ScalarOnlyGossip) == "scalar"
-        assert batching_capability(ScalarOnlyGossip(graph.n)) == "scalar"
+        # Every tick-driven protocol gets the strided fast path.
+        assert batching_capability(ScalarOnlyGossip) == "block"
+        assert batching_capability(ScalarOnlyGossip(graph.n)) == "block"
         assert batching_capability(make_algorithm("randomized", graph)) == "block"
         assert batching_capability(HierarchicalGossip) == "rounds"
 
@@ -288,10 +312,12 @@ class TestBatchingCapability:
             protocol_batching(("randomized", "no-such-protocol"))
 
 
-class TestScalarFallbackWarning:
-    def test_strided_run_without_override_warns(self, instance):
+class TestTickOnlyProtocols:
+    def test_strided_run_is_silent_and_converges(self, instance):
+        """A protocol with only ``tick`` runs strided with no warning."""
         graph, values = instance
-        with pytest.warns(ScalarFallbackWarning, match="scalar-only"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run_batched(
                 ScalarOnlyGossip(graph.n),
                 values,
@@ -299,8 +325,10 @@ class TestScalarFallbackWarning:
                 spawn_rng(7, "run"),
                 check_stride=4,
             )
-        assert result.converged  # the fallback still runs correctly
+        assert result.converged
 
+
+class TestUncenteredFieldWarning:
     def test_uncentered_field_warns_for_affine(self, instance):
         """Mean-sensitive protocols get a futility warning, not a stall."""
         from repro.engine.batching import UncenteredFieldWarning
@@ -321,47 +349,6 @@ class TestScalarFallbackWarning:
             run_batched(
                 algorithm, centred, 0.25, spawn_rng(7, "run"), max_ticks=10
             )
-
-    def test_warning_names_docs_page_and_registry(self, instance):
-        """Discoverability: the message points at the fix, not just the fact."""
-        graph, values = instance
-        with pytest.warns(ScalarFallbackWarning) as captured:
-            run_batched(
-                ScalarOnlyGossip(graph.n),
-                values,
-                0.25,
-                spawn_rng(7, "run"),
-                check_stride=4,
-            )
-        message = str(captured[0].message)
-        assert "docs/batching.md" in message
-        assert "protocol_batching" in message
-        assert "tick_block" in message
-
-    def test_stride_one_never_warns(self, instance):
-        graph, values = instance
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ScalarFallbackWarning)
-            run_batched(
-                ScalarOnlyGossip(graph.n),
-                values,
-                0.25,
-                spawn_rng(7, "run"),
-                check_stride=1,
-            )
-
-    def test_block_protocols_never_warn(self, instance):
-        graph, values = instance
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ScalarFallbackWarning)
-            for name in ("randomized", "geographic", "spatial"):
-                run_batched(
-                    make_algorithm(name, graph),
-                    values,
-                    0.3,
-                    spawn_rng(7, "run", name),
-                    check_stride=4,
-                )
 
 
 class TestDegenerateMatrixState:
@@ -419,23 +406,6 @@ class TestWarningAttribution:
                 max_ticks=16,
             )
         filenames = self._filenames(captured, MultiFieldFallbackWarning)
-        assert filenames and all(
-            name.endswith("test_engine_batching.py") for name in filenames
-        ), filenames
-
-    def test_scalar_fallback_attributes_to_caller(self, instance):
-        graph, values = instance
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            run_batched(
-                ScalarOnlyGossip(graph.n),
-                values,
-                0.25,
-                spawn_rng(7, "run"),
-                check_stride=4,
-                max_ticks=16,
-            )
-        filenames = self._filenames(captured, ScalarFallbackWarning)
         assert filenames and all(
             name.endswith("test_engine_batching.py") for name in filenames
         ), filenames

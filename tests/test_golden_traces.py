@@ -8,7 +8,9 @@ Parametrized over the shared registry in ``protocol_equivalence.py``:
   protocol instances;
 * multi-field ``(n, k)`` runs replay the scalar run as their column 0 —
   bit-identical to the legacy loop at stride 1, invariant to ``k`` at
-  any stride, and deterministic across fresh instances.
+  any stride, and deterministic across fresh instances;
+* a class that overrides ``tick_block`` equals the base loop running its
+  ``tick`` per owner, bit for bit.
 
 The registry includes fully faulted cases (churn + link failures + loss
 on a pinned schedule), so every contract also covers the dynamics layer.
@@ -24,10 +26,12 @@ from protocol_equivalence import (
     assert_column0_k_invariant,
     assert_multifield_column0_bit_identical,
     assert_multifield_strided_deterministic,
+    assert_override_matches_base_loop,
     assert_stride1_bit_identical,
     assert_strided_deterministic,
     case_names,
     multifield_native_case_names,
+    override_case_names,
 )
 
 
@@ -45,6 +49,15 @@ def test_block_size_invariance(name):
 @pytest.mark.parametrize("check_stride", [2, 8])
 def test_strided_runs_deterministic(name, check_stride):
     assert_strided_deterministic(CASES[name], check_stride=check_stride)
+
+
+@pytest.mark.parametrize("name", override_case_names())
+@pytest.mark.parametrize("check_stride", [2, 8])
+@pytest.mark.parametrize("fields", [None, 3], ids=["scalar", "k3"])
+def test_tick_block_override_matches_base_loop(name, check_stride, fields):
+    assert_override_matches_base_loop(
+        CASES[name], check_stride=check_stride, fields=fields
+    )
 
 
 def test_registry_covers_every_registered_algorithm():

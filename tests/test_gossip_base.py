@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gossip.base import AsynchronousGossip
+from repro.gossip.base import DEFAULT_BLOCK_SIZE, AsynchronousGossip, DrawStream
 from repro.routing import TransmissionCounter
 
 
@@ -116,3 +116,45 @@ class TestRunDriver:
             trace_thinning=0.0,
         )
         assert len(dense.trace) > len(sparse.trace)
+
+
+class TestDrawStream:
+    """The stride >= 2 draw source: ``Generator.random``'s doubles, in order."""
+
+    #: Draws skipped before each check, so that it crosses a chunk refill.
+    SKIP = DEFAULT_BLOCK_SIZE - 7
+
+    def test_interleaved_draws_consume_the_generator_doubles(self):
+        stream = DrawStream(np.random.default_rng(11))
+        doubles = np.random.default_rng(11).random(self.SKIP + 64).tolist()
+        stream.random(self.SKIP)
+        expected = iter(doubles[self.SKIP :])
+        for step in range(12):
+            u = stream.random()
+            assert isinstance(u, float) and u == next(expected)
+            pair = stream.random(2)
+            assert pair.shape == (2,)
+            assert pair.tolist() == [next(expected), next(expected)]
+            k = 3 + step
+            assert stream.integers(k) == int(next(expected) * k)
+            lo, hi = -0.25 * step, 1.5
+            assert stream.uniform(lo, hi) == lo + (hi - lo) * next(expected)
+        # 12 rounds of 5 doubles: the next draw is double SKIP + 60.
+        assert stream.random() == doubles[self.SKIP + 60]
+
+    def test_random_matches_the_generator_across_refills(self):
+        stream = DrawStream(np.random.default_rng(4))
+        reference = np.random.default_rng(4)
+        for size in (self.SKIP, 3, 7, 1, 2 * DEFAULT_BLOCK_SIZE + 5, 0):
+            np.testing.assert_array_equal(
+                stream.random(size), reference.random(size)
+            )
+        assert stream.random() == reference.random()
+
+    def test_uniform_matches_generator_uniform(self):
+        stream = DrawStream(np.random.default_rng(8))
+        reference = np.random.default_rng(8)
+        for bound in (1e-4, 0.3, 2.0):
+            assert stream.uniform(-bound, bound) == reference.uniform(
+                -bound, bound
+            )

@@ -28,13 +28,12 @@ from repro.dynamics import DynamicGossip, DynamicSubstrate
 from repro.dynamics.overlay import live_node_error
 from repro.engine.batching import (
     MultiFieldFallbackWarning,
-    ScalarFallbackWarning,
     multifield_capability,
     run_batched,
     split_streams,
 )
 from repro.experiments.seeds import spawn_rng
-from repro.gossip.base import AsynchronousGossip, check_state_shape
+from repro.gossip.base import AsynchronousGossip, DrawStream, check_state_shape
 from repro.gossip.path_averaging import PathAveragingGossip
 from repro.gossip.randomized import RandomizedGossip
 from repro.graphs.rgg import RandomGeometricGraph
@@ -333,16 +332,14 @@ class TestMultiFieldFallback:
             spawn_rng(7, "fallback"),
             check_stride=4,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScalarFallbackWarning)
-            with pytest.warns(MultiFieldFallbackWarning):
-                multi = run_batched(
-                    UnauditedGossip(_GRAPH.neighbors),
-                    initial_field_matrix(3),
-                    0.25,
-                    spawn_rng(7, "fallback"),
-                    check_stride=4,
-                )
+        with pytest.warns(MultiFieldFallbackWarning):
+            multi = run_batched(
+                UnauditedGossip(_GRAPH.neighbors),
+                initial_field_matrix(3),
+                0.25,
+                spawn_rng(7, "fallback"),
+                check_stride=4,
+            )
         np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
 
     def test_legacy_run_entry_rejects_matrix_on_unaudited_protocols(self):
@@ -509,9 +506,10 @@ class TestFaultedMultiFieldRegressions:
         values = initial.copy()
         counter = TransmissionCounter()
         owner_rng, protocol_rng = split_streams(np.random.default_rng([3, 9]))
+        stream = DrawStream(protocol_rng)
         for _ in range(12):
             owners = owner_rng.integers(protocol.n, size=200)
-            protocol.tick_block(owners, values, counter, protocol_rng)
+            protocol.tick_block(owners, values, counter, stream)
         assert protocol.wasted_ticks > 0  # churn actually dropped owners
         assert protocol.aborted_routes > 0  # loss actually severed routes
         np.testing.assert_allclose(

@@ -269,7 +269,8 @@ def test_collect_telemetry_flat_mapping():
     )
     assert telemetry["ticks_per_sec"] == 500.0
     assert telemetry["trace_events"] == 42.0
-    assert telemetry["scalar_fallback"] == 0.0
+    assert telemetry["multifield_fallback"] == 0.0
+    assert "scalar_fallback" not in telemetry  # every stride is the fast path
 
 
 _RECORD_KWARGS = dict(

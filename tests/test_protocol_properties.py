@@ -12,7 +12,8 @@ scalar or batched, on healthy and on pathological instances:
 
 Both are checked across a sweep of seeds for every tick-driven protocol
 in the shared golden registry, driving the protocols exactly the way the
-batched engine does (``split_streams`` + ``tick_block``), and separately
+batched engine does (``split_streams`` + ``tick_block`` on a
+``DrawStream``), and separately
 on a routing-void instance where greedy forwarding fails.
 """
 
@@ -26,6 +27,7 @@ from protocol_equivalence import (
     initial_values,
 )
 from repro.engine.batching import run_batched, split_streams
+from repro.gossip.base import DrawStream
 from repro.gossip.geographic import GeographicGossip
 from repro.gossip.spatial import SpatialGossip
 from repro.graphs.rgg import RandomGeometricGraph
@@ -48,11 +50,12 @@ def _windowed_errors(case, seed):
     owner_rng, protocol_rng = split_streams(
         np.random.default_rng([seed, 1234])
     )
+    stream = DrawStream(protocol_rng)
     errors = [normalized_error(values, initial)]
     sums = [values.sum()]
     for _ in range(WINDOWS):
         owners = owner_rng.integers(algorithm.n, size=WINDOW_TICKS)
-        algorithm.tick_block(owners, values, counter, protocol_rng)
+        algorithm.tick_block(owners, values, counter, stream)
         errors.append(normalized_error(values, initial))
         sums.append(values.sum())
     return np.array(errors), np.array(sums), counter
@@ -115,7 +118,9 @@ class TestRoutingVoids:
                 np.random.default_rng([seed, 77])
             )
             owners = owner_rng.integers(void_graph.n, size=600)
-            algorithm.tick_block(owners, values, counter, protocol_rng)
+            algorithm.tick_block(
+                owners, values, counter, DrawStream(protocol_rng)
+            )
             assert algorithm.failed_exchanges > 0  # voids were exercised
             assert values.sum() == pytest.approx(initial.sum(), abs=1e-9)
             # Within-island averaging still happened.
@@ -127,8 +132,9 @@ class TestRoutingVoids:
         """The batched path aborts exactly where the scalar walk would.
 
         Same pre-sampled owners and one shared uniform draw per tick: the
-        batched uniform mode and a hand-rolled scalar replay with the same
-        target mapping must fail the same exchanges.
+        batched uniform mode (``integers`` on a ``DrawStream``) and a
+        hand-rolled scalar replay with the same target mapping must fail
+        the same exchanges.
         """
         owners = np.random.default_rng(3).integers(void_graph.n, size=400)
         picks = np.random.default_rng(9).random(len(owners))
@@ -137,22 +143,15 @@ class TestRoutingVoids:
         batched_values = np.random.default_rng(1).normal(size=void_graph.n)
         scalar_values = batched_values.copy()
 
-        class _Replay:
-            """Feeds the pre-drawn picks to tick_block's single rng.random."""
-
-            def __init__(self, picks):
-                self.picks = picks
-
-            def random(self, size=None):
-                assert size == len(self.picks)
-                return self.picks
-
         batched.tick_block(
-            owners, batched_values, TransmissionCounter(), _Replay(picks)
+            owners,
+            batched_values,
+            TransmissionCounter(),
+            DrawStream(np.random.default_rng(9)),
         )
 
         # The reference is the plain greedy walk, not the protocol's own
-        # memoized router (which tick_block routes through).
+        # memoized router (which tick routes through).
         plain = GreedyRouter(void_graph)
         failed = 0
         counter = TransmissionCounter()
@@ -179,11 +178,12 @@ def _windowed_column_traces(case, seed, k=FIELDS):
     values = initial.copy()
     counter = TransmissionCounter()
     owner_rng, protocol_rng = split_streams(np.random.default_rng([seed, 1234]))
+    stream = DrawStream(protocol_rng)
     errors = [column_errors(values, initial)]
     sums = [values.sum(axis=0)]
     for _ in range(WINDOWS):
         owners = owner_rng.integers(algorithm.n, size=WINDOW_TICKS)
-        algorithm.tick_block(owners, values, counter, protocol_rng)
+        algorithm.tick_block(owners, values, counter, stream)
         errors.append(column_errors(values, initial))
         sums.append(values.sum(axis=0))
     return np.array(errors), np.array(sums), counter
