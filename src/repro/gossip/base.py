@@ -17,6 +17,7 @@ transmission *costs* recorded here are unaffected by that choice.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ __all__ = [
     "AsynchronousGossip",
     "DrawStream",
     "GossipRunResult",
+    "LegacyDrawStream",
     "check_state_shape",
     "drive_ticks",
     "split_streams",
@@ -109,6 +111,132 @@ class DrawStream:
     def uniform(self, lo: float, hi: float) -> float:
         """A uniform double in ``[lo, hi)``: ``lo + (hi - lo) * u``."""
         return lo + (hi - lo) * self._next()
+
+
+#: ``2**-53``: the spacing of PCG64's ``next_double``.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+
+class LegacyDrawStream:
+    """A PCG64 generator's scalar draws, replayed from chunked raw words.
+
+    At stride 1 :func:`drive_ticks` draws every owner from this stream
+    and hands it to every ``tick`` in place of the run's generator, and
+    :class:`~repro.gossip.hierarchical.rounds.HierarchicalGossip` draws
+    from it throughout a run.  Each call returns exactly what the same
+    call on the generator would return, in the same order, from 64-bit
+    words fetched ``RAW_CHUNK`` at a time with ``random_raw``:
+
+    * ``integers(k)`` — NumPy's scalar path for ``1 <= k <= 2**32``: a
+      word splits into 32-bit halves, low half first, and the high half
+      is kept for the next call (PCG64's ``has_uint32``/``uinteger``);
+      Lemire's method rejects while the low product word is below
+      ``(2**32 - k) % k``.  ``k == 1`` draws nothing.
+    * ``random()`` / ``random(size)`` — ``(w >> 11) * 2**-53`` per word,
+      leaving the kept half alone.
+    * ``uniform(lo, hi)`` — ``lo + (hi - lo) * random()``.
+
+    Prefetching runs the generator ahead, so nothing else may draw from
+    it while the stream is open, and :meth:`close` must run (in a
+    ``finally``) before anything does: it rewinds the bit generator to
+    the state the scalar calls would have left.  Obtain a stream with
+    :meth:`open`, which declines any bit generator but PCG64.
+    """
+
+    #: Raw words per ``random_raw`` fetch.
+    RAW_CHUNK = 4096
+
+    __slots__ = (
+        "_bitgen",
+        "_start",
+        "_words",
+        "_pos",
+        "_spent",
+        "_has_half",
+        "_half",
+    )
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._start = self._bitgen.state
+        self._words: list[int] = []
+        self._pos = 0
+        self._spent = 0  # words in chunks already served in full
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+
+    @classmethod
+    def open(cls, rng: np.random.Generator) -> "LegacyDrawStream | None":
+        """A stream over ``rng``, or ``None`` unless its bit generator is
+        PCG64 (the caller then draws from ``rng`` itself)."""
+        if type(rng.bit_generator) is not np.random.PCG64:
+            return None
+        return cls(rng)
+
+    def _word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._spent += pos
+            self._words = self._bitgen.random_raw(self.RAW_CHUNK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._word()
+        self._has_half = True
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        """A uniform index in ``range(k)``, as ``Generator.integers(k)``."""
+        if type(k) is not int:
+            k = operator.index(k)  # a NumPy bound would overflow the products
+        if not 1 < k < 0x100000000:
+            if k == 1:
+                return 0
+            if k == 0x100000000:
+                return self._uint32()
+            raise ValueError(f"integers needs 1 <= k <= 2**32, got {k}")
+        if self._has_half:  # `_uint32`, inlined on the hot path
+            self._has_half = False
+            product = self._half * k
+        else:
+            word = self._word()
+            self._has_half = True
+            self._half = word >> 32
+            product = (word & 0xFFFFFFFF) * k
+        leftover = product & 0xFFFFFFFF
+        if leftover < k:
+            threshold = (0x100000000 - k) % k
+            while leftover < threshold:
+                product = self._uint32() * k
+                leftover = product & 0xFFFFFFFF
+        return product >> 32
+
+    def random(self, size: int | None = None):
+        """The next double, or an array of the next ``size`` doubles."""
+        if size is None:
+            return (self._word() >> 11) * _DOUBLE_UNIT
+        words = np.array([self._word() for _ in range(size)], dtype=np.uint64)
+        return (words >> np.uint64(11)) * _DOUBLE_UNIT
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """A uniform double in ``[lo, hi)``, as ``Generator.uniform``."""
+        return lo + (hi - lo) * self.random()
+
+    def close(self) -> None:
+        """Leave the bit generator where the scalar calls would have."""
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        bitgen.advance(self._spent + self._pos)
+        state = bitgen.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        bitgen.state = state
 
 
 def check_state_shape(initial_values: np.ndarray, n: int) -> np.ndarray:
@@ -234,7 +362,8 @@ class AsynchronousGossip(ABC):
     ) -> None:
         """Execute ``node``'s action for one clock tick, in place.
 
-        ``rng`` is the run's generator at stride 1 and a
+        ``rng`` is a :class:`LegacyDrawStream` (or, for a bit generator
+        other than PCG64, the run's generator) at stride 1 and a
         :class:`DrawStream` at strides ``>= 2``, so a tick may call only
         ``rng.random``, ``rng.integers(k)`` and ``rng.uniform(lo, hi)``.
         """
@@ -362,8 +491,12 @@ def drive_ticks(
 
     * ``1`` — one interleaved stream: each tick draws its owner from
       ``rng`` and hands ``rng`` to :meth:`AsynchronousGossip.tick`, the
-      legacy draw order.  A window cut short by the budget ends the run
-      without a check, as the per-tick loop always did.
+      legacy draw order.  A PCG64 ``rng`` is served through one
+      :class:`LegacyDrawStream`, which returns the same draws from
+      chunked raw words and is closed in a ``finally``, so ``rng`` ends
+      where the scalar calls would have left it.  A window cut short by
+      the budget ends the run without a check, as the per-tick loop
+      always did.
     * ``>= 2`` — :func:`split_streams`: owners come in vectorized blocks
       of at most ``block_size`` from the owner stream and run through
       :meth:`AsynchronousGossip.tick_block` on a :class:`DrawStream` over
@@ -380,12 +513,15 @@ def drive_ticks(
     values = initial_values.copy()
     counter = TransmissionCounter()
     recorder = _events.active()
+    exact = None  # the stride-1 stream, closed once the windows end
     if check_stride == 1:
-        tick, draw = algorithm.tick, rng.integers
+        exact = LegacyDrawStream.open(rng)
+        draws = rng if exact is None else exact
+        tick, draw = algorithm.tick, draws.integers
 
         def advance(count: int) -> None:
             for _ in range(count):
-                tick(int(draw(n)), values, counter, rng)
+                tick(int(draw(n)), values, counter, draws)
 
     else:
         owner_rng, protocol_rng = split_streams(rng)
@@ -425,26 +561,35 @@ def drive_ticks(
         )
     ticks = 0
     converged = error <= epsilon
-    while not converged and ticks < budget:
-        window = min(period, budget - ticks)
-        with _profile.span("window"):
-            advance(window)
-        ticks += window
-        if registry is not None:
-            ticks_counter.inc(window, algorithm=algorithm.name)
-        if window < period and check_stride == 1:
-            break  # the per-tick loop checked on period boundaries only
-        with _profile.span("check"):
-            error = normalized_error(values, initial_values)
-        trace.record(counter.total, ticks, error)
-        converged = error <= epsilon
-        if recorder is not None:
-            recorder.emit(
-                {"e": "check", "ticks": ticks, "tx": counter.total, "error": error}
-            )
-        if registry is not None:
-            checks_counter.inc(algorithm=algorithm.name)
-            error_gauge.set(error, algorithm=algorithm.name)
+    try:
+        while not converged and ticks < budget:
+            window = min(period, budget - ticks)
+            with _profile.span("window"):
+                advance(window)
+            ticks += window
+            if registry is not None:
+                ticks_counter.inc(window, algorithm=algorithm.name)
+            if window < period and check_stride == 1:
+                break  # the per-tick loop checked on period boundaries only
+            with _profile.span("check"):
+                error = normalized_error(values, initial_values)
+            trace.record(counter.total, ticks, error)
+            converged = error <= epsilon
+            if recorder is not None:
+                recorder.emit(
+                    {
+                        "e": "check",
+                        "ticks": ticks,
+                        "tx": counter.total,
+                        "error": error,
+                    }
+                )
+            if registry is not None:
+                checks_counter.inc(algorithm=algorithm.name)
+                error_gauge.set(error, algorithm=algorithm.name)
+    finally:
+        if exact is not None:
+            exact.close()
     error = normalized_error(values, initial_values)
     converged = error <= epsilon
     trace.force_record(counter.total, ticks, error)

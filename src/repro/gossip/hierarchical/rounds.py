@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.gossip.base import GossipRunResult, check_state_shape
+from repro.gossip.base import GossipRunResult, LegacyDrawStream, check_state_shape
 from repro.gossip.hierarchical.parameters import ProtocolParameters
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.hierarchy.addresses import SquareAddress
@@ -200,7 +200,12 @@ class HierarchicalGossip:
 
         One root round normally suffices (its exchange loop is the
         top-level averaging); extra root rounds are retried if the target
-        is missed (e.g. a stranded sensor inside a leaf).
+        is missed (e.g. a stranded sensor inside a leaf).  Every draw goes
+        through one :class:`~repro.gossip.base.LegacyDrawStream` over a
+        PCG64 ``rng`` (the same numbers as ``rng.integers``, from chunked
+        raw words), closed in a ``finally`` so that ``rng`` ends where the
+        scalar calls would have left it; other bit generators are drawn
+        from directly.
         """
         initial_values = check_state_shape(initial_values, self.graph.n)
         if initial_values.ndim == 2:
@@ -221,10 +226,11 @@ class HierarchicalGossip:
         counter = TransmissionCounter()
         trace = ConvergenceTrace(thinning=trace_thinning)
         self.stats = RoundStats()
+        exact = LegacyDrawStream.open(rng)
         run_state = _RunState(
             values=values,
             counter=counter,
-            rng=rng,
+            rng=rng if exact is None else exact,
             parameters=parameters,
             scale=deviation_norm(initial_values),
             trace=trace,
@@ -234,10 +240,16 @@ class HierarchicalGossip:
         trace.force_record(0, 0, error)
         rounds = 0
         root_target = epsilon * run_state.scale
-        while error > epsilon and rounds < max_root_rounds:
-            self._round(self.tree.root, depth=0, target=root_target, state=run_state)
-            error = normalized_error(values, initial_values)
-            rounds += 1
+        try:
+            while error > epsilon and rounds < max_root_rounds:
+                self._round(
+                    self.tree.root, depth=0, target=root_target, state=run_state
+                )
+                error = normalized_error(values, initial_values)
+                rounds += 1
+        finally:
+            if exact is not None:
+                exact.close()
         actions = sum(self.stats.near_ticks_by_depth.values()) + sum(
             self.stats.exchanges_by_depth.values()
         )
@@ -487,7 +499,7 @@ class _RunState:
 
     values: np.ndarray
     counter: TransmissionCounter
-    rng: np.random.Generator
+    rng: np.random.Generator | LegacyDrawStream
     parameters: ProtocolParameters
     scale: float
     trace: ConvergenceTrace | None

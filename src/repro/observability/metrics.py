@@ -180,12 +180,19 @@ class _Metric:
         self.help = help_text
         self._lock = lock
         self._series: dict[tuple, float] = {}
+        self._keys: dict[tuple, tuple] = {}
 
     def _key(self, labels: dict) -> tuple:
-        for label in labels:
-            if not _LABEL_NAME.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        return _label_key(labels)
+        # Memoised per label set: an update site repeats the same few
+        # (the engine updates its series once per check window).
+        items = tuple(labels.items())
+        key = self._keys.get(items)
+        if key is None:
+            for label in labels:
+                if not _LABEL_NAME.match(label):
+                    raise ValueError(f"invalid label name {label!r}")
+            key = self._keys[items] = _label_key(labels)
+        return key
 
     def labels(self) -> list[tuple]:
         """The label sets observed so far (sorted for stable output)."""

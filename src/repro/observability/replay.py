@@ -371,10 +371,17 @@ def validate_record(replay: ReplayResult, record) -> None:
     :class:`~repro.engine.executor.CellRecord` exactly — including the
     fault metrics and per-column field errors re-derived from the trace.
     """
+    from repro.experiments.config import ALGORITHM_CLASSES
+
     problems = []
-    if replay.algorithm != record.algorithm:
+    # A trace names the protocol class (``affine-kn``); a record names
+    # its registry entry (``affine``).
+    registered = ALGORITHM_CLASSES.get(record.algorithm)
+    expected = record.algorithm if registered is None else registered.name
+    if replay.algorithm != expected:
         problems.append(
-            f"algorithm {replay.algorithm!r} != {record.algorithm!r}"
+            f"algorithm {replay.algorithm!r} != {expected!r} "
+            f"(record {record.algorithm!r})"
         )
     if replay.n != record.n:
         problems.append(f"n {replay.n} != {record.n}")

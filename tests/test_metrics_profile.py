@@ -144,8 +144,18 @@ class TestRegistryBattery:
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="invalid metric name"):
             registry.counter("repro-dashes")
-        with pytest.raises(ValueError, match="invalid label name"):
-            registry.counter("repro_x_total").inc(**{"bad-label": "v"})
+        for _ in range(2):  # a rejected label set is never memoised
+            with pytest.raises(ValueError, match="invalid label name"):
+                registry.counter("repro_x_total").inc(**{"bad-label": "v"})
+
+    def test_label_order_names_one_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", "X.")
+        counter.inc(algorithm="a", worker=1)
+        counter.inc(worker="1", algorithm="a")
+        counter.inc(2, worker=1, algorithm="a")
+        assert counter.value(algorithm="a", worker="1") == 4.0
+        assert counter.labels() == [(("algorithm", "a"), ("worker", "1"))]
 
     def test_histogram_bucket_edges_are_inclusive(self):
         """``le`` semantics: a sample on the bound lands in its bucket."""

@@ -16,6 +16,7 @@ back-compat rules) and the trace-driven timeline renderer.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -356,6 +357,25 @@ def test_traced_sweep_writes_validating_traces(tmp_path):
     hierarchical = records[("hierarchical", 32, 0)]
     assert hierarchical.wall_clock is not None
     assert "trace_events" not in hierarchical.telemetry
+
+
+@pytest.mark.filterwarnings("ignore::repro.engine.batching.UncenteredFieldWarning")
+def test_traced_affine_cell_validates_against_its_record(tmp_path):
+    """The trace names the class (``affine-kn``) and the record the
+    registry entry (``affine``); validation maps one onto the other."""
+    config = ExperimentConfig(
+        sizes=(32,), epsilon=0.3, trials=1, root_seed=11, algorithms=("affine",)
+    )
+    store = ResultStore(tmp_path, config, check_stride=2)
+    records = run_sweep_records(config, check_stride=2, store=store, trace=True)
+    (trace,) = (store.directory / "traces").glob("*.jsonl")
+    replay = replay_file(trace)
+    record = records[("affine", 32, 0)]
+    assert (replay.algorithm, record.algorithm) == ("affine-kn", "affine")
+    validate_record(replay, record)
+    mislabelled = dataclasses.replace(record, algorithm="randomized")
+    with pytest.raises(ReplayError, match="algorithm 'affine-kn'"):
+        validate_record(replay, mislabelled)
 
 
 def test_trace_without_store_is_refused():
