@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.pairs import apply_pair_averages
+from repro.graphs.rgg import adjacency_csr
 from repro.observability import events as _events
 from repro.routing.cost import TransmissionCounter
 
@@ -55,6 +57,7 @@ class RandomizedGossip(AsynchronousGossip):
         super().__init__(len(neighbors))
         self.neighbors = neighbors
         self.failed_exchanges = 0
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def tick(
         self,
@@ -108,56 +111,52 @@ class RandomizedGossip(AsynchronousGossip):
         counter: TransmissionCounter,
         rng: DrawStream,
     ) -> None:
-        """Batched ticks: one vectorized draw covers the whole block.
+        """Batched ticks: one draw and one averaging kernel per block.
 
         Equal, bit for bit, to the base loop running :meth:`tick` per
         owner on the same :class:`~repro.gossip.base.DrawStream`: each
         owner with neighbours takes the next double ``u`` and picks
         ``adjacency[int(u · degree)]``, exactly what ``rng.integers``
         serves :meth:`tick`; an isolated owner's tick is wasted before it
-        draws.  The averaging itself must stay sequential: successive
-        exchanges read the values earlier exchanges wrote.
+        draws.  Partners come from a CSR snapshot of ``neighbors`` taken
+        on first use, so ``neighbors`` must not change afterwards
+        (:class:`~repro.dynamics.overlay.DynamicGossip`, whose masked
+        adjacency does, drives :meth:`tick` only).  Under a
+        ``loss_channel`` the survivals are drawn in pair order first, as
+        the per-tick loop draws them.
 
-        Multi-field state takes an allocation-free branch: the owner row
-        is averaged in place (``(x + y) · 0.5`` — bitwise equal to the
-        scalar rule's ``0.5 · (x + y)``, multiplication commutes exactly)
-        and copied onto the partner row.  This is what makes one (n, k)
-        pass cost barely more than one scalar run (benchmark E19).
+        The averages run through
+        :func:`~repro.gossip.pairs.apply_pair_averages`, which applies the
+        block in levels of disjoint pairs so that each node's updates
+        still happen in order — scalar or ``(n, k)`` state alike.
         """
-        nodes = owners.tolist()
-        adjacencies = list(map(self.neighbors.__getitem__, nodes))
-        if not all(map(len, adjacencies)):
+        if self._csr is None:
+            self._csr = adjacency_csr(self.neighbors)
+        flat, offsets, degrees = self._csr
+        owner_degrees = degrees[owners]
+        if not owner_degrees.all():
             # An isolated owner's tick is wasted before it draws.
-            live = [index for index, adj in enumerate(adjacencies) if len(adj)]
-            nodes = [nodes[index] for index in live]
-            adjacencies = [adjacencies[index] for index in live]
-        picks = rng.random(len(nodes)).tolist()
-        exchanges = 0
-        multifield = values.ndim == 2
+            live = owner_degrees > 0
+            owners, owner_degrees = owners[live], owner_degrees[live]
+        picks = rng.random(len(owners))
+        partners = flat[offsets[owners] + (picks * owner_degrees).astype(np.int64)]
+        if self.loss_channel is not None:
+            survived = [self._exchange_survives(counter) for _ in range(len(owners))]
+            owners, partners = owners[survived], partners[survived]
+        if not len(owners):
+            return
+        apply_pair_averages(values, owners, partners)
+        counter.charge(2 * len(owners), "near")
         recorder = _events.active()
-        pairs = [] if recorder is not None else None
-        for node, adjacency, pick in zip(nodes, adjacencies, picks):
-            partner = int(adjacency[int(pick * adjacency.size)])
-            if not self._exchange_survives(counter):
-                continue
-            if multifield:
-                row = values[node]
-                row += values[partner]
-                row *= 0.5
-                values[partner] = row
-            else:
-                average = 0.5 * (values[node] + values[partner])
-                values[node] = average
-                values[partner] = average
-            exchanges += 1
-            if pairs is not None:
-                pairs.append([node, partner])
-        if exchanges:
-            counter.charge(2 * exchanges, "near")
-            if pairs is not None:
-                recorder.emit(
-                    {"e": "pairs", "op": "avg", "cat": "near", "pairs": pairs}
-                )
+        if recorder is not None:
+            recorder.emit(
+                {
+                    "e": "pairs",
+                    "op": "avg",
+                    "cat": "near",
+                    "pairs": np.column_stack((owners, partners)).tolist(),
+                }
+            )
 
     def tick_budget(self, epsilon: float) -> int:
         # T_ave = Θ(n²/log n · log(1/ε)) ticks on an RGG; allow 20x headroom.

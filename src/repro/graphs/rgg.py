@@ -19,7 +19,7 @@ import numpy as np
 from repro.geometry.points import random_points
 from repro.graphs.cellgrid import CellGrid
 
-__all__ = ["RandomGeometricGraph", "connectivity_radius"]
+__all__ = ["RandomGeometricGraph", "adjacency_csr", "connectivity_radius"]
 
 
 def connectivity_radius(n: int, constant: float = 2.0) -> float:
@@ -36,6 +36,26 @@ def connectivity_radius(n: int, constant: float = 2.0) -> float:
     if constant <= 0:
         raise ValueError(f"radius constant must be positive, got {constant}")
     return math.sqrt(constant * math.log(n) / n)
+
+
+def adjacency_csr(
+    neighbors: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node neighbour arrays as ``(flat, offsets, degrees)`` int64 arrays.
+
+    Node ``u``'s neighbours are ``flat[offsets[u] : offsets[u] +
+    degrees[u]]``, in their adjacency order.  An isolated node's offset
+    equals its successor's (the edge count, for trailing ones).
+    """
+    degrees = np.array([adj.size for adj in neighbors], dtype=np.int64)
+    offsets = np.zeros(len(neighbors), dtype=np.int64)
+    np.cumsum(degrees[:-1], out=offsets[1:])
+    flat = (
+        np.concatenate(neighbors).astype(np.int64, copy=False)
+        if degrees.sum()
+        else np.empty(0, dtype=np.int64)
+    )
+    return flat, offsets, degrees
 
 
 @dataclass

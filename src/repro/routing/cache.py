@@ -5,10 +5,13 @@ towards target node ``t`` depends only on ``(u, t)`` and the fixed graph.
 The first time a target ``t`` is routed to, :class:`CachedGreedyRouter`
 builds the *entire* next-hop column for ``t`` — the greedy successor of
 every node — in one vectorized segment-min pass over the flattened
-adjacency (``np.minimum.reduceat``).  A column build is a handful of
-O(edges) array passes into buffers preallocated per adjacency snapshot
-(no per-build allocation at edge scale); afterwards every route towards
-``t``, from any source, is a chain of O(1) array lookups.
+adjacency (``np.minimum.reduceat``).  A column build is five O(edges)
+array passes — the neighbours' squared distances, their segment minima,
+those minima spread back over the edges, the comparison, and the
+minimal slots it leaves — plus a ``searchsorted`` that finds each
+node's first minimal slot, the neighbour ``np.argmin`` would pick.
+Afterwards every route towards ``t``, from any source, is a chain of
+O(1) array lookups.
 
 Columns depend only on the graph, so protocols routed over one graph
 can share one cache.  Sharing is opt-in by the graph's owner:
@@ -58,7 +61,7 @@ import weakref
 
 import numpy as np
 
-from repro.graphs.rgg import RandomGeometricGraph
+from repro.graphs.rgg import RandomGeometricGraph, adjacency_csr
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.routing.cost import TransmissionCounter
@@ -152,44 +155,27 @@ class CachedGreedyRouter:
     def _refresh_adjacency(self) -> None:
         """Snapshot ``graph.neighbors`` into the flattened reduceat layout.
 
-        Also (re)allocates :meth:`_build_column`'s work buffers, sized to
-        the snapshot's edge count, so column builds allocate nothing at
-        edge scale; :meth:`invalidate` re-sizes them through here.
+        Also (re)allocates :meth:`_build_column`'s padded distance
+        buffer, sized to the snapshot's edge count; :meth:`invalidate`
+        re-sizes it through here.
         """
-        neighbors = self.graph.neighbors
-        n = self.graph.n
-        degrees = np.array([adj.size for adj in neighbors], dtype=np.int64)
-        flat = (
-            np.concatenate(neighbors)
-            if degrees.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=offsets[1:])
+        flat, offsets, degrees = adjacency_csr(self.graph.neighbors)
         self._flat = flat
-        #: Segment starts for ``reduceat`` over *sentinel-padded* value
-        #: arrays (the work buffers below end in one pad element).  A
+        #: Segment starts for ``reduceat`` over the *sentinel-padded*
+        #: distance buffer (it ends in one pad element).  A
         #: zero-degree node's offset equals its successor's — clipping it
         #: into range (the old scheme) would also truncate the *previous*
         #: node's segment end whenever trailing nodes are isolated, which
         #: time-varying substrates produce routinely; padding keeps every
         #: offset valid without moving any segment boundary.
         self._offsets = offsets
+        self._degrees = degrees
         self._has_neighbors = degrees > 0
         edges = flat.size
-        self._flat_index = np.arange(edges, dtype=np.int64)
-        #: Owning node of every flat slot (gathers segment minima back
-        #: onto their edges without an ``np.repeat`` allocation).
-        self._segment = np.repeat(self._nodes, degrees)
-        # Work buffers with one trailing sentinel pad each, set once
-        # here: ``inf`` never wins a minimum, and index ``edges`` never
-        # beats a real slot.
+        # Work buffer with one trailing sentinel pad, set once here:
+        # ``inf`` never wins a minimum.
         self._neighbor_sq = np.empty(edges + 1, dtype=np.float64)
         self._neighbor_sq[edges] = np.inf
-        self._masked_index = np.empty(edges + 1, dtype=np.int64)
-        self._masked_index[edges] = edges
-        self._edge_min = np.empty(edges, dtype=np.float64)
-        self._is_min = np.empty(edges, dtype=bool)
 
     def __len__(self) -> int:
         """Number of cached next-hop columns (distinct targets seen)."""
@@ -401,6 +387,11 @@ class CachedGreedyRouter:
         path computes, segment minima break ties on the first minimal
         neighbour (as ``np.argmin`` does), and a node whose best
         neighbour is not *strictly* closer maps to itself.
+
+        Five O(edges) passes — gather the neighbours' distances, take the
+        segment minima, spread them back over the edges, compare, collect
+        the minimal slots — then one binary search per node picks its
+        segment's first minimal slot.
         """
         positions = self.router._positions
         diff = positions - positions[target_node]
@@ -416,14 +407,13 @@ class CachedGreedyRouter:
         neighbor_sq = self._neighbor_sq
         np.take(dist_sq, self._flat, out=neighbor_sq[:edges], mode="clip")
         segment_min = np.minimum.reduceat(neighbor_sq, self._offsets)
-        # First index attaining the per-segment minimum == np.argmin.
-        np.take(segment_min, self._segment, out=self._edge_min, mode="clip")
-        np.equal(neighbor_sq[:edges], self._edge_min, out=self._is_min)
-        masked_index = self._masked_index
-        masked_index[:edges] = edges
-        np.copyto(masked_index[:edges], self._flat_index, where=self._is_min)
-        first_index = np.minimum.reduceat(masked_index, self._offsets)
-        np.minimum(first_index, edges - 1, out=first_index)
-        best_neighbor = self._flat[first_index]
+        # First slot attaining its segment's minimum == np.argmin: the
+        # minimal slots in flat order, then the first at or after each
+        # segment start (clipped for the empty trailing segments).
+        edge_min = np.repeat(segment_min, self._degrees)
+        hits = np.flatnonzero(neighbor_sq[:edges] == edge_min)
+        first_hit = np.searchsorted(hits, self._offsets)
+        np.minimum(first_hit, hits.size - 1, out=first_hit)
+        best_neighbor = self._flat[hits[first_hit]]
         progress = self._has_neighbors & (segment_min < dist_sq)
         return np.where(progress, best_neighbor, self._nodes)

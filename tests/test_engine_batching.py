@@ -269,6 +269,39 @@ class TestTickBlockHooks:
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]  # the same number of draws
 
+    @pytest.mark.parametrize("fields", [None, 3], ids=["scalar", "k3"])
+    def test_randomized_override_draws_losses_in_pair_order(
+        self, instance, fields
+    ):
+        """Under a loss channel the override aborts the same exchanges,
+        charges the same ledger and consumes both streams alike."""
+        from repro.dynamics.schedule import LossChannel
+        from repro.gossip.randomized import RandomizedGossip
+
+        graph, values = instance
+        if fields is not None:
+            values = np.column_stack([values * (1 + k) for k in range(fields)])
+        owners = spawn_rng(3, "owners").integers(graph.n, size=300)
+        runs = []
+        for hook in (RandomizedGossip.tick_block, AsynchronousGossip.tick_block):
+            algorithm = make_algorithm("randomized", graph)
+            algorithm.loss_channel = LossChannel(0.2, spawn_rng(3, "loss"))
+            out = values.copy()
+            counter = TransmissionCounter()
+            stream = DrawStream(spawn_rng(3, "proto"))
+            hook(algorithm, owners, out, counter, stream)
+            runs.append(
+                (
+                    out.tobytes(),
+                    counter.snapshot(),
+                    algorithm.failed_exchanges,
+                    stream.random(),
+                    algorithm.loss_channel.attempt(1),
+                )
+            )
+        assert runs[0][2] > 0  # the channel did sever exchanges
+        assert runs[0] == runs[1]
+
     def test_chunked_tick_blocks_equal_one_block(self, instance):
         graph, values = instance
         algorithm = make_algorithm("randomized", graph)

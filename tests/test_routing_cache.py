@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.graphs.generators import grid2d_graph
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing import CachedGreedyRouter, GreedyRouter, TransmissionCounter
 
@@ -281,7 +282,7 @@ class TestColumnBuildAfterResize:
         graph.neighbors[:] = pristine
         cache.invalidate(changed)
         assert cache._flat.size > edges
-        assert cache._masked_index.size == cache._flat.size + 1
+        assert cache._neighbor_sq.size == cache._flat.size + 1
         self._assert_columns_match_scalar_rule(cache, graph)
         # The columns repaired in place agree with fresh builds too.
         fresh = CachedGreedyRouter(graph)
@@ -291,6 +292,57 @@ class TestColumnBuildAfterResize:
                     cache.route_to_node(source, target).path
                     == fresh.route_to_node(source, target).path
                 )
+
+
+class TestColumnTiesAndIsolation:
+    """Every column entry equals the scalar rule where ties and holes are.
+
+    On a square lattice a node's neighbours are often *exactly*
+    equidistant from the target, so the column must pick the first
+    minimal neighbour in adjacency order, as ``np.argmin`` does; and
+    isolated nodes, mid-range and trailing, leave empty segments that
+    must neither steal nor truncate a neighbour's segment.
+    """
+
+    @staticmethod
+    def _tied_steps(graph):
+        """``(u, t)`` steps with more than one minimal neighbour."""
+        positions = graph.positions
+        tied = 0
+        for u in range(graph.n):
+            adj = graph.neighbors[u]
+            if adj.size < 2:
+                continue
+            for t in range(graph.n):
+                pts = positions[adj]
+                sq = (pts[:, 0] - positions[t][0]) ** 2 + (
+                    pts[:, 1] - positions[t][1]
+                ) ** 2
+                tied += int((sq == sq.min()).sum() > 1)
+        return tied
+
+    def test_lattice_ties_break_on_the_first_minimum(self):
+        graph = grid2d_graph(49)
+        assert self._tied_steps(graph) > 100  # ties are the common case
+        TestColumnBuildAfterResize._assert_columns_match_scalar_rule(
+            CachedGreedyRouter(graph), graph
+        )
+
+    @pytest.mark.parametrize("lattice", [True, False], ids=["grid2d", "rgg"])
+    def test_isolated_nodes_mid_range_and_trailing(self, lattice):
+        if lattice:
+            graph = grid2d_graph(48)
+        else:
+            graph = RandomGeometricGraph.sample_connected(
+                48, np.random.default_rng(37), radius_constant=3.0
+            )
+        TestColumnBuildAfterResize._isolate(
+            graph, [0, 9, 10, 24, graph.n - 2, graph.n - 1]
+        )
+        assert not graph.neighbors[graph.n - 1].size
+        TestColumnBuildAfterResize._assert_columns_match_scalar_rule(
+            CachedGreedyRouter(graph), graph
+        )
 
 
 class TestRouteStatsVectors:
