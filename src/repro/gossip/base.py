@@ -41,6 +41,7 @@ __all__ = [
     "GossipRunResult",
     "LegacyDrawStream",
     "check_state_shape",
+    "draw_pairs",
     "drive_ticks",
     "split_streams",
 ]
@@ -135,6 +136,9 @@ class LegacyDrawStream:
     * ``random()`` / ``random(size)`` — ``(w >> 11) * 2**-53`` per word,
       leaving the kept half alone.
     * ``uniform(lo, hi)`` — ``lo + (hi - lo) * random()``.
+    * ``pairs(count, bound, second_bounds)`` — a window of ``count``
+      ticks that each draw ``i = integers(bound)`` and then an index
+      below ``second_bounds[i]``, decoded in one call.
 
     Prefetching runs the generator ahead, so nothing else may draw from
     it while the stream is open, and :meth:`close` must run (in a
@@ -217,6 +221,68 @@ class LegacyDrawStream:
                 leftover = product & 0xFFFFFFFF
         return product >> 32
 
+    def pairs(
+        self, count: int, bound: int, second_bounds: list[int]
+    ) -> tuple[list[int], list[int]]:
+        """``count`` ticks' draws as two lists ``(first, second)``.
+
+        Each tick draws ``i = integers(bound)``, then ``j =
+        integers(second_bounds[i])`` when that bound is at least 2.  A
+        bound of 1 gives ``j = 0`` and a bound of 0 gives ``j = -1`` (a
+        wasted tick), neither drawing anything.  These are exactly the
+        draws, in the same order, of ``count`` pairs of :meth:`integers`
+        calls, with Lemire's method run inline on the buffered words.
+        ``second_bounds`` holds Python ints below ``2**32``.
+        """
+        if type(bound) is not int:
+            bound = operator.index(bound)
+        if not 1 <= bound < 0x100000000:
+            raise ValueError(f"pairs needs 1 <= bound < 2**32, got {bound}")
+        first: list[int] = []
+        second: list[int] = []
+        push_first, push_second = first.append, second.append
+        words, pos, spent = self._words, self._pos, self._spent
+        has_half, half = self._has_half, self._half
+        size = len(words)
+        k = bound
+        remaining = 2 * count  # draws left; odd after the decrement = `i`
+        try:
+            while remaining:
+                remaining -= 1
+                if k > 1:
+                    while True:  # Lemire: retry while leftover < threshold
+                        if has_half:
+                            has_half = False
+                            product = half * k
+                        else:
+                            if pos == size:
+                                spent += pos
+                                words = self._bitgen.random_raw(
+                                    self.RAW_CHUNK
+                                ).tolist()
+                                pos, size = 0, len(words)
+                            word = words[pos]
+                            pos += 1
+                            has_half = True
+                            half = word >> 32
+                            product = (word & 0xFFFFFFFF) * k
+                        leftover = product & 0xFFFFFFFF
+                        if leftover >= k or leftover >= (0x100000000 - k) % k:
+                            break
+                    drawn = product >> 32
+                else:
+                    drawn = k - 1  # bound 1 -> 0, bound 0 -> -1: no draw
+                if remaining & 1:
+                    push_first(drawn)
+                    k = second_bounds[drawn]
+                else:
+                    push_second(drawn)
+                    k = bound
+        finally:
+            self._words, self._pos, self._spent = words, pos, spent
+            self._has_half, self._half = has_half, half
+        return first, second
+
     def random(self, size: int | None = None):
         """The next double, or an array of the next ``size`` doubles."""
         if size is None:
@@ -237,6 +303,31 @@ class LegacyDrawStream:
         state["has_uint32"] = int(self._has_half)
         state["uinteger"] = self._half
         bitgen.state = state
+
+
+def draw_pairs(
+    draws: "LegacyDrawStream | np.random.Generator",
+    count: int,
+    bound: int,
+    second_bounds: list[int],
+) -> tuple[list[int], list[int]]:
+    """:meth:`LegacyDrawStream.pairs` on any stride-1 draw source.
+
+    A stream decodes the window in one call; any other generator (a bit
+    generator other than PCG64) serves the same pairs by scalar
+    ``integers`` calls, so each consumer has one code path.
+    """
+    if type(draws) is LegacyDrawStream:
+        return draws.pairs(count, bound, second_bounds)
+    integers = draws.integers
+    first: list[int] = []
+    second: list[int] = []
+    for _ in range(count):
+        i = int(integers(bound))
+        k = second_bounds[i]
+        first.append(i)
+        second.append(int(integers(k)) if k else -1)
+    return first, second
 
 
 def check_state_shape(initial_values: np.ndarray, n: int) -> np.ndarray:
@@ -368,6 +459,25 @@ class AsynchronousGossip(ABC):
         ``rng.random``, ``rng.integers(k)`` and ``rng.uniform(lo, hi)``.
         """
 
+    def tick_window(
+        self,
+        count: int,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        draws: "LegacyDrawStream | np.random.Generator",
+    ) -> None:
+        """Execute one stride-1 window of ``count`` ticks, in place.
+
+        At stride 1 the tick driver (:func:`drive_ticks`) calls this hook
+        once per check window.  Each tick draws its owner with
+        ``draws.integers(n)`` and runs :meth:`tick` on the same ``draws``
+        — the legacy interleaved draw order.  An override must equal this
+        loop bit for bit: the same values, ledger and draws.
+        """
+        tick, draw, n = self.tick, draws.integers, self.n
+        for _ in range(count):
+            tick(int(draw(n)), values, counter, draws)
+
     def tick_block(
         self,
         owners: np.ndarray,
@@ -489,9 +599,11 @@ def drive_ticks(
     ``epsilon``.  Only the source of tick owners depends on
     ``check_stride``:
 
-    * ``1`` — one interleaved stream: each tick draws its owner from
-      ``rng`` and hands ``rng`` to :meth:`AsynchronousGossip.tick`, the
-      legacy draw order.  A PCG64 ``rng`` is served through one
+    * ``1`` — one interleaved stream: each window runs through
+      :meth:`AsynchronousGossip.tick_window`, whose base loop draws each
+      tick's owner from ``rng`` and hands ``rng`` to
+      :meth:`AsynchronousGossip.tick`, the legacy draw order.  A PCG64
+      ``rng`` is served through one
       :class:`LegacyDrawStream`, which returns the same draws from
       chunked raw words and is closed in a ``finally``, so ``rng`` ends
       where the scalar calls would have left it.  A window cut short by
@@ -517,11 +629,10 @@ def drive_ticks(
     if check_stride == 1:
         exact = LegacyDrawStream.open(rng)
         draws = rng if exact is None else exact
-        tick, draw = algorithm.tick, draws.integers
+        tick_window = algorithm.tick_window
 
         def advance(count: int) -> None:
-            for _ in range(count):
-                tick(int(draw(n)), values, counter, draws)
+            tick_window(count, values, counter, draws)
 
     else:
         owner_rng, protocol_rng = split_streams(rng)
@@ -544,34 +655,37 @@ def drive_ticks(
         recorder.emit(
             _events.start_event(algorithm, initial_values, epsilon, check_stride)
         )
-    # Instruments are resolved once, out here; the loop only increments.
+    # Spans and labelled series are resolved once, out here; the loop
+    # only enters and updates them.
+    window_span, check_span = _profile.span("window"), _profile.span("check")
     registry = _metrics.active()
     if registry is not None:
-        registry.counter(
-            "repro_engine_runs_total", "Engine runs started."
-        ).inc(algorithm=algorithm.name)
+        labels = {"algorithm": algorithm.name}
+        registry.counter("repro_engine_runs_total", "Engine runs started.").inc(
+            **labels
+        )
         ticks_counter = registry.counter(
             "repro_engine_ticks_total", "Ticks executed by the engine."
-        )
+        ).series(**labels)
         checks_counter = registry.counter(
             "repro_engine_checks_total", "Error checks run."
-        )
+        ).series(**labels)
         error_gauge = registry.gauge(
             "repro_engine_error", "Normalized error at the last check."
-        )
+        ).series(**labels)
     ticks = 0
     converged = error <= epsilon
     try:
         while not converged and ticks < budget:
             window = min(period, budget - ticks)
-            with _profile.span("window"):
+            with window_span:
                 advance(window)
             ticks += window
             if registry is not None:
-                ticks_counter.inc(window, algorithm=algorithm.name)
+                ticks_counter.inc(window)
             if window < period and check_stride == 1:
                 break  # the per-tick loop checked on period boundaries only
-            with _profile.span("check"):
+            with check_span:
                 error = normalized_error(values, initial_values)
             trace.record(counter.total, ticks, error)
             converged = error <= epsilon
@@ -585,8 +699,8 @@ def drive_ticks(
                     }
                 )
             if registry is not None:
-                checks_counter.inc(algorithm=algorithm.name)
-                error_gauge.set(error, algorithm=algorithm.name)
+                checks_counter.inc()
+                error_gauge.set(error)
     finally:
         if exact is not None:
             exact.close()

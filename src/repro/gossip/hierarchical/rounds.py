@@ -18,7 +18,10 @@ with a uniform neighbour inside the leaf square.
 
 A leaf's flood charge depends only on the graph, its supernode and its
 members, so each protocol instance computes it once, on the leaf's first
-switch, and charges the memoised count on every later one.
+switch, and charges the memoised count on every later one.  So does the
+leaf's `Near` table (its members and fallback partners, with each
+member's partners in local indices), over which a leaf round runs on
+Python floats.
 
 Stopping: with ``adaptive=True`` (default) the exchange
 and `Near` loops stop as soon as the square's internal deviation falls to
@@ -36,7 +39,12 @@ from enum import Enum
 
 import numpy as np
 
-from repro.gossip.base import GossipRunResult, LegacyDrawStream, check_state_shape
+from repro.gossip.base import (
+    GossipRunResult,
+    LegacyDrawStream,
+    check_state_shape,
+    draw_pairs,
+)
 from repro.gossip.hierarchical.parameters import ProtocolParameters
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.hierarchy.addresses import SquareAddress
@@ -185,6 +193,10 @@ class HierarchicalGossip:
         # Each leaf's flood charge, filled on its first switch; the graph
         # is static (`DynamicGossip` rejects round-based protocols).
         self._flood_charges: dict[SquareAddress, int] = {}
+        # Each leaf's `Near` table, filled on its first round.
+        self._near_tables: dict[
+            SquareAddress, tuple[np.ndarray, list[list[int]], list[int]]
+        ] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -299,42 +311,44 @@ class HierarchicalGossip:
 
         Each tick, a uniform member averages with a uniform neighbour
         inside the same leaf square (paper Section 4.2); a member stranded
-        within its leaf wastes its tick.  A check window's ticks run as one
-        loop, and its exchanges are charged together, two transmissions
-        (one message each way) per exchange.
+        within its leaf wastes its tick.  The round gathers the values of
+        the leaf's table once, decodes each check window's draws in one
+        :func:`~repro.gossip.base.draw_pairs` call, averages on Python
+        floats, and scatters the values back in a ``finally``.  A
+        window's exchanges are charged together, two transmissions (one
+        message each way) per exchange.
         """
         self._switch_leaf(node, state)
         prescribed = state.parameters.near_ticks(node.occupancy, depth)
         cap = int(math.ceil(prescribed * self.config.hard_cap_factor))
-        members = node.members.tolist()
-        size = len(members)
-        check_period = max(1, size)
-        integers = state.rng.integers
-        values = state.values
-        adjacency = self._leaf_neighbors
+        gathered, rows, row_sizes = self._near_table(node)
+        size = node.occupancy
+        vals = state.values[gathered].tolist()
         ticks = 0
-        while ticks < (cap if self.config.adaptive else prescribed):
-            exchanges = 0
-            for _ in range(check_period):
-                sensor = members[integers(size)]
-                local = adjacency[sensor]
-                if local.size:
-                    partner = local[integers(local.size)]
-                    average = 0.5 * (values[sensor] + values[partner])
-                    values[sensor] = average
-                    values[partner] = average
-                    exchanges += 1
-            ticks += check_period
-            if exchanges:
-                state.counter.charge(2 * exchanges, "near")
-            if self.config.adaptive:
-                if self._square_deviation(node, state) <= target:
+        try:
+            while ticks < (cap if self.config.adaptive else prescribed):
+                exchanges = 0
+                owners, picks = draw_pairs(state.rng, size, size, row_sizes)
+                for a, j in zip(owners, picks):
+                    if j >= 0:
+                        b = rows[a][j]
+                        average = 0.5 * (vals[a] + vals[b])
+                        vals[a] = average
+                        vals[b] = average
+                        exchanges += 1
+                ticks += size
+                if exchanges:
+                    state.counter.charge(2 * exchanges, "near")
+                if self.config.adaptive:
+                    if _deviation(np.array(vals[:size])) <= target:
+                        break
+                elif ticks >= prescribed:
                     break
-            elif ticks >= prescribed:
-                break
-        else:
-            if self.config.adaptive:
-                self.stats.cap_hits += 1
+            else:
+                if self.config.adaptive:
+                    self.stats.cap_hits += 1
+        finally:
+            state.values[gathered] = vals
         self.stats._bump(self.stats.near_ticks_by_depth, depth, ticks)
         self._switch_leaf(node, state)
 
@@ -463,6 +477,39 @@ class HierarchicalGossip:
             self._flood_charges[node.address] = charge
         state.counter.charge(charge, "activation")
 
+    def _near_table(
+        self, node: SquareNode
+    ) -> tuple[np.ndarray, list[list[int]], list[int]]:
+        """The leaf's `Near` table, built on its first round and memoised.
+
+        ``gathered`` lists the members first, in ``node.members`` order,
+        then the out-of-leaf partners that stranded members fall back to;
+        ``rows[a]`` holds member ``a``'s partners as indices into
+        ``gathered``, in adjacency order, and ``row_sizes`` their counts.
+        """
+        table = self._near_tables.get(node.address)
+        if table is None:
+            members = node.members.tolist()
+            gathered = list(members)
+            local = {sensor: index for index, sensor in enumerate(members)}
+            rows = []
+            for sensor in members:
+                row = []
+                for partner in self._leaf_neighbors[sensor].tolist():
+                    index = local.get(partner)
+                    if index is None:
+                        index = local[partner] = len(gathered)
+                        gathered.append(partner)
+                    row.append(index)
+                rows.append(row)
+            table = (
+                np.array(gathered, dtype=np.int64),
+                rows,
+                [len(row) for row in rows],
+            )
+            self._near_tables[node.address] = table
+        return table
+
     def _switch_children(
         self, node: SquareNode, children: list[SquareNode], state: "_RunState"
     ) -> None:
@@ -486,11 +533,19 @@ class HierarchicalGossip:
         (this executor runs multi-field state per column, via the
         engine's fallback), so no matrix branch exists here.
         """
-        # The reductions `mean` and `linalg.norm` run, without their
-        # Python-level overhead.
-        slice_ = state.values[node.members]
-        deviation = slice_ - slice_.sum() / slice_.size
-        return math.sqrt(deviation.dot(deviation))
+        return _deviation(state.values[node.members])
+
+
+def _deviation(slice_: np.ndarray) -> float:
+    """ℓ₂ deviation of ``slice_`` about its own mean.
+
+    The reductions `mean` and `linalg.norm` run, without their
+    Python-level overhead; a leaf round's window check and
+    :meth:`HierarchicalGossip._square_deviation` share this formula, so
+    both reduce the same operands in the same order.
+    """
+    deviation = slice_ - slice_.sum() / slice_.size
+    return math.sqrt(deviation.dot(deviation))
 
 
 @dataclass

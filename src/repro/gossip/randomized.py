@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.base import (
+    AsynchronousGossip,
+    DrawStream,
+    LegacyDrawStream,
+    draw_pairs,
+)
 from repro.gossip.pairs import apply_pair_averages
 from repro.graphs.rgg import adjacency_csr
 from repro.observability import events as _events
@@ -58,6 +63,7 @@ class RandomizedGossip(AsynchronousGossip):
         self.neighbors = neighbors
         self.failed_exchanges = 0
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._lists: tuple[list[list[int]], list[int]] | None = None
 
     def tick(
         self,
@@ -103,6 +109,57 @@ class RandomizedGossip(AsynchronousGossip):
             recorder.emit({"e": "drop", "tx": attempted, "cat": "near_lost"})
             recorder.emit({"e": "abort"})
         return False
+
+    def tick_window(
+        self,
+        count: int,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        draws: LegacyDrawStream | np.random.Generator,
+    ) -> None:
+        """A stride-1 window: one decode of its draws, averages on floats.
+
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        tick: :func:`~repro.gossip.base.draw_pairs` serves each tick's
+        owner and its neighbour index, with no draw (and no exchange)
+        for an isolated owner.  Partners come from a list snapshot of
+        ``neighbors`` taken on first use, under the same rule as
+        :meth:`tick_block`'s CSR snapshot, and so does the loss channel.
+        Scalar state is averaged as Python floats, ``0.5 · (a + b)``,
+        and written back once; ``(n, k)`` state goes through
+        :func:`~repro.gossip.pairs.apply_pair_averages`.
+        """
+        if self._lists is None:
+            rows = [adjacency.tolist() for adjacency in self.neighbors]
+            self._lists = rows, [len(row) for row in rows]
+        rows, degrees = self._lists
+        owners, picks = draw_pairs(draws, count, self.n, degrees)
+        pairs = [(i, rows[i][j]) for i, j in zip(owners, picks) if j >= 0]
+        if self.loss_channel is not None:
+            pairs = [pair for pair in pairs if self._exchange_survives(counter)]
+        if not pairs:
+            return
+        if values.ndim == 1:
+            vals = values.tolist()
+            for a, b in pairs:
+                average = 0.5 * (vals[a] + vals[b])
+                vals[a] = average
+                vals[b] = average
+            values[:] = vals
+        else:
+            first, second = zip(*pairs)
+            apply_pair_averages(values, first, second)
+        counter.charge(2 * len(pairs), "near")
+        recorder = _events.active()
+        if recorder is not None:
+            recorder.emit(
+                {
+                    "e": "pairs",
+                    "op": "avg",
+                    "cat": "near",
+                    "pairs": [list(pair) for pair in pairs],
+                }
+            )
 
     def tick_block(
         self,

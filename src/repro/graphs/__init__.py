@@ -15,7 +15,6 @@ adjacency-only reference generators used by the mixing experiments.
 
 from repro.graphs.cellgrid import CellGrid
 from repro.graphs.connectivity import (
-    UnionFind,
     connected_components,
     connectivity_probability,
     is_connected,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_TOPOLOGY",
     "RandomGeometricGraph",
     "TOPOLOGIES",
-    "UnionFind",
     "build_topology",
     "complete_graph_adjacency",
     "connected_components",

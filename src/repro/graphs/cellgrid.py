@@ -53,15 +53,14 @@ class CellGrid:
         cap = max(1, 2 * int(math.ceil(math.sqrt(len(points) + 1))))
         k = min(k, cap)
         self.partition = GridPartition(region, k)
-        self._cell_of_point = self.partition.cell_indices(self.points)
-        self._members: list[np.ndarray] = self._bucket_points(k * k)
-
-    def _bucket_points(self, n_cells: int) -> list[np.ndarray]:
-        order = np.argsort(self._cell_of_point, kind="stable")
-        sorted_cells = self._cell_of_point[order]
-        boundaries = np.searchsorted(sorted_cells, np.arange(n_cells + 1))
-        return [
-            order[boundaries[c] : boundaries[c + 1]] for c in range(n_cells)
+        cell_of_point = self.partition.cell_indices(self.points)
+        self._order = np.argsort(cell_of_point, kind="stable")
+        self._bounds = np.searchsorted(
+            cell_of_point[self._order], np.arange(k * k + 1)
+        )
+        self._members: list[np.ndarray] = [
+            self._order[start:stop]
+            for start, stop in zip(self._bounds[:-1], self._bounds[1:])
         ]
 
     def __len__(self) -> int:
@@ -71,6 +70,11 @@ class CellGrid:
     def k(self) -> int:
         """Grid resolution (cells per axis)."""
         return self.partition.k
+
+    def bucketed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: point indices sorted by cell (stably), and
+        each cell ``c``'s slice ``order[bounds[c] : bounds[c + 1]]``."""
+        return self._order, self._bounds
 
     def cell_members(self, cell_index: int) -> np.ndarray:
         """Indices of points whose position falls in cell ``cell_index``."""

@@ -9,13 +9,14 @@ function of the radius constant.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
+from repro.graphs.rgg import adjacency_csr
+
 __all__ = [
-    "UnionFind",
+    "component_labels",
     "is_connected",
     "connected_components",
     "largest_component",
@@ -23,72 +24,50 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
+def component_labels(neighbors: Sequence[np.ndarray]) -> np.ndarray:
+    """Each node's component, named by its smallest node index.
 
-    def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError(f"need a positive number of elements, got {n}")
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s component."""
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self.components -= 1
-        return True
-
-    def component_size(self, x: int) -> int:
-        return self._size[self.find(x)]
+    Min-label propagation with pointer jumping, in whole-array passes:
+    every node takes the smallest label among itself and its neighbours,
+    then follows ``label[label]`` until that is stable.  A label is
+    always a node of the same component and never above the node's own
+    index, so the fixed point names every component by its minimum.
+    """
+    label = np.arange(len(neighbors), dtype=np.int64)
+    flat, offsets, degrees = adjacency_csr(neighbors)
+    linked = np.flatnonzero(degrees)
+    if not linked.size:
+        return label
+    heads = offsets[linked]
+    while True:
+        hooked = label.copy()
+        hooked[linked] = np.minimum(
+            label[linked], np.minimum.reduceat(label[flat], heads)
+        )
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def is_connected(neighbors: Sequence[np.ndarray]) -> bool:
     """Whether the graph given by per-node neighbour arrays is connected."""
-    n = len(neighbors)
-    if n == 0:
-        return True
-    uf = UnionFind(n)
-    for i, adj in enumerate(neighbors):
-        for j in adj:
-            uf.union(i, int(j))
-    return uf.components == 1
+    return not component_labels(neighbors).any()
 
 
 def connected_components(neighbors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """All connected components, largest first, as sorted index arrays."""
-    n = len(neighbors)
-    label = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        queue = deque([start])
-        label[start] = count
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                v = int(v)
-                if label[v] < 0:
-                    label[v] = count
-                    queue.append(v)
-        count += 1
-    components = [np.nonzero(label == c)[0] for c in range(count)]
+    """All connected components, largest first, as sorted index arrays.
+
+    Components of equal size keep the order of their smallest node.
+    """
+    label = component_labels(neighbors)
+    order = np.argsort(label, kind="stable")
+    heads = np.flatnonzero(np.diff(label[order])) + 1
+    components = np.split(order, heads) if len(order) else []
     components.sort(key=len, reverse=True)
     return components
 

@@ -147,38 +147,50 @@ class RandomGeometricGraph:
     def _neighbor_lists(
         positions: np.ndarray, radius: float, grid: CellGrid
     ) -> list[np.ndarray]:
+        """Sorted neighbour arrays, built in whole-array passes.
+
+        A pair of points within ``radius`` lies in one cell or in two
+        adjacent ones, so pairing each cell with itself and its four
+        forward neighbours (right, and the three above) visits every
+        close pair exactly once.  Per neighbour offset, the candidate
+        pairs of all cells are built as flat index arrays and tested with
+        ``Δx**2 + Δy**2 <= r²``; the edges, in both directions, are then
+        sorted by one key.
+        """
         n = len(positions)
-        radius_sq = radius * radius
-        out: list[list[int]] = [[] for _ in range(n)]
-        partition = grid.partition
-
-        def add_close_pairs(left: np.ndarray, right: np.ndarray, same_cell: bool):
-            diff = positions[left][:, None, :] - positions[right][None, :, :]
-            close = (diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2) <= radius_sq
-            for a, i in enumerate(left):
-                i = int(i)
-                for b in np.nonzero(close[a])[0]:
-                    j = int(right[b])
-                    # Within a cell each unordered pair appears twice in the
-                    # product; keep i < j.  Across cells each unordered cell
-                    # pair is visited once, so every close pair is an edge.
-                    if not same_cell or j > i:
-                        out[i].append(j)
-                        out[j].append(i)
-
-        # One pass per cell: pairs within the cell, then pairs against each
-        # neighbouring cell of larger index (so each cell pair runs once).
-        for cell in range(len(partition)):
-            members = grid.cell_members(cell)
-            if members.size == 0:
-                continue
-            add_close_pairs(members, members, same_cell=True)
-            for other in partition.neighbors_of_cell(cell):
-                if other > cell:
-                    other_members = grid.cell_members(other)
-                    if other_members.size:
-                        add_close_pairs(members, other_members, same_cell=False)
-        return [np.array(sorted(adj), dtype=np.int64) for adj in out]
+        if n == 0:
+            return []
+        order, bounds = grid.bucketed()
+        k = grid.k
+        cell = np.repeat(np.arange(k * k), np.diff(bounds))  # per sorted slot
+        row, col = np.divmod(cell, k)
+        slot = np.arange(n)
+        lefts, rights = [], []
+        for d_row, d_col in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            if d_row == d_col == 0:
+                # Within a cell: each slot with every later slot.
+                low, high = slot + 1, bounds[cell + 1]
+            else:
+                other_row, other_col = row + d_row, col + d_col
+                valid = (other_row < k) & (other_col >= 0) & (other_col < k)
+                other = np.where(valid, other_row * k + other_col, 0)
+                low = bounds[other]
+                high = np.where(valid, bounds[other + 1], low)
+            counts = high - low
+            # Slot s pairs with slots low[s] .. high[s] - 1.
+            starts = np.cumsum(counts) - counts
+            left = order[np.repeat(slot, counts)]
+            right = order[
+                np.repeat(low - starts, counts) + np.arange(int(counts.sum()))
+            ]
+            diff = positions[left] - positions[right]
+            close = (diff[:, 0] ** 2 + diff[:, 1] ** 2) <= radius * radius
+            lefts.append(left[close])
+            rights.append(right[close])
+        left, right = np.concatenate(lefts), np.concatenate(rights)
+        keys = np.sort(np.concatenate((left * n + right, right * n + left)))
+        heads = np.cumsum(np.bincount(keys // n, minlength=n))[:-1]
+        return np.split(keys % n, heads)
 
     # -- queries -----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.squares import GridPartition, Square, UNIT_SQUARE
+from repro.graphs.rgg import adjacency_csr
 from repro.hierarchy.addresses import SquareAddress
 from repro.hierarchy.subdivision import practical_leaf_threshold, subdivision_factors
 
@@ -244,26 +245,32 @@ class HierarchyTree:
             raise ValueError(
                 f"adjacency for {len(neighbors)} sensors, tree has {self.n}"
             )
-        # Ancestor chain per sensor, deepest (leaf) first.
-        chains: dict[int, list[SquareNode]] = {i: [] for i in range(self.n)}
-        for node in self.all_squares():
-            for member in node.members:
-                chains[int(member)].append(node)
-        restricted: list[np.ndarray] = []
-        for sensor in range(self.n):
-            adjacency = neighbors[sensor]
-            chosen = adjacency[:0]
-            for node in reversed(chains[sensor]):  # leaf, parent, ..., root
-                member_set = set(int(m) for m in node.members)
-                local = np.array(
-                    [int(v) for v in adjacency if int(v) in member_set],
-                    dtype=np.int64,
-                )
-                if local.size or not fallback:
-                    chosen = local
-                    break
-            restricted.append(chosen)
-        return restricted
+        if not self.n:
+            return []
+        flat, offsets, degrees = adjacency_csr(neighbors)
+        source = np.repeat(np.arange(self.n), degrees)
+        # An edge's deepest common square: squares nest, so the depths at
+        # which both ends share a square are 0 .. common.
+        common = np.full(flat.size, -1, dtype=np.int64)
+        for labels in self._square_labels():
+            common += labels[source] == labels[flat]
+        # Each sensor keeps its neighbours in the deepest square holding
+        # any: its leaf, or with `fallback` the nearest ancestor that does.
+        wanted = np.full(self.n, len(self.factors), dtype=np.int64)
+        if fallback:
+            linked = np.flatnonzero(degrees)
+            wanted[linked] = np.maximum.reduceat(common, offsets[linked])
+        keep = common >= wanted[source]
+        heads = np.cumsum(np.bincount(source[keep], minlength=self.n))[:-1]
+        return np.split(flat[keep], heads)
+
+    def _square_labels(self) -> list[np.ndarray]:
+        """Per depth, each sensor's square there (an index unique within
+        the depth)."""
+        labels = [np.empty(self.n, dtype=np.int64) for _ in range(self.levels)]
+        for index, node in enumerate(self.all_squares()):
+            labels[node.depth][node.members] = index
+        return labels
 
     def occupancy_report(self) -> list[dict[str, float]]:
         """Per-depth occupancy statistics (drives experiments E6/E11)."""

@@ -68,6 +68,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Series",
     "active",
     "cache_collector",
     "disable",
@@ -194,6 +195,15 @@ class _Metric:
             key = self._keys[items] = _label_key(labels)
         return key
 
+    def series(self, **labels) -> "Series":
+        """The series for ``labels``, resolved once.
+
+        A site that updates the same labels over and over (the tick
+        driver, once per window) keeps the handle and skips the label
+        lookup on every update.
+        """
+        return Series(self, self._key(labels))
+
     def labels(self) -> list[tuple]:
         """The label sets observed so far (sorted for stable output)."""
         with self._lock:
@@ -217,9 +227,11 @@ class Counter(_Metric):
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (must be ≥ 0) to the series for ``labels``."""
+        self._add(self._key(labels), amount)
+
+    def _add(self, key: tuple, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -262,13 +274,17 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels) -> None:
         """Set the series for ``labels`` to ``value``."""
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = float(value)
+        self._set(self._key(labels), value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (may be negative) to the series for ``labels``."""
-        key = self._key(labels)
+        self._add(self._key(labels), amount)
+
+    def _set(self, key: tuple, value: float) -> None:
+        with self._lock:
+            self._series[key] = float(value)
+
+    def _add(self, key: tuple, amount: float) -> None:
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -276,6 +292,31 @@ class Gauge(_Metric):
         """Current value of one labelled series (0.0 if never set)."""
         with self._lock:
             return self._series.get(self._key(labels), 0.0)
+
+
+class Series:
+    """One labelled series of a counter or gauge (:meth:`_Metric.series`).
+
+    >>> registry = MetricsRegistry()
+    >>> ticks = registry.counter("repro_ticks_total").series(algorithm="x")
+    >>> ticks.inc(5)
+    >>> registry.counter("repro_ticks_total").value(algorithm="x")
+    5.0
+    """
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: _Metric, key: tuple):
+        self._metric = metric
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """:meth:`Counter.inc` / :meth:`Gauge.inc` on this series."""
+        self._metric._add(self._key, amount)
+
+    def set(self, value: float) -> None:
+        """:meth:`Gauge.set` on this series (gauges only)."""
+        self._metric._set(self._key, value)
 
 
 class Histogram(_Metric):

@@ -255,7 +255,9 @@ def span(name: str):
     """A span under the active profiler, or the shared no-op when off.
 
     This is the one call instrumented layers make.  Disabled cost is a
-    module read, an ``is None`` branch, and no allocation.
+    module read, an ``is None`` branch, and no allocation.  A span may be
+    entered again once it has exited, so a loop can take its handle once
+    (the tick driver keeps one per phase per run).
     """
     profiler = _ACTIVE
     if profiler is None:

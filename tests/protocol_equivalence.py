@@ -26,6 +26,13 @@ A fourth keeps the strided fast paths honest:
    equal the base loop (its own ``tick`` per owner on the same
    ``DrawStream``) bit for bit, at any stride and field count.
 
+A fifth does the same at stride 1:
+
+5. **Window override ≡ base loop** — a class that overrides
+   ``tick_window`` must equal the base ``tick_window`` (its own ``tick``
+   per owner, drawing from the run's stride-1 source) bit for bit, with
+   the chunked PCG64 stream and with a generator served by scalar calls.
+
 This module factors those assertions (plus strided determinism) into
 reusable helpers and a registry of ready-made protocol cases, so adding a
 protocol to the golden suite is one `ProtocolCase` entry — future
@@ -181,6 +188,16 @@ def override_case_names() -> list[str]:
     ]
 
 
+def window_override_case_names() -> list[str]:
+    """Tick-driven cases whose class overrides ``tick_window``."""
+    return [
+        name
+        for name, case in CASES.items()
+        if case.tick_driven
+        and type(case.factory()).tick_window is not AsynchronousGossip.tick_window
+    ]
+
+
 def multifield_native_case_names() -> list[str]:
     """Cases whose protocol carries (n, k) state natively in one pass.
 
@@ -248,20 +265,26 @@ def run_engine(
     check_stride: int,
     block_size: int | None = None,
     fields: int | None = None,
+    bit_generator: type | None = None,
 ) -> GossipRunResult:
     """One engine run of ``case`` from the shared field, fresh instance.
 
     ``fields=None`` runs the legacy scalar state; ``fields=k`` runs the
     deterministic ``(n, k)`` stack of :func:`initial_field_matrix` (whose
-    column 0 is the scalar field) from the *same* RNG.
+    column 0 is the scalar field) from the *same* RNG.  ``bit_generator``
+    (say ``np.random.Philox``) replaces the run's PCG64 on the same seed
+    sequence.
     """
     kwargs = {} if block_size is None else {"block_size": block_size}
     state = initial_values() if fields is None else initial_field_matrix(fields)
+    rng = spawn_rng(seed, "golden", case.name)
+    if bit_generator is not None:
+        rng = np.random.Generator(bit_generator(rng.bit_generator.seed_seq))
     return run_batched(
         case.factory(),
         state,
         case.epsilon,
-        spawn_rng(seed, "golden", case.name),
+        rng,
         check_stride=check_stride,
         **kwargs,
     )
@@ -420,4 +443,31 @@ def assert_override_matches_base_loop(
         reference,
         f"{case.name}, stride {check_stride}, "
         f"fields={fields or 'scalar'}, override vs base loop",
+    )
+
+
+def assert_window_override_matches_base_loop(
+    case: ProtocolCase,
+    fields: int | None = None,
+    bit_generator: type | None = None,
+    seed: int = 7,
+) -> None:
+    """Contract 5: the ``tick_window`` override equals the base loop."""
+
+    def base_loop():
+        algorithm = case.factory()
+        algorithm.tick_window = AsynchronousGossip.tick_window.__get__(algorithm)
+        return algorithm
+
+    runs = [
+        run_engine(
+            variant, seed, 1, fields=fields, bit_generator=bit_generator
+        )
+        for variant in (case, replace(case, factory=base_loop))
+    ]
+    assert_results_identical(
+        *runs,
+        f"{case.name}, stride 1, fields={fields or 'scalar'}, "
+        f"{bit_generator.__name__ if bit_generator else 'PCG64'}, "
+        "window override vs base loop",
     )

@@ -1,11 +1,12 @@
 """Unit tests for repro.graphs.connectivity."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.graphs import (
     RandomGeometricGraph,
-    UnionFind,
     connected_components,
     connectivity_probability,
     connectivity_radius,
@@ -13,6 +14,7 @@ from repro.graphs import (
     largest_component,
     ring_graph_adjacency,
 )
+from repro.graphs.connectivity import component_labels
 
 
 def adjacency_from_edges(n, edges):
@@ -21,37 +23,6 @@ def adjacency_from_edges(n, edges):
         out[u].append(v)
         out[v].append(u)
     return [np.array(sorted(adj), dtype=np.int64) for adj in out]
-
-
-class TestUnionFind:
-    def test_initial_components(self):
-        uf = UnionFind(5)
-        assert uf.components == 5
-
-    def test_union_reduces_components(self):
-        uf = UnionFind(4)
-        assert uf.union(0, 1)
-        assert uf.union(2, 3)
-        assert uf.components == 2
-        assert not uf.union(1, 0)  # already merged
-
-    def test_find_transitive(self):
-        uf = UnionFind(6)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(3) != uf.find(0)
-
-    def test_component_size(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.component_size(2) == 3
-        assert uf.component_size(4) == 1
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            UnionFind(0)
 
 
 class TestConnectivityPredicates:
@@ -89,6 +60,64 @@ class TestComponents:
     def test_largest_component(self):
         adj = adjacency_from_edges(6, [(0, 1), (1, 2), (4, 5)])
         np.testing.assert_array_equal(largest_component(adj), [0, 1, 2])
+
+
+def bfs_components(neighbors):
+    """Reference labelling: breadth-first search from each unseen node in
+    index order, each component named by its first (smallest) node."""
+    label = [-1] * len(neighbors)
+    components = []
+    for start in range(len(neighbors)):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        queue, component = deque([start]), [start]
+        while queue:
+            for v in neighbors[queue.popleft()].tolist():
+                if label[v] < 0:
+                    label[v] = start
+                    queue.append(v)
+                    component.append(v)
+        components.append(sorted(component))
+    components.sort(key=len, reverse=True)
+    return label, components
+
+
+class TestComponentLabelsAgainstBfs:
+    """The vectorised labelling equals a breadth-first search."""
+
+    def _check(self, neighbors):
+        label, components = bfs_components(neighbors)
+        assert component_labels(neighbors).tolist() == label
+        assert [c.tolist() for c in connected_components(neighbors)] == components
+        assert is_connected(neighbors) == (len(components) <= 1)
+
+    def test_empty_graph(self):
+        self._check([])
+        assert connected_components([]) == []
+
+    def test_isolated_nodes(self):
+        self._check([np.array([], dtype=np.int64)] * 5)
+        self._check(adjacency_from_edges(6, [(1, 4)]))
+
+    def test_long_path_numbered_against_the_hooks(self):
+        # Labels must travel the whole path, from the far end.
+        n = 40
+        order = np.random.default_rng(2).permutation(n).tolist()
+        self._check(adjacency_from_edges(n, list(zip(order, order[1:]))))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_geometric_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 250))
+        radius = float(rng.uniform(0.02, 0.3))  # disconnected to connected
+        graph = RandomGeometricGraph.build(rng.random((n, 2)), radius)
+        self._check(graph.neighbors)
+
+    def test_connected_ring(self):
+        adjacency = ring_graph_adjacency(11)
+        self._check(adjacency)
+        assert is_connected(adjacency)
 
 
 class TestConnectivityProbability:

@@ -12,7 +12,7 @@ from repro.engine.batching import (
 )
 from repro.experiments.config import make_algorithm, protocol_batching
 from repro.experiments.seeds import spawn_rng
-from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.base import AsynchronousGossip, DrawStream, LegacyDrawStream
 from repro.gossip.hierarchical.rounds import HierarchicalGossip
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing.cost import TransmissionCounter
@@ -319,6 +319,54 @@ class TestTickBlockHooks:
 
         np.testing.assert_array_equal(whole, chunked)
         assert whole_counter.snapshot() == chunked_counter.snapshot()
+
+
+class TestTickWindowHooks:
+    """Randomized gossip's stride-1 window against the base window loop."""
+
+    @staticmethod
+    def _window(hook, algorithm, values, count, seed):
+        counter = TransmissionCounter()
+        rng = spawn_rng(seed, "window")
+        stream = LegacyDrawStream(rng)
+        hook(algorithm, count, values, counter, stream)
+        stream.close()
+        return values.tobytes(), counter.snapshot(), rng.bit_generator.state
+
+    def test_randomized_window_skips_isolated_owners_like_tick(self):
+        from repro.gossip.randomized import RandomizedGossip
+
+        # A path 0-1-2 plus an isolated node 3.
+        neighbors = [
+            np.array([1]),
+            np.array([0, 2]),
+            np.array([1]),
+            np.array([], dtype=int),
+        ]
+        runs = [
+            self._window(hook, RandomizedGossip(neighbors), np.arange(4.0), 60, 3)
+            for hook in (RandomizedGossip.tick_window, AsynchronousGossip.tick_window)
+        ]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fields", [None, 3], ids=["scalar", "k3"])
+    def test_randomized_window_draws_losses_in_pair_order(self, instance, fields):
+        from repro.dynamics.schedule import LossChannel
+        from repro.gossip.randomized import RandomizedGossip
+
+        graph, values = instance
+        if fields is not None:
+            values = np.column_stack([values * (1 + k) for k in range(fields)])
+        runs = []
+        for hook in (RandomizedGossip.tick_window, AsynchronousGossip.tick_window):
+            algorithm = make_algorithm("randomized", graph)
+            algorithm.loss_channel = LossChannel(0.2, spawn_rng(3, "loss"))
+            run = self._window(hook, algorithm, values.copy(), 300, 3)
+            runs.append(
+                (*run, algorithm.failed_exchanges, algorithm.loss_channel.attempt(1))
+            )
+        assert runs[0][3] > 0  # the channel did sever exchanges
+        assert runs[0] == runs[1]
 
 
 class TestBatchingCapability:

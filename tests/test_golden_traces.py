@@ -10,7 +10,9 @@ Parametrized over the shared registry in ``protocol_equivalence.py``:
   bit-identical to the legacy loop at stride 1, invariant to ``k`` at
   any stride, and deterministic across fresh instances;
 * a class that overrides ``tick_block`` equals the base loop running its
-  ``tick`` per owner, bit for bit.
+  ``tick`` per owner, bit for bit;
+* a class that overrides ``tick_window`` equals the base stride-1 window
+  loop, bit for bit, on the PCG64 stream and on a Philox generator.
 
 The registry includes fully faulted cases (churn + link failures + loss
 on a pinned schedule), so every contract also covers the dynamics layer.
@@ -18,6 +20,7 @@ A new protocol only needs a ``ProtocolCase`` entry in the registry to be
 covered by the whole battery.
 """
 
+import numpy as np
 import pytest
 
 from protocol_equivalence import (
@@ -29,9 +32,11 @@ from protocol_equivalence import (
     assert_override_matches_base_loop,
     assert_stride1_bit_identical,
     assert_strided_deterministic,
+    assert_window_override_matches_base_loop,
     case_names,
     multifield_native_case_names,
     override_case_names,
+    window_override_case_names,
 )
 
 
@@ -57,6 +62,18 @@ def test_strided_runs_deterministic(name, check_stride):
 def test_tick_block_override_matches_base_loop(name, check_stride, fields):
     assert_override_matches_base_loop(
         CASES[name], check_stride=check_stride, fields=fields
+    )
+
+
+@pytest.mark.parametrize("name", window_override_case_names())
+@pytest.mark.parametrize(
+    "fields, bit_generator",
+    [(None, None), (None, np.random.Philox), (3, None)],
+    ids=["scalar", "scalar-philox", "k3"],
+)
+def test_tick_window_override_matches_base_loop(name, fields, bit_generator):
+    assert_window_override_matches_base_loop(
+        CASES[name], fields=fields, bit_generator=bit_generator
     )
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batching import run_batched
 from repro.experiments.config import ALGORITHMS, make_algorithm
@@ -12,6 +14,7 @@ from repro.gossip.base import (
     AsynchronousGossip,
     DrawStream,
     LegacyDrawStream,
+    draw_pairs,
 )
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing import TransmissionCounter
@@ -310,6 +313,108 @@ class TestLegacyDrawStream:
             DrawingTicker(16, fail_at).run(np.arange(16.0), 0.1, twin)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random(3).tolist() == twin.random(3).tolist()
+
+
+#: Second bounds with no draw (0, 1), the smallest draw (2), small odd
+#: ones, and bounds near 3·2**30, where Lemire rejects a quarter of draws.
+_SECOND_BOUNDS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 7]),
+    st.integers(3 * 2**30 - 3, 3 * 2**30 + 3),
+)
+
+
+class _Cycle:
+    """Second bounds for any first index: ``bounds[i % len(bounds)]``."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def __getitem__(self, index):
+        return self.bounds[index % len(self.bounds)]
+
+
+def _twin_pairs(twin, count, bound, second_bounds):
+    """The per-tick loop's draws: ``integers(bound)``, then the partner."""
+    first, second = [], []
+    for _ in range(count):
+        i = int(twin.integers(bound))
+        k = second_bounds[i]
+        first.append(i)
+        second.append(int(twin.integers(k)) if k else -1)
+    return first, second
+
+
+class TestLegacyPairs:
+    """``pairs`` serves exactly the per-tick loop's ``integers`` calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        chunk=st.sampled_from([1, 2, 3, 7, LegacyDrawStream.RAW_CHUNK]),
+        kept_half=st.booleans(),
+        second_bounds=st.lists(_SECOND_BOUNDS, min_size=1, max_size=6),
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 40),  # ticks in the window
+                st.one_of(  # first bound
+                    st.integers(1, 9),
+                    st.integers(3 * 2**30 - 3, 3 * 2**30 + 3),
+                ),
+                st.booleans(),  # a random() call after the window
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_pairs_match_the_twin_generator(
+        self, seed, chunk, kept_half, second_bounds, windows
+    ):
+        saved_chunk = LegacyDrawStream.RAW_CHUNK
+        LegacyDrawStream.RAW_CHUNK = chunk  # a short chunk refills mid-window
+        try:
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            if kept_half:  # start on a kept half (has_uint32 == 1)
+                assert rng.integers(9) == twin.integers(9)
+            stream = LegacyDrawStream(rng)
+            bounds = _Cycle(second_bounds)
+            for count, bound, interleave in windows:
+                got = stream.pairs(count, bound, bounds)
+                assert got == _twin_pairs(twin, count, bound, bounds)
+                assert all(type(v) is int for side in got for v in side)
+                if interleave:
+                    assert stream.random() == twin.random()
+            stream.close()
+        finally:
+            LegacyDrawStream.RAW_CHUNK = saved_chunk
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.integers(2**31, size=4).tolist() == (
+            twin.integers(2**31, size=4).tolist()
+        )
+
+    def test_pairs_cross_a_full_chunk(self):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        stream = LegacyDrawStream(rng)
+        skip = LegacyDrawStream.RAW_CHUNK - 2
+        assert stream.random(skip).tolist() == twin.random(skip).tolist()
+        bounds = [5, 0, 1, 2, 3 * 2**30]
+        assert stream.pairs(50, 5, bounds) == _twin_pairs(twin, 50, 5, bounds)
+        stream.close()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [0, -1, 2**32])
+    def test_bounds_outside_the_32_bit_path_raise(self, bound):
+        stream = LegacyDrawStream(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream.pairs(3, bound, [2] * 4)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.Philox, np.random.MT19937]
+    )
+    def test_draw_pairs_on_other_generators_calls_integers(self, bit_generator):
+        rng, twin = (np.random.Generator(bit_generator(4)) for _ in range(2))
+        bounds = [3, 0, 1, 2, 3 * 2**30]
+        assert draw_pairs(rng, 40, 5, bounds) == _twin_pairs(twin, 40, 5, bounds)
+        assert rng.random() == twin.random()
 
 
 def _digest(result, rng):

@@ -86,3 +86,59 @@ class TestLocalAdjacency:
             np.testing.assert_array_equal(
                 np.sort(local[sensor]), graph.neighbors[sensor]
             )
+
+
+def reference_local_adjacency(tree, neighbors, fallback):
+    """The per-sensor loop: scan the sensor's squares from its leaf up and
+    keep its neighbours inside the first square that holds any."""
+    chains = {i: [] for i in range(tree.n)}
+    for node in tree.all_squares():  # BFS: root first
+        for member in node.members.tolist():
+            chains[member].append(node)
+    restricted = []
+    for sensor in range(tree.n):
+        adjacency = neighbors[sensor]
+        chosen = adjacency[:0]
+        for node in reversed(chains[sensor]):  # leaf, parent, ..., root
+            member_set = set(node.members.tolist())
+            local = np.array(
+                [v for v in adjacency.tolist() if v in member_set],
+                dtype=np.int64,
+            )
+            if local.size or not fallback:
+                chosen = local
+                break
+        restricted.append(chosen)
+    return restricted
+
+
+class TestAgainstTheReferenceLoop:
+    """The label-based kernel equals the per-sensor loop, array for array."""
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize(
+        "n, constant, seed",
+        [(512, 2.0, 389), (300, 0.7, 5), (96, 3.0, 11), (40, 0.3, 13)],
+    )
+    def test_equals_reference(self, n, constant, seed, fallback):
+        rng = np.random.default_rng(seed)
+        graph = RandomGeometricGraph.sample(n, rng, radius_constant=constant)
+        tree = HierarchyTree.build(graph.positions)
+        got = tree.local_adjacency(graph.neighbors, fallback=fallback)
+        want = reference_local_adjacency(tree, graph.neighbors, fallback)
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert mine.dtype == theirs.dtype
+            assert mine.tolist() == theirs.tolist()
+
+    def test_reference_cases_include_stranded_sensors(self):
+        # The sparse cases above exercise the fallback: some sensor has
+        # neighbours but none in its leaf.
+        rng = np.random.default_rng(5)
+        graph = RandomGeometricGraph.sample(300, rng, radius_constant=0.7)
+        tree = HierarchyTree.build(graph.positions)
+        strict = tree.local_adjacency(graph.neighbors, fallback=False)
+        assert any(
+            strict[i].size == 0 and graph.neighbors[i].size
+            for i in range(graph.n)
+        )

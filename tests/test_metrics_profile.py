@@ -132,6 +132,21 @@ class TestRegistryBattery:
         gauge.inc(-3, state="pending")
         assert gauge.value(state="pending") == 4.0
 
+    def test_resolved_series_update_the_labelled_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", "X.")
+        ticks = counter.series(algorithm="randomized")
+        ticks.inc(3)
+        ticks.inc()
+        counter.inc(algorithm="randomized")
+        assert counter.value(algorithm="randomized") == 5.0
+        with pytest.raises(ValueError, match="cannot decrease"):
+            ticks.inc(-1)
+        depth = registry.gauge("repro_depth", "Depth.").series(state="p")
+        depth.set(7)
+        depth.inc(-2)
+        assert registry.gauge("repro_depth").value(state="p") == 5.0
+
     def test_get_or_create_by_name(self):
         registry = MetricsRegistry()
         assert registry.counter("repro_x_total") is registry.counter(
@@ -367,6 +382,18 @@ class TestSpanProfiler:
         assert set(spans) == {"run", "run.window", "run.check"}
         assert spans["run.window"]["count"] == 3
         assert spans["run"]["count"] == 1
+
+    def test_one_span_handle_reenters(self):
+        profiler = SpanProfiler()
+        window = profiler.span("window")
+        with profiler.span("run"):
+            for _ in range(3):
+                with window:
+                    pass
+        with window:
+            pass
+        spans = {row["span"]: row["count"] for row in profiler.hotpath_table()}
+        assert spans == {"run": 1, "run.window": 3, "window": 1}
 
     def test_module_span_uses_active_profiler(self):
         with profile.capture() as profiler:

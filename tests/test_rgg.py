@@ -67,11 +67,54 @@ class TestBuild:
             assert (np.diff(adj) > 0).all()  # sorted, no duplicates
             assert i not in adj
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_neighbor_lists_equal_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 300))
+        positions = rng.random((n, 2))
+        radius = float(rng.uniform(0.03, 0.5))
+        assert_brute_force_neighbors(positions, radius)
+
+    def test_points_exactly_r_apart_and_on_cell_edges(self):
+        # Grid points 1/8 apart sit on cell edges of a side-1/8 grid, and
+        # each axis neighbour is exactly r away: those pairs are edges.
+        side = np.arange(9) / 8
+        positions = np.array([(x, y) for x in side for y in side])
+        graph = assert_brute_force_neighbors(positions, 0.125)
+        assert graph.degrees().max() == 4
+
+    def test_duplicate_points_are_adjacent(self):
+        positions = np.array([[0.3, 0.3], [0.3, 0.3], [0.3, 0.3], [0.9, 0.9]])
+        graph = assert_brute_force_neighbors(positions, 0.1)
+        assert graph.neighbors[0].tolist() == [1, 2]
+        assert graph.neighbors[3].size == 0
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[[0.5, 0.5]], [[0.1, 0.1], [0.15, 0.1]], [[0.1, 0.1], [0.9, 0.9]]],
+        ids=["one", "two-close", "two-far"],
+    )
+    def test_one_and_two_points(self, positions):
+        assert_brute_force_neighbors(np.array(positions), 0.2)
+
     def test_adjacency_symmetric(self, rng):
         graph = RandomGeometricGraph.sample(300, rng)
         for i, adj in enumerate(graph.neighbors):
             for j in adj:
                 assert i in graph.neighbors[int(j)]
+
+
+def assert_brute_force_neighbors(positions, radius):
+    """The built graph equals an O(n²) scan with the same distance test."""
+    graph = RandomGeometricGraph.build(positions, radius)
+    diff = positions[:, None, :] - positions[None, :, :]
+    close = (diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2) <= radius * radius
+    np.fill_diagonal(close, False)
+    assert len(graph.neighbors) == len(positions)
+    for row, adjacency in zip(close, graph.neighbors):
+        assert adjacency.dtype == np.int64
+        assert adjacency.tolist() == np.flatnonzero(row).tolist()
+    return graph
 
 
 class TestSampling:
