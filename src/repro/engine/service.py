@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from repro.engine.executor import (
     CellKey,
     CellRecord,
+    SweepCell,
     clear_substrate,
     execute_cell,
     expand_grid,
@@ -182,6 +183,20 @@ def worker_store(
     return ResultStore(
         shards_root(queue_dir) / worker_id, config, check_stride
     )
+
+
+def _dispatch_order(cells: "Iterable[SweepCell]") -> list[SweepCell]:
+    """Cells in the order a session enqueues them: largest ``n`` first.
+
+    The largest cells hold most of a grid's run time (n = 512 is about
+    three quarters of the default grid), so leasing them first leaves
+    small cells for the end and the workers finish close together.  The
+    sort is stable on ``(-n, trial)``: each trial's protocols stay
+    adjacent in grid order, so a worker that runs them back to back
+    reuses the trial's substrate
+    (:func:`~repro.engine.executor.cell_substrate`) as before.
+    """
+    return sorted(cells, key=lambda cell: (-cell.n, cell.trial))
 
 
 def _parse_cells_jsonl(path: Path) -> list[CellRecord]:
@@ -455,6 +470,12 @@ def run_worker(
     SIGKILL stops the heartbeats with the process, which is exactly the
     signal reclamation keys on.  When nothing is claimable but cells are
     still leased elsewhere, the worker naps ``poll_interval`` and retries.
+    The worker that completes a session's last cell therefore exits at
+    once, and a napping one is not waited for: once the queue is
+    finished, the ``serve-sweep`` coordinator SIGTERMs every worker that
+    holds no lease (:meth:`_WorkerFleet.stop_idle`).  Such a worker has
+    nothing left to write, since a record is in the shard before its
+    done marker.
 
     ``throttle`` sleeps that many seconds inside each leased window
     before executing — a chaos/testing knob that widens the
@@ -561,6 +582,10 @@ class _WorkerFleet:
     longer silently degrade an N-worker fleet to N−1 forever.  Members
     whose replacement the budget no longer covers are retired (kept for
     the final wait/kill sweep, never respawned again).
+
+    Every launched process gets a daemon waiter thread that reaps it the
+    moment it exits and then sets :attr:`exited`, so the coordinator
+    loop wakes on a worker exit instead of on its next timer tick.
     """
 
     def __init__(
@@ -591,11 +616,19 @@ class _WorkerFleet:
         self.respawns = 0
         self.members: list[tuple[str, subprocess.Popen]] = []
         self.retired: list[tuple[str, subprocess.Popen]] = []
+        self.exited = threading.Event()
 
     def _launch(self, worker_id: str) -> tuple[str, subprocess.Popen]:
-        """Start one ``repro work`` subprocess against the queue."""
+        """Start one ``repro work`` subprocess and its waiter thread."""
         argv = [*self.argv, "--worker-id", worker_id]
-        return worker_id, subprocess.Popen(argv, env=self.env)
+        proc = subprocess.Popen(argv, env=self.env)
+
+        def _reap() -> None:
+            proc.wait()  # sets returncode before the event fires
+            self.exited.set()
+
+        threading.Thread(target=_reap, daemon=True).start()
+        return worker_id, proc
 
     def spawn(self, worker_id: str) -> None:
         self.members.append(self._launch(worker_id))
@@ -640,15 +673,55 @@ class _WorkerFleet:
         self.members = kept
         return replaced
 
-    def wait_all(self, timeout: float = 30.0) -> None:
-        """Wait for members to exit on their own (post-drain shutdown)."""
-        for _, proc in self.members:
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
+    def stop_idle(self, queue: LeaseQueue) -> list[subprocess.Popen]:
+        """SIGTERM every live member that holds no lease; return the rest.
+
+        Called once the queue is finished.  A member without a live
+        lease is napping, starting up or on its way out: every cell is
+        done and its records are already in its shard, so stopping it
+        loses nothing and saves the rest of its nap.  A member that
+        still holds a lease (a duplicate run of a reclaimed cell) is
+        left to append its record and exit on its own; the returned
+        processes are those to wait for before the merge.
+        """
+        holders = queue.lease_owners()
+        busy = []
+        for worker_id, proc in self.members:
+            if proc.poll() is not None:
+                continue
+            if worker_id in holders:
+                busy.append(proc)
+            else:
+                proc.terminate()
+        return busy
+
+    def wait_all(
+        self,
+        procs: "Iterable[subprocess.Popen] | None" = None,
+        timeout: float = 30.0,
+    ) -> None:
+        """Wait until ``procs`` (default: every process launched) exit.
+
+        Wakes on :attr:`exited`, so it returns as soon as the last one
+        has been reaped.  Whatever still runs after ``timeout`` seconds
+        is SIGKILLed.
+        """
+        if procs is None:
+            procs = [proc for _, proc in [*self.members, *self.retired]]
+        procs = list(procs)
+        deadline = time.monotonic() + timeout
+        while True:
+            self.exited.clear()
+            running = [proc for proc in procs if proc.poll() is None]
+            if not running:
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                for proc in running:
+                    proc.kill()
                     proc.wait(timeout=10)
+                return
+            self.exited.wait(remaining)
 
     def kill_all(self) -> None:
         for _, proc in [*self.members, *self.retired]:
@@ -698,13 +771,16 @@ def _serve(
     """The one coordinator loop behind both public entry points.
 
     Spawns the fleet and polls until :meth:`LeaseQueue.finished`, the
-    exit rule the workers share.  Each poll fires the chaos kill once
-    due, opens a store under ``store_root`` for every newly registered
-    grid (``stores`` seeds that map), republishes report, telemetry and
-    metrics when the ``(done, pending, grids, drain)`` snapshot moves,
-    and respawns fallen workers individually.  Then merges every grid's
-    shards (the merge counters include the ``inherited`` report) and
-    returns ``{content key: records}``.  Raises :class:`ValueError` when
+    exit rule the workers share.  A poll runs every ``poll_interval``
+    seconds and at once when a worker exits.  Each poll fires the chaos
+    kill once due, opens a store under ``store_root`` for every newly
+    registered grid (``stores`` seeds that map), republishes report,
+    telemetry and metrics when the ``(done, pending, grids, drain)``
+    snapshot moves, and respawns fallen workers individually.  Once
+    finished, it stops the workers that hold no lease, waits for those
+    that do, merges every grid's shards (the merge counters include the
+    ``inherited`` report), reaps the stopped workers and returns
+    ``{content key: records}``.  Raises :class:`ValueError` when
     ``heartbeat_interval`` is not below the queue's ttl: live leases
     would go stale and be reclaimed again and again.
     """
@@ -788,7 +864,10 @@ def _serve(
         chaos_done = chaos_kill_after is None
         last_published: "tuple | None" = None
         while not queue.finished():
-            time.sleep(poll_interval)
+            # A worker exit ends the wait early: the worker that lands
+            # the last cell exits at once, and so does a crashed one.
+            fleet.exited.wait(poll_interval)
+            fleet.exited.clear()
             if (
                 not chaos_done
                 and monotonic() - chaos_started >= chaos_kill_after
@@ -817,11 +896,15 @@ def _serve(
                     f"inspect the worker output and the queue at "
                     f"{queue_root}"
                 )
-        fleet.wait_all()  # finished: workers exit on their own poll
+        # Finished: stop the idle members rather than wait out their
+        # nap, and let any lease holder land its record before the merge.
+        fleet.wait_all(fleet.stop_idle(queue))
+    except BaseException:
+        fleet.kill_all()
+        raise
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-        fleet.kill_all()
         if server is not None:
             server.stop()
     _refresh_stores()
@@ -829,6 +912,7 @@ def _serve(
     for key, store in sorted(stores.items()):
         _count_merge(registry, merge_shards(store, shards))
         results[key] = store.load_records()
+    fleet.wait_all()  # reap the members stopped above
     _publish()
     return results
 
@@ -856,7 +940,8 @@ def run_distributed_sweep(
 
     Merges any shards a crashed session left under ``queue_dir`` into
     ``store`` (counted into the merge counters), enqueues exactly the
-    cells the store still misses on a one-shot queue — finished as soon
+    cells the store still misses, largest ``n`` first
+    (:func:`_dispatch_order`), on a one-shot queue — finished as soon
     as it drains — and serves it with ``workers`` worker processes
     through the coordinator loop :func:`run_sweep_daemon` shares: fallen
     workers respawned individually (``max_respawns`` in total, default
@@ -897,7 +982,7 @@ def run_distributed_sweep(
     grid = expand_grid(config)
     grid_keys = {cell.key for cell in grid}
     held = store.load_records()
-    pending = [cell for cell in grid if cell.key not in held]
+    pending = _dispatch_order(cell for cell in grid if cell.key not in held)
     if pending:
         queue = LeaseQueue.create(
             queue_root,
@@ -945,8 +1030,9 @@ def enqueue_grid(
     the daemon manifest (``payload["store"]``) unless ``store_root``
     overrides it; any shards earlier sessions left for this grid's key
     are merged first, and only the cells the store is still missing are
-    enqueued — so enqueueing is idempotent and resume-safe, exactly like
-    a one-shot ``serve-sweep``.
+    enqueued, largest ``n`` first (:func:`_dispatch_order`) — so
+    enqueueing is idempotent and resume-safe, exactly like a one-shot
+    ``serve-sweep``.
 
     Backpressure: when admission would exceed the queue's
     ``max_pending``, :class:`~repro.engine.queue.QueueFull` propagates
@@ -974,7 +1060,9 @@ def enqueue_grid(
     store = ResultStore(Path(root), config, check_stride)
     merge_shards(store, shards_root(queue.root))
     held = store.load_records()
-    cells = [cell for cell in expand_grid(config) if cell.key not in held]
+    cells = _dispatch_order(
+        cell for cell in expand_grid(config) if cell.key not in held
+    )
     started = monotonic()
     while True:
         try:

@@ -24,6 +24,7 @@ from repro.experiments.config import (
     make_algorithm,
     multifield_support,
     protocol_batching,
+    topology_incompatible,
 )
 from repro.experiments.runner import (
     ConvergenceRun,
@@ -56,4 +57,5 @@ __all__ = [
     "run_convergence",
     "run_scaling_sweep",
     "spawn_rng",
+    "topology_incompatible",
 ]

@@ -29,6 +29,7 @@ __all__ = [
     "ALGORITHM_CLASSES",
     "fault_incompatible",
     "make_algorithm",
+    "topology_incompatible",
     "multifield_support",
     "protocol_batching",
     "ExperimentConfig",
@@ -177,6 +178,35 @@ def fault_incompatible(algorithms: tuple[str, ...] | list[str]) -> list[str]:
     return sorted(out)
 
 
+#: Topologies whose edges ignore node positions, so greedy geographic
+#: routes void on most hops (``docs/topologies.md``).
+_GEOMETRY_FREE_TOPOLOGIES = frozenset({"erdos-renyi"})
+
+
+def topology_incompatible(
+    algorithms: tuple[str, ...] | list[str], topology: str
+) -> list[str]:
+    """The subset of ``algorithms`` that cannot finish on ``topology``.
+
+    Round-based protocols (``hierarchical``) move mass between squares
+    only over greedy routes, so on a geometry-free family almost every
+    exchange voids and the capped rounds repeat without converging (a
+    64-node Erdős–Rényi cell ran for minutes).  Tick-driven routed
+    protocols abort a void route, count it and move on, so they still
+    finish.  Config validation and ``repro run`` both consult this rule;
+    ``algorithms`` must be registered names.
+    """
+    from repro.engine.batching import batching_capability
+
+    if topology not in _GEOMETRY_FREE_TOPOLOGIES:
+        return []
+    return sorted(
+        name
+        for name in algorithms
+        if batching_capability(ALGORITHM_CLASSES[name]) == "rounds"
+    )
+
+
 def make_algorithm(name: str, graph: RandomGeometricGraph):
     """Instantiate a registered algorithm on ``graph``."""
     try:
@@ -267,6 +297,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown topology {self.topology!r}; registered: "
                 f"{topology_names()}"
+            )
+        unroutable = topology_incompatible(self.algorithms, self.topology)
+        if unroutable:
+            raise ValueError(
+                f"topology {self.topology!r} has no geometric edges, so "
+                f"greedy routes void and {unroutable} (round-based) cannot "
+                "converge on it — drop them from `algorithms` or pick a "
+                "geometric topology"
             )
         if self.fields < 1:
             raise ValueError(

@@ -104,6 +104,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--workload", "no-such"])
 
+    def test_round_based_protocol_on_erdos_renyi_exits_cleanly(
+        self, capsys, tmp_path
+    ):
+        # It would never converge there (greedy routes void); `run`,
+        # `sweep` and `serve-sweep` refuse it before building anything.
+        for argv in (
+            ["run", "--algorithm", "hierarchical", "--n", "64"],
+            ["sweep", "--sizes", "64", "--trials", "1"],
+            [
+                "serve-sweep", "--sizes", "64", "--trials", "1",
+                "--store-dir", str(tmp_path),
+            ],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--topology", "erdos-renyi"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "erdos-renyi" in err and "hierarchical" in err
+
     def test_faults_with_incompatible_defaults_exit_cleanly(self, capsys):
         # The sweep default algorithm set includes round-based
         # `hierarchical`; combining it with --faults must be a clean
@@ -549,3 +568,28 @@ class TestServiceFlagValidation:
             ["serve-sweep", "--store-dir", "s", "--daemon"]
         )
         assert args.priority is None and args.max_pending is None
+
+
+def test_cli_import_freezes_the_heap_only_at_exit():
+    """Importing the CLI registers ``gc.freeze`` to run at interpreter
+    exit (finalization then skips collecting live objects); it does not
+    freeze anything in the importing process itself."""
+    import gc
+
+    import repro.cli  # noqa: F401 - already imported; the import is the point
+
+    assert gc.get_freeze_count() == 0
+    # atexit runs handlers last-registered first, so a handler registered
+    # before the import observes the heap after the CLI's freeze.
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "import repro.cli\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "frozen True"

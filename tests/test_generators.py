@@ -248,6 +248,30 @@ class TestZooEngineIntegration:
         for record in first.values():
             assert record.total_transmissions > 0
 
+    def test_config_rejects_round_based_protocols_without_geometry(self):
+        """Greedy routes void on Erdős–Rényi edges, so a hierarchical
+        cell there never converges: the config refuses it up front and
+        names the topology, and still accepts the tick-driven protocols
+        there and hierarchical on every other family."""
+        from repro.experiments import ExperimentConfig, topology_incompatible
+
+        with pytest.raises(ValueError, match="'erdos-renyi'.*hierarchical"):
+            ExperimentConfig(
+                sizes=(64,),
+                topology="erdos-renyi",
+                algorithms=("randomized", "hierarchical"),
+            )
+        ExperimentConfig(
+            sizes=(64,),
+            topology="erdos-renyi",
+            algorithms=("randomized", "geographic", "path-averaging"),
+        )
+        for topology in sorted(set(TOPOLOGIES) - {"erdos-renyi"}):
+            ExperimentConfig(
+                sizes=(64,), topology=topology, algorithms=("hierarchical",)
+            )
+            assert topology_incompatible(("hierarchical",), topology) == []
+
     def test_config_rejects_unknown_topology(self):
         from repro.experiments import ExperimentConfig
 

@@ -505,3 +505,124 @@ class TestCoordinatorRecovery:
         # The inherited half plus the half this session executed.
         assert telemetry["metrics"]["repro_merge_appended_total"] == len(grid)
         assert diff_stores(serial_store.root, store.root) == []
+
+
+class _FakeProc:
+    """A fleet member stand-in that records the signals it receives."""
+
+    def __init__(self, returncode=None):
+        self.returncode = returncode
+        self.signals = []
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self):
+        self.signals.append("SIGTERM")
+
+
+class _FakeQueue:
+    def __init__(self, owners):
+        self.owners = set(owners)
+
+    def lease_owners(self):
+        return set(self.owners)
+
+
+class TestSessionTail:
+    """The end of a session waits for nothing but its last cell."""
+
+    def test_session_returns_without_waiting_out_the_poll_interval(
+        self, tmp_path, serial_store, monkeypatch
+    ):
+        """A 30 s poll interval used to bound the tail from below: the
+        coordinator and the idle worker each napped it out.  The
+        coordinator now wakes when a worker exits and stops the idle one,
+        so the session ends as soon as its cells land and reaps every
+        worker it started."""
+        from repro.engine.service import _WorkerFleet
+
+        launched = []
+        launch = _WorkerFleet._launch
+
+        def _recording_launch(self, worker_id):
+            member = launch(self, worker_id)
+            launched.append(member[1])
+            return member
+
+        monkeypatch.setattr(_WorkerFleet, "_launch", _recording_launch)
+        store = ResultStore(tmp_path / "dist", CONFIG)
+        started = time.monotonic()
+        records = run_distributed_sweep(
+            CONFIG,
+            store=store,
+            queue_dir=tmp_path / "queue",
+            workers=2,
+            poll_interval=30.0,
+        )
+        elapsed = time.monotonic() - started
+        try:
+            assert elapsed < 15.0, f"session took {elapsed:.1f}s"
+            assert len(launched) == 2
+            assert [proc.poll() is None for proc in launched] == [False] * 2
+        finally:
+            for proc in launched:
+                if proc.poll() is None:
+                    proc.kill()
+        assert set(records) == {cell.key for cell in expand_grid(CONFIG)}
+        assert diff_stores(serial_store.root, store.root) == []
+
+    def test_stop_idle_signals_only_members_without_a_lease(self, tmp_path):
+        from repro.engine.service import _WorkerFleet
+
+        fleet = _WorkerFleet(tmp_path, 1.0, 0.2, 0.0, budget=0)
+        busy, idle, gone = _FakeProc(), _FakeProc(), _FakeProc(returncode=0)
+        fleet.members = [("w0", busy), ("w1", idle), ("w2", gone)]
+        assert fleet.stop_idle(_FakeQueue({"w0"})) == [busy]
+        assert busy.signals == []
+        assert idle.signals == ["SIGTERM"]
+        assert gone.signals == []
+
+    def test_dispatch_order_is_largest_n_first_with_trials_kept_together(
+        self,
+    ):
+        from repro.engine.service import _dispatch_order
+
+        config = ExperimentConfig(
+            sizes=(32, 96, 64),
+            trials=2,
+            algorithms=("randomized", "geographic", "hierarchical"),
+        )
+        grid = expand_grid(config)
+        order = _dispatch_order(grid)
+        assert sorted(cell.key for cell in order) == sorted(
+            cell.key for cell in grid
+        )
+        assert [cell.n for cell in order] == sorted(
+            (cell.n for cell in grid), reverse=True
+        )
+        width = len(config.algorithms)
+        for start in range(0, len(order), width):
+            trial = order[start : start + width]
+            assert len({(cell.n, cell.trial) for cell in trial}) == 1
+            assert [cell.algorithm for cell in trial] == list(
+                config.algorithms
+            )
+
+    def test_enqueued_grid_is_claimed_in_dispatch_order(self, tmp_path):
+        from repro.engine.service import _dispatch_order, enqueue_grid
+
+        queue = LeaseQueue.create(
+            tmp_path / "queue",
+            [],
+            ttl=5.0,
+            daemon=True,
+            payload={"store": str(tmp_path / "store")},
+        )
+        enqueue_grid(queue, CONFIG)
+        claimed = []
+        while (lease := queue.claim("t")) is not None:
+            claimed.append(lease.cell)
+            queue.complete(lease)
+        assert claimed == _dispatch_order(expand_grid(CONFIG))
+        assert claimed[0].n == max(CONFIG.sizes)
