@@ -9,10 +9,9 @@ Measured here: the error reached by each algorithm at shared transmission
 budgets on one instance (vertical slices through the three curves, at
 stride 1 for maximally dense traces), plus the engine's two fast-path
 dividends on the same instance: the strided path (``check_stride=16``:
-pre-sampled owners, chunked protocol draws, and randomized gossip's
-vectorized ``tick_block``) against the stride-1 loop, and the routed
-protocols' memoized route table against the plain greedy walk at
-stride 1.
+pre-sampled owners, chunked protocol draws, and the ``tick_block``
+overrides) against the stride-1 loop, and the routed protocols' cached
+router against the plain greedy walk at stride 1.
 """
 
 import time
@@ -42,16 +41,17 @@ FAST_STRIDE = 16
 #: compare).
 FAST_PATH_PROTOCOLS = ("randomized", "geographic", "spatial")
 
-#: Routed protocols and the stride-1 speedup their memoized route table
-#: must show over the plain greedy walk.
+#: Routed protocols and the stride-1 speedup their cached router (a
+#: batched walk per window for geographic, next-hop columns for spatial)
+#: must show over the plain greedy walk, which swaps in the per-tick
+#: loop.
 ROUTE_TABLE_GATES = {"geographic": 2.0, "spatial": 1.5}
 
-#: Floor on the routed protocols' stride-16 over stride-1 speedup.  One
-#: ``tick`` serves both strides; stride 16 only swaps per-tick generator
-#: calls for the chunked ``DrawStream`` and strides the error check, so
-#: the margin is thin (geographic measured 0.96–1.56× on a 2-core host);
-#: the floor leaves room for that timing noise and still fails a strided
-#: loop that costs real time.
+#: Floor on the routed protocols' stride-16 over stride-1 speedup.  Both
+#: strides batch their routes for geographic (a walk per stride-1 window
+#: and per block); spatial walks its blocks at stride 16 and routes
+#: through columns at stride 1.  The floor leaves room for timing noise
+#: and still fails a strided path that costs real time.
 TICK_BLOCK_FLOOR = 0.8
 
 #: Runs per timing; the gates compare best-of-``REPEATS`` seconds, so
@@ -119,12 +119,12 @@ def test_e08_fast_path_speedup(benchmark):
     Each protocol runs to ε at stride 1 and at stride 16.  Randomized
     gossip's dividend is the batched ``tick_block`` path, so its gate is
     stride 16 against stride 1.  The routed protocols' dividend is the
-    memoized route table, which is their one router at every stride, so
-    each also runs at stride 1 with the plain greedy walk swapped in: it
-    must spend the same transmissions, and the gate is its time against
-    the route table's.  Their stride-16 run (the same ``tick`` on a
-    ``DrawStream``) is gated only against regression: no slower than
-    stride 1, up to timing noise.
+    cached router, their one router at every stride, so each also runs
+    at stride 1 with the plain greedy walk swapped in (which sends the
+    block hooks back to the per-tick loop): it must spend the same
+    transmissions, and the gate is its time against the cached
+    router's.  Their stride-16 run is gated only against regression: no
+    slower than stride 1, up to timing noise.
     The timings land in per-protocol ``BENCH_e08_<protocol>.json``
     artifacts for trend tracking.
     """
@@ -221,13 +221,14 @@ def test_e08_fast_path_speedup(benchmark):
     )
 
     # Randomized gossip gains from pre-sampled owners and partners in
-    # the batched path; the routed protocols gain from memoized routes,
-    # at stride 1 as much as at stride 16.  Asserted with margin.
+    # the batched path; the routed protocols gain from the cached
+    # router's batched walks and columns, at stride 1 as much as at
+    # stride 16.  Asserted with margin.
     assert speedups["randomized"] >= 1.5, speedups
     for name, gate in ROUTE_TABLE_GATES.items():
         assert speedups[f"{name}_route_table"] >= gate, (name, speedups)
-        # The routed protocols run the same ``tick`` at stride 16; the
-        # strided loop must not cost time.
+        # The routed protocols' strided blocks must not cost time
+        # against their stride-1 windows.
         assert speedups[name] >= TICK_BLOCK_FLOOR, (name, speedups)
     benchmark.extra_info.update(
         {f"speedup_{k}": round(v, 2) for k, v in speedups.items()}

@@ -6,8 +6,8 @@ is working on which cell right now*.  Everything else — what a cell is,
 how it executes, where its record lands — is already deterministic and
 append-only.  This module keeps that one piece of state on the
 filesystem, using only atomic primitives every POSIX filesystem provides
-(``O_CREAT | O_EXCL`` exclusive creation, ``os.rename`` within a
-directory), so N worker *processes* (or N hosts over a shared
+(``O_CREAT | O_EXCL`` and ``os.link`` exclusive creation, ``os.rename``
+within a directory), so N worker *processes* (or N hosts over a shared
 filesystem) can coordinate without a broker.
 
 Layout (queue format 2)::
@@ -575,8 +575,8 @@ class LeaseQueue:
             attempt = 1
             if lease_path.exists():
                 lease_entry = _read_json(lease_path)
-                # An unreadable lease is a torn write from a claimant
-                # that died mid-claim: heartbeat unknown => stale.
+                # Leases are linked into place whole, so an unreadable
+                # one is a corrupted file: heartbeat unknown => stale.
                 heartbeat = (
                     float(lease_entry["heartbeat"])
                     if lease_entry is not None
@@ -617,12 +617,6 @@ class LeaseQueue:
                     }
                 )
                 _atomic_write_json(grave, audit)
-            try:
-                fd = os.open(
-                    lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                continue  # another claimant got here first
             now = self._clock()
             lease_entry = {
                 "cell": list(cell.key),
@@ -632,9 +626,8 @@ class LeaseQueue:
                 "claimed_at": now,
                 "heartbeat": now,
             }
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(lease_entry, handle, sort_keys=True)
-                handle.flush()
+            if not self._publish_lease(lease_path, lease_entry):
+                continue  # another claimant got here first
             registry = _metrics.active()
             if registry is not None:
                 registry.counter(
@@ -649,6 +642,30 @@ class LeaseQueue:
                 grid=grid,
             )
         return None
+
+    def _publish_lease(self, lease_path: Path, entry: Mapping) -> bool:
+        """Create ``lease_path`` holding all of ``entry``; ``False`` if a
+        lease is already there.
+
+        The entry goes to a temp file first, which is then hard-linked
+        into place: ``os.link`` creates the lease whole or fails because
+        one exists, so no reader ever sees a lease half written.  The
+        temp name embeds the pid and a random tag, so no other claim
+        writes it, and does not end in ``.json``, so a stray one left by
+        a claimant that died before linking is never read as a lease.
+        """
+        tag = f"{os.getpid()}.{os.urandom(4).hex()}"
+        tmp = lease_path.with_name(f".{lease_path.stem}.{tag}.claim")
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle, sort_keys=True)
+            try:
+                os.link(tmp, lease_path)
+            except FileExistsError:
+                return False
+            return True
+        finally:
+            os.unlink(tmp)
 
     def heartbeat(self, lease: Lease) -> None:
         """Refresh ``lease``'s timestamp; raises :class:`LeaseLost` if the

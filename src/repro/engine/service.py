@@ -338,6 +338,7 @@ def _write_service_telemetry(
 _RECORD_CACHE_SERIES = {
     "cache_hits": "repro_route_cache_hits_total",
     "cache_misses": "repro_route_cache_misses_total",
+    "cache_walks": "repro_route_cache_walks_total",
     "cache_invalidations": "repro_route_cache_invalidations_total",
     "cache_repairs": "repro_route_cache_repairs_total",
     "cache_drops": "repro_route_cache_drops_total",

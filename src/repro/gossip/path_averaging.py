@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip
+from repro.gossip.base import AsynchronousGossip, DrawStream
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
@@ -134,6 +134,48 @@ class PathAveragingGossip(AsynchronousGossip):
         else:
             route = self.router.route_to_position(node, rng.random(2), counter)
         self._apply_route(route, values, counter)
+
+    def tick_block(
+        self,
+        owners: np.ndarray,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        rng: DrawStream,
+    ) -> None:
+        """Batched ticks: one draw per owner, one batched walk per block.
+
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        owner on the same :class:`~repro.gossip.base.DrawStream`: each
+        owner takes the next double ``u`` and targets ``int(u · (n −
+        1))``, shifted past itself.  The block's routes are walked at
+        once by :meth:`~repro.routing.cache.CachedGreedyRouter.walk`
+        with their paths, their forward hops are charged (and emitted)
+        as one sum, and each route is then averaged or aborted in tick
+        order, as :meth:`tick` does.  Position targets, a router other
+        than the plain memoized one and a :attr:`flash_channel` run the
+        per-tick loop.
+        """
+        if (
+            self.target_mode != "uniform"
+            or type(self.router) is not CachedGreedyRouter
+            or self.flash_channel is not None
+        ):
+            super().tick_block(owners, values, counter, rng)
+            return
+        targets = (rng.random(len(owners)) * (self.n - 1)).astype(np.int64)
+        targets += targets >= owners
+        walk = self.router.walk(owners, targets, paths=True)
+        hops = int(walk.hops.sum())
+        if hops:
+            counter.charge(hops, "route")
+            recorder = _events.active()
+            if recorder is not None:
+                recorder.emit({"e": "route", "hops": hops, "cat": "route"})
+        delivered = (walk.destinations == targets).tolist()
+        for path, reached in zip(walk.paths, delivered):
+            self._apply_route(
+                RouteResult(path=tuple(path), delivered=reached), values, counter
+            )
 
     def tick_budget(self, epsilon: float) -> int:
         """Order-optimality budget: O(n log(1/ε)) operations, 40x slack.

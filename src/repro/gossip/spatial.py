@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip
+from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.geographic import round_trip_block
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
@@ -115,6 +116,39 @@ class SpatialGossip(AsynchronousGossip):
             recorder.emit(
                 {"e": "pairs", "op": "avg", "pairs": [[node, target]]}
             )
+
+    def tick_block(
+        self,
+        owners: np.ndarray,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        rng: DrawStream,
+    ) -> None:
+        """Batched ticks: one draw per owner, one batched walk per block.
+
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        owner on the same :class:`~repro.gossip.base.DrawStream`: each
+        owner takes the next double and finds its target in its own CDF
+        by the same ``searchsorted`` rule; owners that drew themselves
+        skip their exchange, and the rest run through
+        :func:`~repro.gossip.geographic.round_trip_block`.  A router
+        other than the plain memoized one (a faulted cell's
+        ``LossyRouter``) runs the per-tick loop.
+        """
+        if type(self.router) is not CachedGreedyRouter:
+            super().tick_block(owners, values, counter, rng)
+            return
+        cdfs = self._cumulative
+        picks = rng.random(len(owners)).tolist()
+        targets = np.array(
+            [cdfs[node].searchsorted(u) for node, u in zip(owners.tolist(), picks)],
+            dtype=np.int64,
+        )
+        np.minimum(targets, self.n - 1, out=targets)
+        routed = targets != owners
+        self.failed_exchanges += round_trip_block(
+            self.router, owners[routed], targets[routed], values, counter
+        )
 
     def tick_budget(self, epsilon: float) -> int:
         # Between randomized (n²) and geographic (n); allow the worst.

@@ -663,12 +663,17 @@ def cache_collector(registry: "MetricsRegistry", cache) -> None:
         sink.counter(
             "repro_route_cache_hits_total",
             target.hits,
-            "Route-cache column hits.",
+            "Column routes served by an existing column.",
         )
         sink.counter(
             "repro_route_cache_misses_total",
             target.misses,
-            "Route-cache misses (column builds).",
+            "Column routes that built their column.",
+        )
+        sink.counter(
+            "repro_route_cache_walks_total",
+            target.walks,
+            "Routes served by batched walks (no column).",
         )
         sink.counter(
             "repro_route_cache_invalidations_total",

@@ -43,6 +43,7 @@ def cache_stats(algorithm) -> "dict[str, float] | None":
     return {
         "cache_hits": float(cache.hits),
         "cache_misses": float(cache.misses),
+        "cache_walks": float(cache.walks),
         "cache_invalidations": float(cache.invalidations),
         "cache_repairs": float(getattr(cache, "repairs", 0)),
         "cache_drops": float(getattr(cache, "drops", 0)),

@@ -1,4 +1,4 @@
-"""Memoized greedy routing: per-target next-hop columns over :class:`GreedyRouter`.
+"""Exact fast greedy routing: per-target next-hop columns and a batched walk.
 
 Greedy geographic forwarding is deterministic: the hop taken at node ``u``
 towards target node ``t`` depends only on ``(u, t)`` and the fixed graph.
@@ -24,20 +24,34 @@ path-averaging and hierarchical cells of a trial run in one process
 reuse each other's columns — the numbers are unaffected, because a
 column is the same whichever protocol built it.
 
-The cache is **exact**: the column applies the same elementwise IEEE
+A column pays off when many routes share few targets — the paper's
+protocol routes to a few hundred supernodes.  Uniform random targets,
+which the routed baselines draw, would build a column for nearly every
+node and walk only about a dozen entries of each.  For them
+:meth:`CachedGreedyRouter.walk` routes a whole batch at once and builds
+no column: every route moves one hop per step over per-node tables of
+neighbour ids and coordinates, padded to the maximum degree with a
+sentinel node at ``inf``, and takes ``argmin`` of the same squared
+distances.  Geographic gossip's block and stride-1 window hooks, and
+spatial gossip's and path averaging's block hooks, route through it;
+``tick``, the paper's protocol, rejection sampling and faulted cells
+use the columns.
+
+Both paths are **exact**: they apply the same elementwise IEEE
 arithmetic and the same first-minimum tie-breaking as the scalar
 :meth:`GreedyRouter._closest_neighbor` step, so
 :class:`CachedGreedyRouter` produces bit-identical
 :class:`~repro.routing.greedy.RouteResult` paths, delivery flags and
-transmission charges to the uncached router (tested).  It is every
-routed protocol's one router, at every check stride: ``tick`` serves
-every stride and routes node targets through it.  Position targets have
-no per-node column, so :meth:`CachedGreedyRouter.route_to_position`
-walks the plain :class:`GreedyRouter`.
+transmission charges to the uncached router, and :meth:`walk` the same
+hops, destinations and paths (tested).  It is every routed protocol's
+one router, at every check stride.  Position targets have no per-node
+column, so :meth:`CachedGreedyRouter.route_to_position` walks the plain
+:class:`GreedyRouter`.
 
 Memory is one ``n``-list of pointers to shared node ints per distinct
 target ever routed to — at most O(n²) pointers, and in practice bounded
-by the targets a run actually draws.
+by the targets a run actually draws — plus the walk's three
+``n × max degree`` tables once a walk has run.
 
 >>> import numpy as np
 >>> from repro.graphs.rgg import RandomGeometricGraph
@@ -53,11 +67,17 @@ True
 >>> _ = cached.route_to_node(7, 5)
 >>> (cached.misses, cached.hits)
 (1, 1)
+>>> walk = cached.walk([0, 7], [5, 9], paths=True)
+>>> walk.paths[0] == list(plain.route_to_node(0, 5).path)
+True
+>>> (cached.walks, len(cached))  # two routes walked, no column built
+(2, 1)
 """
 
 from __future__ import annotations
 
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +87,21 @@ from repro.observability import metrics as _metrics
 from repro.routing.cost import TransmissionCounter
 from repro.routing.greedy import GreedyRouter, RouteResult
 
-__all__ = ["CachedGreedyRouter"]
+__all__ = ["CachedGreedyRouter", "Walk"]
+
+
+class Walk(NamedTuple):
+    """Routes served by :meth:`CachedGreedyRouter.walk`, in input order.
+
+    ``hops[i]`` and ``destinations[i]`` are exactly ``route.hops`` and
+    ``route.destination`` of ``route_to_node(sources[i], targets[i])``;
+    ``paths[i]`` is its ``route.path`` as a list, or ``paths`` is
+    ``None`` when the walk was not asked for paths.
+    """
+
+    hops: np.ndarray
+    destinations: np.ndarray
+    paths: "list[list[int]] | None"
 
 
 class CachedGreedyRouter:
@@ -79,12 +113,29 @@ class CachedGreedyRouter:
         The graph to route over; the cache walks a :class:`GreedyRouter`
         built on it for position targets.
 
+    Two ways to route share one graph snapshot.  :meth:`route_to_node`
+    walks a per-target next-hop column, built on first use for the
+    whole graph; :meth:`walk` moves a whole batch of routes one hop per
+    step over per-node neighbour tables, and builds no column.  The
+    columns pay off when many routes share few targets (the paper's
+    protocol routes to a few hundred supernodes); uniform targets, as
+    the routed baselines draw them, would build a column per node and
+    walk about a dozen of its entries, so their block paths use
+    :meth:`walk`.  Both apply the same greedy rule and return the same
+    routes, bit for bit.
+
     Attributes
     ----------
     hits / misses:
-        Route-level cache statistics: a miss builds the target's next-hop
+        Column-route statistics: a miss builds the target's next-hop
         column, a hit routes through an existing column.
+    walks:
+        Routes served by :meth:`walk`, which touch no column.
     """
+
+    #: Routes one :meth:`walk` step advances at most: its work arrays
+    #: are this many rows by the maximum degree.
+    WALK_CHUNK = 4096
 
     #: Above this many row-repairs (changed rows × cached columns) an
     #: :meth:`invalidate` call drops the columns instead of patching
@@ -113,6 +164,7 @@ class CachedGreedyRouter:
         self._stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
+        self.walks = 0
         #: Number of :meth:`invalidate` calls served (observability for
         #: the dynamics layer, which invalidates per epoch transition).
         self.invalidations = 0
@@ -156,8 +208,9 @@ class CachedGreedyRouter:
         """Snapshot ``graph.neighbors`` into the flattened reduceat layout.
 
         Also (re)allocates :meth:`_build_column`'s padded distance
-        buffer, sized to the snapshot's edge count; :meth:`invalidate`
-        re-sizes it through here.
+        buffer, sized to the snapshot's edge count, and drops
+        :meth:`walk`'s neighbour tables; :meth:`invalidate` refreshes
+        both through here, so neither outlives the adjacency it mirrors.
         """
         flat, offsets, degrees = adjacency_csr(self.graph.neighbors)
         self._flat = flat
@@ -176,6 +229,9 @@ class CachedGreedyRouter:
         # ``inf`` never wins a minimum.
         self._neighbor_sq = np.empty(edges + 1, dtype=np.float64)
         self._neighbor_sq[edges] = np.inf
+        #: :meth:`walk`'s padded tables, built from this snapshot on
+        #: first use.
+        self._tables: "tuple[np.ndarray, ...] | None" = None
 
     def __len__(self) -> int:
         """Number of cached next-hop columns (distinct targets seen)."""
@@ -250,6 +306,122 @@ class CachedGreedyRouter:
             forward.destination, source, counter, category
         )
         return forward, backward
+
+    def walk(self, sources, targets, paths: bool = False) -> Walk:
+        """Route ``sources[i]`` → ``targets[i]`` for every ``i`` at once.
+
+        Equal, route by route, to :meth:`route_to_node`: the same hops,
+        destinations and (with ``paths=True``) paths; a route was
+        delivered iff its destination is its target.  It charges no
+        counter and emits no event, so the caller accounts for the
+        routes, and it builds no column: all routes of a chunk of at
+        most :data:`WALK_CHUNK` move one hop per step.  At each step a
+        route's neighbours' squared distances to its target are
+        ``(x_v - x_t)² + (y_v - y_t)²``, the elementwise IEEE operations
+        :meth:`_build_column` applies; ``argmin`` takes the first
+        minimal neighbour in adjacency order, and the route moves only
+        if that minimum is strictly below its own distance (which is the
+        minimum it moved on, so it is computed once).  Padding slots
+        hold a sentinel node at ``inf``, which never wins.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        count = len(sources)
+        self.walks += count
+        hops = np.zeros(count, dtype=np.int64)
+        destinations = sources.copy()
+        steps: "list[tuple[np.ndarray, np.ndarray]] | None" = (
+            [] if paths else None
+        )
+        size = self.WALK_CHUNK
+        for start in range(0, count, size):
+            stop = min(start + size, count)
+            self._walk_chunk(
+                sources, targets, start, stop, hops, destinations, steps
+            )
+        if steps is None:
+            return Walk(hops, destinations, None)
+        # Each route's visited nodes, in step order: a stable sort by
+        # route index keeps the order the steps appended them in.
+        if steps:
+            index = np.concatenate([step[0] for step in steps])
+            visited = np.concatenate([step[1] for step in steps])
+            visited = visited[np.argsort(index, kind="stable")].tolist()
+        else:
+            visited = []
+        routes = []
+        start = 0
+        for source, length in zip(sources.tolist(), hops.tolist()):
+            routes.append([source, *visited[start : start + length]])
+            start += length
+        return Walk(hops, destinations, routes)
+
+    def _walk_tables(self) -> "tuple[np.ndarray, ...]":
+        """Neighbour ids and coordinates per node, padded to the maximum
+        degree with a sentinel node ``n`` at ``(inf, inf)``, plus the
+        nodes' own coordinates."""
+        if self._tables is None:
+            n = self.graph.n
+            degrees = self._degrees
+            width = max(int(degrees.max()) if n else 0, 1)
+            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+            slots = np.arange(self._flat.size, dtype=np.int64)
+            slots -= np.repeat(self._offsets, degrees)
+            positions = self.router._positions
+            x = np.ascontiguousarray(positions[:, 0], dtype=np.float64)
+            y = np.ascontiguousarray(positions[:, 1], dtype=np.float64)
+            neighbors = np.full((n, width), n, dtype=np.int64)
+            neighbors[rows, slots] = self._flat
+            neighbor_x = np.full((n, width), np.inf)
+            neighbor_x[rows, slots] = x[self._flat]
+            neighbor_y = np.full((n, width), np.inf)
+            neighbor_y[rows, slots] = y[self._flat]
+            self._tables = (neighbors, neighbor_x, neighbor_y, x, y)
+        return self._tables
+
+    def _walk_chunk(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        start: int,
+        stop: int,
+        hops: np.ndarray,
+        destinations: np.ndarray,
+        steps: "list[tuple[np.ndarray, np.ndarray]] | None",
+    ) -> None:
+        """Walk routes ``start:stop`` to their ends, in place."""
+        neighbors, neighbor_x, neighbor_y, x, y = self._walk_tables()
+        index = np.arange(start, stop, dtype=np.int64)
+        current = sources[start:stop]
+        target_x = x[targets[start:stop]]
+        target_y = y[targets[start:stop]]
+        dx = x[current] - target_x
+        dy = y[current] - target_y
+        own = dx * dx + dy * dy
+        while index.size:
+            sq = neighbor_x[current] - target_x[:, None]
+            sq *= sq
+            sq_y = neighbor_y[current] - target_y[:, None]
+            sq_y *= sq_y
+            sq += sq_y
+            slot = sq.argmin(axis=1)
+            best = np.take_along_axis(sq, slot[:, None], axis=1)[:, 0]
+            moves = best < own
+            if not moves.all():
+                ended = ~moves
+                destinations[index[ended]] = current[ended]
+                index, current, slot, best = (
+                    index[moves],
+                    current[moves],
+                    slot[moves],
+                    best[moves],
+                )
+                target_x, target_y = target_x[moves], target_y[moves]
+            current = neighbors[current, slot]
+            own = best
+            hops[index] += 1
+            if steps is not None:
+                steps.append((index, current))
 
     def route_stats(self, target_node: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-source ``(hops, destination)`` vectors towards ``target_node``.

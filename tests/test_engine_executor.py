@@ -163,7 +163,7 @@ class TestSharedSubstrate:
             epsilon=0.3,
             trials=1,
             radius_constant=3.0,
-            algorithms=("geographic", "hierarchical"),
+            algorithms=("geographic", "spatial", "hierarchical"),
         )
         records = run_sweep_records(config)
         isolated_misses = {}
@@ -171,12 +171,18 @@ class TestSharedSubstrate:
             result, algorithm = _isolated_run(config, cell, 1)
             record = records[cell.key]
             assert dict(record.transmissions) == result.transmissions
-            assert record.telemetry["cache_hits"] > 0, cell
             isolated_misses[cell.algorithm] = algorithm.router.misses
-        # The serial sweep runs the geographic cell first; the
-        # hierarchical cell then routes over the columns it built, so it
+        # Geographic's stride-1 windows walk their routes and build no
+        # column; spatial routes tick by tick through columns.
+        geographic = records[SweepCell("geographic", 64, 0).key].telemetry
+        assert geographic["cache_walks"] > 0
+        assert geographic["cache_hits"] + geographic["cache_misses"] == 0
+        assert records[SweepCell("spatial", 64, 0).key].telemetry["cache_hits"] > 0
+        # The serial sweep runs the spatial cell before the hierarchical
+        # one, which then routes over the columns spatial built, so it
         # builds fewer of its own than on a private table.
         shared = records[SweepCell("hierarchical", 64, 0).key]
+        assert shared.telemetry["cache_hits"] > 0
         assert shared.telemetry["cache_misses"] < isolated_misses["hierarchical"]
 
     def test_faulted_records_are_order_invariant(self):
@@ -244,6 +250,7 @@ class TestSharedSubstrate:
                 telemetry["cache_hits"] + telemetry["cache_misses"]
                 == alone["cache_hits"] + alone["cache_misses"]
             )
+            assert telemetry["cache_walks"] == alone["cache_walks"]
             assert telemetry["cache_misses"] <= alone["cache_misses"]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gossip import GeographicGossip, RandomizedGossip
 from repro.graphs import RandomGeometricGraph
+from repro.graphs.generators import erdos_renyi_graph
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +77,70 @@ class TestGeographicGossip:
 
     def test_failed_exchange_counter_starts_zero(self, rgg):
         assert GeographicGossip(rgg).failed_exchanges == 0
+
+
+class TestBatchedWalkBlocks:
+    """The walk-batched block hooks on a graph where greedy routes void.
+
+    The golden suite checks every override against its base loop on a
+    dense graph that never voids; here the routed overrides must also
+    abort exactly the exchanges the per-tick loop aborts, and their
+    summed events must replay to the same run.
+    """
+
+    GRAPH = erdos_renyi_graph(64, np.random.default_rng(5))
+
+    @staticmethod
+    def _protocol(name):
+        from repro.gossip import PathAveragingGossip, SpatialGossip
+
+        graph = TestBatchedWalkBlocks.GRAPH
+        if name == "spatial":
+            return SpatialGossip(graph, rho=1.0)
+        if name == "path-averaging":
+            return PathAveragingGossip(graph)
+        return GeographicGossip(graph)
+
+    @staticmethod
+    def _run(name, check_stride, base_loop, fields=None):
+        from repro.engine import run_batched
+        from repro.gossip.base import AsynchronousGossip
+        from repro.observability import capture
+
+        algorithm = TestBatchedWalkBlocks._protocol(name)
+        if base_loop:
+            for hook in ("tick_block", "tick_window"):
+                base = getattr(AsynchronousGossip, hook).__get__(algorithm)
+                setattr(algorithm, hook, base)
+        values = np.random.default_rng(9).normal(size=(64, fields or 1))
+        values = values[:, 0] if fields is None else values
+        with capture() as recorder:
+            result = run_batched(
+                algorithm,
+                values,
+                0.01,
+                np.random.default_rng(11),
+                check_stride=check_stride,
+                max_ticks=3000,
+            )
+        return algorithm, result, recorder.events
+
+    @pytest.mark.parametrize("fields", [None, 2], ids=["scalar", "k2"])
+    @pytest.mark.parametrize("check_stride", [1, 4])
+    @pytest.mark.parametrize("name", ["geographic", "spatial", "path-averaging"])
+    def test_override_aborts_and_replays_like_the_base_loop(
+        self, name, check_stride, fields
+    ):
+        from repro.observability import replay_events, validate_result
+
+        algorithm, result, events = self._run(name, check_stride, False, fields)
+        base, expected, _ = self._run(name, check_stride, True, fields)
+        np.testing.assert_array_equal(result.values, expected.values)
+        assert result.transmissions == expected.transmissions
+        assert (result.ticks, result.error) == (expected.ticks, expected.error)
+        assert algorithm.failed_exchanges == base.failed_exchanges > 0
+        replay = replay_events(events)
+        validate_result(replay, result)
+        assert replay.aborted_routes == algorithm.failed_exchanges
+        walked = algorithm.router.walks > 0
+        assert walked == (name == "geographic" or check_stride > 1)

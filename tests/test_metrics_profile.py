@@ -645,7 +645,8 @@ class TestExecutorIntegration:
             telemetry['metric_repro_engine_ticks_total{algorithm="geographic"}']
             == instrumented.ticks
         )
-        assert "metric_repro_route_cache_misses_total" in str(telemetry)
+        # Geographic's strided blocks route through the batched walk.
+        assert "metric_repro_route_cache_walks_total" in str(telemetry)
         seconds = registry.snapshot()
         assert seconds['repro_cell_seconds_count{algorithm="geographic"}'] == 1.0
         assert "metric_" not in str(plain.telemetry)
@@ -686,7 +687,7 @@ class TestServeSweepMetrics:
             heartbeat_interval=0.1,
             poll_interval=0.05,
             # Stride 4 exercises the strided engine path, whose
-            # geographic cells bank route-cache hits in their records.
+            # geographic cells bank batched walks in their records.
             check_stride=4,
             metrics_port=0,
             on_metrics_url=urls.append,
@@ -698,7 +699,7 @@ class TestServeSweepMetrics:
         samples = assert_valid_exposition(scrapes[-1])
         assert "repro_queue_depth" in samples
         assert samples["repro_cells_completed_total"] >= 1
-        assert "repro_route_cache_hits_total" in samples
+        assert "repro_route_cache_walks_total" in samples
         assert any(
             series.startswith("repro_worker_cells_total{") for series in samples
         )
@@ -718,7 +719,7 @@ class TestServeSweepMetrics:
         # route-cache totals cover the geographic cells too.
         telemetry = json.loads((tmp_path / "queue" / "telemetry.json").read_text())
         assert telemetry["metrics"]["repro_cells_completed_total"] == len(grid)
-        assert telemetry["metrics"]["repro_route_cache_hits_total"] > 0
+        assert telemetry["metrics"]["repro_route_cache_walks_total"] > 0
 
     def test_cli_serve_sweep_prints_metrics_url(self, tmp_path, capsys):
         from repro.cli import main
@@ -791,7 +792,7 @@ class TestProfileCommand:
         for span in ("build", "run", "run.window", "run.check"):
             assert re.search(rf"^{re.escape(span)}\s", printed, re.M), span
         assert "repro_engine_ticks_total" in printed
-        assert "repro_route_cache_misses_total" in printed
+        assert "repro_route_cache_walks_total" in printed
 
     def test_profile_numbers_match_a_plain_run(self, capsys):
         """The command's banner promise: profiling changes no numbers."""

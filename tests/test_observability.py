@@ -247,14 +247,19 @@ def test_replay_rejects_interleaved_traces():
 
 @pytest.mark.parametrize("check_stride", [1, 4])
 def test_cache_stats_reaches_the_route_cache(check_stride):
-    # The memoized router is the protocol's one router: the per-tick and
-    # the batched paths both route through it.
+    # The memoized router is the protocol's one router: the per-tick
+    # path routes through its columns, the strided blocks through its
+    # batched walk, and the ledger tells them apart.
     algorithm, _, _ = run_traced(
         CASES["path-averaging"], check_stride=check_stride
     )
     stats = cache_stats(algorithm)
     assert stats is not None
-    assert stats["cache_hits"] + stats["cache_misses"] > 0
+    columns = stats["cache_hits"] + stats["cache_misses"]
+    if check_stride == 1:
+        assert columns > 0 and stats["cache_walks"] == 0
+    else:
+        assert stats["cache_walks"] > 0 and columns == 0
     # Through the DynamicGossip + LossyRouter wrappers too.
     faulted, _, _ = run_traced(
         CASES["path-averaging-faulted"], check_stride=check_stride

@@ -4,8 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.generators import grid2d_graph
+from repro.graphs.generators import TOPOLOGIES, grid2d_graph
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing import CachedGreedyRouter, GreedyRouter, TransmissionCounter
 
@@ -385,3 +387,89 @@ class TestRouteStatsVectors:
         assert hops_after is not hops_before
         np.testing.assert_array_equal(hops_after, hops_before)
         assert int(dest_after[3]) == 3
+
+
+def _walk_graph(family: str, n: int, seed: int) -> RandomGeometricGraph:
+    """A graph of one of the shipped topologies, or an RGG with isolated
+    nodes (``"isolated"``) or with coincident sensors (``"coincident"``)."""
+    rng = np.random.default_rng(seed)
+    if family == "isolated":
+        graph = RandomGeometricGraph.build(rng.random((n, 2)), 0.35)
+        TestColumnBuildAfterResize._isolate(
+            graph, sorted({0, n // 2, n - 1, int(rng.integers(n))})
+        )
+        return graph
+    if family == "coincident":
+        points = rng.random((n, 2))
+        copies = rng.integers(n, size=n // 3)
+        points[rng.integers(n, size=n // 3)] = points[copies]
+        return RandomGeometricGraph.build(points, 0.3)
+    return TOPOLOGIES[family](n, rng, 2.0)
+
+
+class TestBatchedWalk:
+    """``walk`` routes a batch at once, equal to ``route_to_node`` per route."""
+
+    @given(
+        family=st.sampled_from([*TOPOLOGIES, "isolated", "coincident"]),
+        n=st.integers(8, 70),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_equals_column_routes(self, family, n, seed, data):
+        graph = _walk_graph(family, n, seed)
+        count = data.draw(st.integers(1, 40), label="routes")
+        node = st.integers(0, graph.n - 1)
+        sources = data.draw(st.lists(node, min_size=count, max_size=count))
+        targets = data.draw(st.lists(node, min_size=count, max_size=count))
+        router = CachedGreedyRouter(graph)
+        router.WALK_CHUNK = data.draw(st.integers(1, count + 2), label="chunk")
+        walk = router.walk(sources, targets, paths=True)
+        bare = router.walk(sources, targets)
+        assert bare.paths is None
+        for i, (source, target) in enumerate(zip(sources, targets)):
+            route = router.route_to_node(source, target)
+            assert tuple(walk.paths[i]) == route.path
+            assert walk.hops[i] == bare.hops[i] == route.hops
+            assert (
+                walk.destinations[i] == bare.destinations[i] == route.destination
+            )
+            assert (walk.destinations[i] == target) == route.delivered
+
+    def test_lattice_ties_and_voids_across_chunk_sizes(self):
+        for graph in (grid2d_graph(64), _walk_graph("erdos-renyi", 60, 3)):
+            plain = GreedyRouter(graph)
+            pairs = [(s, t) for s in range(graph.n) for t in range(graph.n)]
+            sources, targets = map(list, zip(*pairs))
+            routes = [plain.route_to_node(s, t) for s, t in pairs]
+            router = CachedGreedyRouter(graph)
+            for chunk in (1, 5, 64, CachedGreedyRouter.WALK_CHUNK):
+                router.WALK_CHUNK = chunk
+                walk = router.walk(sources, targets, paths=True)
+                assert [tuple(p) for p in walk.paths] == [r.path for r in routes]
+
+    def test_walk_counts_routes_and_builds_no_column(self, graph):
+        router = CachedGreedyRouter(graph)
+        walk = router.walk([0, 1, 2], [5, 5, 9])
+        assert router.walks == 3
+        assert (router.hits, router.misses, len(router)) == (0, 0, 0)
+        assert walk.hops.dtype == np.int64
+        empty = router.walk([], [], paths=True)
+        assert empty.paths == [] and router.walks == 3
+
+    @pytest.mark.parametrize("rows", ["changed", "all"])
+    def test_invalidate_drops_the_walk_tables(self, rows):
+        graph = TestInvalidate()._mutable_graph()
+        router = CachedGreedyRouter(graph)
+        sources = list(range(graph.n))
+        before = router.walk(sources, [59] * graph.n, paths=True)
+        victim = before.paths[0][1]
+        assert any(victim in path[1:] for path in before.paths)
+        changed = TestInvalidate._crash(graph, victim)
+        router.invalidate(changed if rows == "changed" else None)
+        after = router.walk(sources, [59] * graph.n, paths=True)
+        fresh = CachedGreedyRouter(graph)
+        for source, path in zip(sources, after.paths):
+            assert victim not in path[1:], (source, path)
+            assert tuple(path) == fresh.route_to_node(source, 59).path

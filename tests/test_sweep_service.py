@@ -308,6 +308,45 @@ class TestLeaseQueueProperties:
         (entry,) = queue.reclamation_log()
         assert entry["stale_heartbeat"] is None
 
+    def test_claim_never_sees_a_lease_half_written(
+        self, queue, monkeypatch
+    ):
+        """A rival claiming while the creator is between creating its
+        lease and writing it must not take the lease for a torn write
+        and steal the cell: exactly one of them holds each cell."""
+        rival: list = []
+        write = json.dump
+
+        def paused_write(payload, handle, **kwargs):
+            if payload.get("owner") == "creator" and not rival:
+                rival.append(queue.claim("rival"))
+            write(payload, handle, **kwargs)
+
+        monkeypatch.setattr(json, "dump", paused_write)
+        creator = queue.claim("creator")
+        monkeypatch.undo()
+        (stolen,) = rival
+        assert creator is not None and stolen is not None
+        assert creator.cell != stolen.cell
+        assert queue.reclamation_log() == []
+        assert queue.lease_owners() == {"creator", "rival"}
+        queue.heartbeat(creator)
+        queue.heartbeat(stolen)
+
+    def test_stray_claim_temp_file_is_not_a_lease(self, queue):
+        """A claimant that died before linking its lease leaves only a
+        temp file, which neither blocks the cell nor names an owner."""
+        grid = expand_grid(CONFIG)
+        queue.lease_dir.mkdir(parents=True, exist_ok=True)
+        for cell in grid:
+            stray = queue.lease_dir / f".{cell_id(cell)}.dead.claim"
+            stray.write_text(json.dumps({"owner": "dead", "heartbeat": 0.0}))
+        assert queue.lease_owners() == set()
+        held = [queue.claim("w") for _ in grid]
+        assert {lease.id for lease in held} == {cell_id(c) for c in grid}
+        assert queue.lease_owners() == {"w"}
+        assert queue.reclamation_log() == []
+
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzzed_schedules_lose_and_duplicate_nothing(
         self, tmp_path, seed
