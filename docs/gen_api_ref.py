@@ -40,7 +40,6 @@ PACKAGES = [
     "repro.metrics",
     "repro.workloads",
     "repro.observability",
-    "repro.clocks",
     "repro.geometry",
     "repro.viz",
 ]

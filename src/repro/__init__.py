@@ -23,7 +23,6 @@ See docs/architecture.md for the system inventory; the benchmarks
 (E1–E17, ``benchmarks/``) print the paper-vs-measured tables.
 """
 
-from repro.clocks import GlobalClock, PoissonClock
 from repro.gossip import (
     AffineGossipKn,
     GeographicGossip,
@@ -48,13 +47,11 @@ __all__ = [
     "AffineGossipKn",
     "CoefficientMode",
     "GeographicGossip",
-    "GlobalClock",
     "GossipRunResult",
     "GreedyRouter",
     "HierarchicalGossip",
     "HierarchyTree",
     "PerturbedAffineGossipKn",
-    "PoissonClock",
     "ProtocolParameters",
     "RandomGeometricGraph",
     "RandomizedGossip",

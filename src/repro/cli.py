@@ -718,10 +718,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     graph, values, spec, algorithm = _build_run_instance(args)
     if not cell_traceable(algorithm, values):
         _usage_error(
-            f"'{args.algorithm}' does not emit a coherent trace at these "
-            "flags (round-based protocols and per-column multi-field "
-            "fallbacks run nested runs, which suspend the recorder) — "
-            "pick a tick-driven protocol, or drop --fields"
+            f"'{args.algorithm}' does not emit a trace (round-based "
+            "protocols emit no events and suspend the recorder) — pick "
+            "a tick-driven protocol"
         )
     with events.capture() as recorder:
         result = run_batched(

@@ -529,6 +529,10 @@ class DynamicGossip(AsynchronousGossip):
     hierarchical executor) have no tick loop to interleave with epoch
     boundaries and are rejected.
 
+    Epoch masking and loss channels never read the values, so an
+    ``(n, k)`` field matrix runs natively through the wrapper exactly as
+    through the protocol it wraps: every column sees one fault timeline.
+
     Attributes
     ----------
     wasted_ticks:
@@ -563,15 +567,6 @@ class DynamicGossip(AsynchronousGossip):
         self.requires_centered_field = getattr(
             inner, "requires_centered_field", False
         )
-        # Epoch masking and loss channels never read the values, so the
-        # wrapper is exactly as multi-field-capable as the protocol it
-        # wraps (the engine's per-column fallback cannot rerun a wrapper
-        # whose epoch clock already advanced, so inner protocols without
-        # multi-field support stay scalar-only under dynamics).
-        self.supports_multifield = getattr(inner, "supports_multifield", False)
-        #: The epoch clock and loss streams advance across runs, so a
-        #: rerun would replay columns on a spent fault timeline.
-        self.multifield_fallback_safe = False
         self.wasted_ticks = 0
         self._tick = 0
         channel = substrate.channel

@@ -3,10 +3,10 @@
 Every tick-driven run goes through one loop,
 :func:`repro.gossip.base.drive_ticks`, which executes ticks in windows
 of ``check_stride * max(1, n // 4)`` and re-measures the oracular error
-at the end of each window.  :func:`run_batched` validates a run, picks
-its fallbacks (per-column multi-field state, round-based protocols) and
-hands the rest to that loop.  The stride decides where the randomness
-comes from:
+at the end of each window.  :func:`run_batched` validates a run, passes
+round-based protocols to their own executor (one column at a time for
+multi-field state) and hands every tick-driven run to that loop.  The
+stride decides where the randomness comes from:
 
 * ``check_stride=1`` — one interleaved stream: each tick draws its owner
   and then its protocol randomness from the caller's generator, the
@@ -60,23 +60,17 @@ __all__ = [
 ]
 
 class MultiFieldFallbackWarning(UserWarning):
-    """An ``(n, k)`` run hit the per-column scalar fallback.
+    """A round-based protocol ran an ``(n, k)`` matrix one column at a time.
 
-    The protocol does not declare
-    :attr:`~repro.gossip.base.AsynchronousGossip.supports_multifield`,
-    so the engine cannot hand it a field matrix: an unaudited ``tick``
-    may hold scalar assumptions (flattening reductions, row-view
-    aliasing) that broadcast silently instead of failing.  The run is
-    still correct — the engine executes ``k`` independent scalar passes,
-    column 0 on the caller's RNG (bit-identical to a plain scalar run)
-    and each secondary column on its own spawned child stream — but all
-    routing/sampling amortization is lost: the work is exactly the
-    ``k`` serial runs the multi-field engine exists to replace.
-
-    The warning message points at ``docs/workloads.md`` (the audit
-    checklist a ``tick`` must pass before declaring support) and at
-    :func:`repro.experiments.config.multifield_support`, which reports
-    every registered protocol's capability without running anything.
+    A round-based protocol (the hierarchical executor) adapts its rounds
+    to the one field it measures, so the engine cannot hand it a field
+    matrix.  The run is still correct: the engine executes ``k``
+    independent scalar passes, column 0 on the caller's RNG
+    (bit-identical to a plain scalar run) and each secondary column on
+    its own spawned child stream.  But no routing or sampling is shared:
+    the work is exactly the ``k`` serial runs that a tick-driven
+    protocol's single ``(n, k)`` pass replaces.  Tick-driven protocols
+    never raise it.
     """
 
 
@@ -160,26 +154,25 @@ def batching_capability(algorithm: AsynchronousGossip | type) -> str:
     return "block" if issubclass(cls, AsynchronousGossip) else "rounds"
 
 
-def multifield_capability(algorithm) -> str:
+def multifield_capability(algorithm: AsynchronousGossip | type) -> str:
     """How ``algorithm`` executes an ``(n, k)`` field matrix.
 
-    Returns ``"native"`` when the protocol declares
-    :attr:`~repro.gossip.base.AsynchronousGossip.supports_multifield`
-    (one pass mixes all ``k`` columns on shared routing/sampling), or
-    ``"per-column"`` when the engine would fall back to ``k`` serial
-    scalar passes with a :class:`MultiFieldFallbackWarning`.
+    Returns ``"native"`` for a tick-driven protocol (one pass mixes all
+    ``k`` columns on shared routing/sampling), or ``"per-column"`` for a
+    round-based one, which the engine runs as ``k`` serial scalar passes
+    with a :class:`MultiFieldFallbackWarning`.  Stores record this map in
+    ``config.json``, next to :func:`batching_capability`'s.
 
     >>> from repro.gossip.randomized import RandomizedGossip
     >>> multifield_capability(RandomizedGossip)
     'native'
+    >>> from repro.gossip.hierarchical.rounds import HierarchicalGossip
+    >>> multifield_capability(HierarchicalGossip)
+    'per-column'
     """
-    # getattr on the instance, not its type: DynamicGossip propagates the
-    # wrapped protocol's capability as an instance attribute.
-    return (
-        "native"
-        if getattr(algorithm, "supports_multifield", False)
-        else "per-column"
-    )
+    if batching_capability(algorithm) == "block":
+        return "native"
+    return "per-column"
 
 
 def run_batched(
@@ -208,9 +201,8 @@ def run_batched(
         ``k`` stacked fields.  Multi-field state shares every owner
         draw, target pick, and route across all columns; the stopping
         rule tracks the primary field (column 0), which stays
-        bit-identical to the scalar run on the same seed.  Protocols
-        without :attr:`~repro.gossip.base.AsynchronousGossip.supports_multifield`
-        fall back to per-column scalar passes with a
+        bit-identical to the scalar run on the same seed.  Round-based
+        protocols run it as per-column scalar passes with a
         :class:`MultiFieldFallbackWarning`.
     epsilon:
         Target normalized error (the paper's ε).
@@ -247,69 +239,6 @@ def run_batched(
             "multi-field state needs at least one field column: got shape "
             f"{initial_values.shape}"
         )
-    if (
-        initial_values.ndim == 2
-        and multifield_capability(algorithm) != "native"
-    ):
-        if not getattr(algorithm, "multifield_fallback_safe", True):
-            # A protocol carrying state across runs (a DynamicGossip
-            # wrapper: its epoch clock and loss streams advance) cannot
-            # be rerun per column — columns 1..k-1 would replay on a
-            # spent fault timeline with no error raised.
-            raise TypeError(
-                f"{getattr(algorithm, 'name', type(algorithm).__name__)!r} "
-                "declares multifield_fallback_safe=False (its state "
-                "advances across runs), so the per-column multi-field "
-                "fallback cannot rerun it for each field column; wrap a "
-                "protocol that declares supports_multifield (every "
-                "tick-driven registered protocol does) or pass scalar "
-                "(n,) state"
-            )
-        name = getattr(algorithm, "name", type(algorithm).__name__)
-        columns = initial_values.shape[1]
-        reason = getattr(algorithm, "multifield_fallback_reason", None)
-        if reason is not None:
-            # Declared per-column by design (e.g. hierarchical): advising
-            # the user to flip supports_multifield would be harmful.
-            message = (
-                f"{name!r} runs multi-field state per column by design "
-                f"({reason}): its {columns} field columns execute as "
-                "independent scalar passes — correct results at the "
-                "serial cost, with no cross-field amortization (see "
-                "docs/workloads.md)"
-            )
-        else:
-            message = (
-                f"{name!r} does not declare supports_multifield: the "
-                f"engine is running its {columns} field columns as "
-                "independent scalar passes (column 0 on the caller's "
-                "RNG, secondaries on spawned child streams), so routing "
-                "and owner sampling are not amortized across fields — "
-                "audit tick against the multi-field checklist "
-                "in docs/workloads.md and declare supports_multifield = "
-                "True for the single-pass fast path; "
-                "repro.experiments.config.multifield_support reports "
-                "every registered protocol's capability"
-            )
-        warnings.warn(message, MultiFieldFallbackWarning, stacklevel=stacklevel)
-        # The fallback executes k whole runs inside this one; tracing
-        # them would interleave k start/end streams into one file, so
-        # the recorder is suspended (docs/observability.md lists the
-        # traceable configurations).
-        with _events.suspend():
-            return _run_per_column(
-                algorithm,
-                initial_values,
-                epsilon,
-                rng,
-                check_stride=check_stride,
-                max_ticks=max_ticks,
-                block_size=block_size,
-                trace_thinning=trace_thinning,
-                # Inner runs sit two frames deeper (this frame plus
-                # _run_per_column's) from the user's call site.
-                stacklevel=stacklevel + 2,
-            )
     if epsilon > 0:
         _warn_if_uncentered(
             algorithm, initial_values, epsilon, stacklevel=stacklevel + 1
@@ -317,11 +246,28 @@ def run_batched(
     if not isinstance(algorithm, AsynchronousGossip):
         # Round-based protocols (e.g. the hierarchical executor) have no
         # global tick loop to batch or stride; they run their native
-        # recursion unchanged at every stride.  They also predate the
-        # tick-shaped event vocabulary, so tracing stays suspended.
+        # recursion unchanged at every stride, one column at a time on
+        # (n, k) state.  They predate the tick-shaped event vocabulary,
+        # and a per-column run would interleave k start/end streams into
+        # one file, so tracing stays suspended.
         with _events.suspend():
-            return algorithm.run(
-                initial_values, epsilon, rng, trace_thinning=trace_thinning
+            if initial_values.ndim != 2:
+                return algorithm.run(
+                    initial_values, epsilon, rng, trace_thinning=trace_thinning
+                )
+            name = getattr(algorithm, "name", type(algorithm).__name__)
+            warnings.warn(
+                f"{name!r} is round-based, so it runs multi-field state per "
+                "column by design (an adaptive round structure is an "
+                f"oracle over one field): its {initial_values.shape[1]} "
+                "field columns execute as independent scalar passes — "
+                "correct results at the serial cost, with no cross-field "
+                "amortization (see docs/workloads.md)",
+                MultiFieldFallbackWarning,
+                stacklevel=stacklevel,
+            )
+            return _run_per_column(
+                algorithm, initial_values, epsilon, rng, trace_thinning
             )
     n = algorithm.n
     initial_values = check_state_shape(initial_values, n)
@@ -345,9 +291,9 @@ def _run_per_column(
     initial_values: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
-    **kwargs,
+    trace_thinning: float,
 ) -> GossipRunResult:
-    """The multi-field fallback: ``k`` independent scalar passes.
+    """A round-based protocol's multi-field run: ``k`` scalar passes.
 
     Column 0 consumes the caller's generator exactly as a plain scalar
     run would (``Generator.spawn`` derives children from the seed
@@ -356,42 +302,26 @@ def _run_per_column(
     child, so its routing realization is independent — the semantics of
     the serial-sweep baseline the native multi-field path amortizes
     away.  Reuses the protocol instance across columns, which requires
-    the protocol to be rerunnable from fresh initial values (every
-    tick-driven protocol in this library is).  Protocols declaring
-    ``multifield_fallback_safe = False`` — a
-    :class:`~repro.dynamics.overlay.DynamicGossip` wrapping an inner
-    protocol without multi-field support — are rejected with a
-    :class:`TypeError` before this path, because rerunning them would
-    replay columns 1..k-1 on a spent fault timeline.
+    the round-based protocol to be rerunnable from fresh initial values
+    (the hierarchical executor is).
 
     Ticks and transmissions accumulate across columns (the true serial
     cost); the trace and the scalar ``error`` are column 0's, and the
     per-column final errors land in ``column_errors``.
     """
-    fields = initial_values.shape[1]
-    runs = [
-        run_batched(
-            algorithm,
-            np.ascontiguousarray(initial_values[:, 0]),
-            epsilon,
-            rng,
-            **kwargs,
-        )
+    columns = [
+        np.ascontiguousarray(initial_values[:, index])
+        for index in range(initial_values.shape[1])
     ]
-    # Children are spawned only *after* column 0's run: a strided run
-    # spawns its own (owner, protocol) children from ``rng``, and those
-    # must get the same spawn indices a plain scalar run would hand them
-    # for column 0 to stay bit-identical at every stride.
-    children = rng.spawn(fields - 1) if fields > 1 else []
-    for column_index, child in enumerate(children, start=1):
+    runs = [
+        algorithm.run(columns[0], epsilon, rng, trace_thinning=trace_thinning)
+    ]
+    # Children are spawned only *after* column 0's run, so column 0 sees
+    # the caller's generator, spawn counter included, exactly as a plain
+    # scalar run does.
+    for column, child in zip(columns[1:], rng.spawn(len(columns) - 1)):
         runs.append(
-            run_batched(
-                algorithm,
-                np.ascontiguousarray(initial_values[:, column_index]),
-                epsilon,
-                child,
-                **kwargs,
-            )
+            algorithm.run(column, epsilon, child, trace_thinning=trace_thinning)
         )
     counter = TransmissionCounter()
     for run in runs:

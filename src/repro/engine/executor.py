@@ -351,17 +351,15 @@ def build_cell_algorithm(
 def cell_traceable(algorithm, values) -> bool:
     """Whether a run of ``algorithm`` on ``values`` emits a coherent trace.
 
-    Tick-driven protocols emit the full event vocabulary.  The two
-    configurations whose runs execute *nested* runs — round-based
-    protocols and the per-column multi-field fallback — suspend the
-    recorder instead (see :func:`repro.engine.batching.run_batched`), so
-    a capture around them yields an empty trace; this predicate is how
-    callers distinguish "traced" from "trace suppressed".
+    Tick-driven protocols emit the full event vocabulary on scalar and
+    ``(n, k)`` state alike.  Round-based protocols emit no events (and on
+    matrix state run one nested run per column), so
+    :func:`repro.engine.batching.run_batched` suspends the recorder
+    around them and a capture yields an empty trace; this predicate is
+    how callers distinguish "traced" from "trace suppressed".  The
+    protocol alone decides, whatever ``values`` holds.
     """
-    if not isinstance(algorithm, AsynchronousGossip):
-        return False
-    values_ndim = getattr(values, "ndim", 1)
-    return values_ndim == 1 or multifield_capability(algorithm) == "native"
+    return isinstance(algorithm, AsynchronousGossip)
 
 
 def cell_trace_path(trace_dir: "str | Path", cell: SweepCell) -> Path:
@@ -384,10 +382,10 @@ def execute_cell(
     :class:`~repro.observability.events.TraceRecorder` and its event
     stream is written to :func:`cell_trace_path` — annotated with the
     cell key so ``repro replay`` can match the trace to this record.
-    Untraceable cells (round-based protocols, per-column fallback runs)
-    run normally and write no file.  The capture happens here, inside
-    the (possibly worker-pool) process that runs the cell, so tracing
-    works identically under serial and parallel sweeps.
+    Untraceable cells (round-based protocols) run normally and write no
+    file.  The capture happens here, inside the (possibly worker-pool)
+    process that runs the cell, so tracing works identically under
+    serial and parallel sweeps.
 
     ``stacklevel`` threads through to :func:`run_batched`'s fallback
     warnings so they attribute to this function's caller (``2``, the
@@ -440,8 +438,7 @@ def execute_cell(
         ).observe(wall_clock, algorithm=cell.algorithm)
         cell_metrics = metric_deltas(registry.counter_totals(), counters_before)
     multifield_fallback = (
-        getattr(values, "ndim", 1) == 2
-        and multifield_capability(algorithm) != "native"
+        values.ndim == 2 and multifield_capability(algorithm) == "per-column"
     )
     telemetry = collect_telemetry(
         algorithm,

@@ -88,11 +88,21 @@ ALGORITHMS: dict[str, Callable[[RandomGeometricGraph], object]] = {
     name: factory for name, (_, factory) in _REGISTRY.items()
 }
 
-#: name → implementing class; what :func:`protocol_batching` inspects to
-#: classify each registered protocol without building a graph instance.
+#: name → implementing class, to classify each registered protocol
+#: without building a graph instance.
 ALGORITHM_CLASSES: dict[str, type] = {
     name: cls for name, (cls, _) in _REGISTRY.items()
 }
+
+
+def _registry_row(name: str) -> tuple[type, Callable]:
+    """``name``'s (class, factory) registry row; unknown names raise."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {name!r}; registered: {sorted(_REGISTRY)}"
+        ) from None
 
 
 def protocol_batching(algorithms: tuple[str, ...] | list[str]) -> dict[str, str]:
@@ -107,17 +117,9 @@ def protocol_batching(algorithms: tuple[str, ...] | list[str]) -> dict[str, str]
     """
     from repro.engine.batching import batching_capability
 
-    capabilities = {}
-    for name in algorithms:
-        try:
-            cls = ALGORITHM_CLASSES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm {name!r}; registered: "
-                f"{sorted(ALGORITHM_CLASSES)}"
-            ) from None
-        capabilities[name] = batching_capability(cls)
-    return capabilities
+    return {
+        name: batching_capability(_registry_row(name)[0]) for name in algorithms
+    }
 
 
 def multifield_support(
@@ -127,28 +129,19 @@ def multifield_support(
 
     Maps each name to ``"native"`` (one pass mixes all ``k`` columns of
     an ``(n, k)`` field matrix on shared routing/sampling) or
-    ``"per-column"`` (the engine would fall back to ``k`` serial scalar
-    passes with a
+    ``"per-column"`` (the engine runs ``k`` serial scalar passes with a
     :class:`~repro.engine.batching.MultiFieldFallbackWarning`) — see
     :func:`repro.engine.batching.multifield_capability`.  Every
     tick-driven protocol in the registry is ``"native"``;
-    ``hierarchical`` is ``"per-column"`` by design — its adaptive round
-    structure is an oracle over one field, so each column runs its own
-    adaptive execution.
+    ``hierarchical``, the one round-based protocol, is ``"per-column"``
+    by design — its adaptive round structure is an oracle over one
+    field, so each column runs its own adaptive execution.
     """
     from repro.engine.batching import multifield_capability
 
-    capabilities = {}
-    for name in algorithms:
-        try:
-            cls = ALGORITHM_CLASSES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm {name!r}; registered: "
-                f"{sorted(ALGORITHM_CLASSES)}"
-            ) from None
-        capabilities[name] = multifield_capability(cls)
-    return capabilities
+    return {
+        name: multifield_capability(_registry_row(name)[0]) for name in algorithms
+    }
 
 
 def fault_incompatible(algorithms: tuple[str, ...] | list[str]) -> list[str]:
@@ -164,13 +157,7 @@ def fault_incompatible(algorithms: tuple[str, ...] | list[str]) -> list[str]:
 
     out = []
     for name in algorithms:
-        try:
-            cls = ALGORITHM_CLASSES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm {name!r}; registered: "
-                f"{sorted(ALGORITHM_CLASSES)}"
-            ) from None
+        cls = _registry_row(name)[0]
         if batching_capability(cls) == "rounds" or not getattr(
             cls, "supports_dynamics", True
         ):
@@ -203,19 +190,13 @@ def topology_incompatible(
     return sorted(
         name
         for name in algorithms
-        if batching_capability(ALGORITHM_CLASSES[name]) == "rounds"
+        if batching_capability(_registry_row(name)[0]) == "rounds"
     )
 
 
 def make_algorithm(name: str, graph: RandomGeometricGraph):
     """Instantiate a registered algorithm on ``graph``."""
-    try:
-        factory = ALGORITHMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {name!r}; registered: {sorted(ALGORITHMS)}"
-        ) from None
-    return factory(graph)
+    return _registry_row(name)[1](graph)
 
 
 @dataclass(frozen=True)

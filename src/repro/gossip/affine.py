@@ -79,16 +79,15 @@ class AffineGossipKn(AsynchronousGossip):
         the update non-contracting — permitted here deliberately, because
         experiment E10 uses this class to demonstrate the instability the
         paper's occupancy concentration guards against.
+
+    Cross-weighted pair updates are row arithmetic with both sides
+    computed before either row is written (no view aliasing), so an
+    (n, k) field matrix updates column by column exactly like k scalar
+    runs sharing one pair sequence.  Every column must be mean-zero (see
+    ``requires_centered_field``).
     """
 
     name = "affine-kn"
-
-    #: Cross-weighted pair updates are row arithmetic with both sides
-    #: computed before either row is written (no view aliasing), so an
-    #: (n, k) field matrix updates column by column exactly like k
-    #: scalar runs sharing one pair sequence.  Every column must be
-    #: mean-zero (see ``requires_centered_field``).
-    supports_multifield = True
 
     #: Lemma 1's contraction is a statement about the mean-zero subspace
     #: (the paper's WLOG ``x̄(0) = 0``): the cross-weighted update does

@@ -412,6 +412,15 @@ class GossipRunResult:
 class AsynchronousGossip(ABC):
     """Base class: one protocol action per Poisson clock tick.
 
+    Every subclass runs an ``(n, k)`` field matrix natively: ``values``
+    is ``(n,)`` or ``(n, k)``, and a ``tick`` must treat ``values[i]`` as
+    a scalar or a length-``k`` row, never flatten a reduction across
+    columns, and compute both sides of an exchange before writing either
+    row.  Routing and sampling must not read the values, so every column
+    rides the scalar run's draws and routes (``docs/workloads.md`` has
+    the whole contract).  Round-based protocols, which are not subclasses,
+    run a matrix one column at a time instead.
+
     Parameters
     ----------
     n:
@@ -419,24 +428,6 @@ class AsynchronousGossip(ABC):
     """
 
     name = "abstract-gossip"
-
-    #: Whether ``tick`` handles an ``(n, k)`` field matrix
-    #: natively (row operations, no scalar assumptions, no view aliasing).
-    #: Conservative default for third-party subclasses: the engine falls
-    #: back to per-column scalar passes (with a
-    #: :class:`repro.engine.batching.MultiFieldFallbackWarning`) instead
-    #: of risking silent broadcasting bugs.  Every protocol in this
-    #: library declares ``True``; see ``docs/workloads.md`` for the audit
-    #: checklist a ``tick`` implementation must pass.
-    supports_multifield = False
-
-    #: Whether one instance may be rerun from fresh initial values —
-    #: what the engine's per-column multi-field fallback does ``k``
-    #: times.  Protocols that carry state *across* runs (an epoch
-    #: clock, a partially consumed loss stream — e.g. the dynamics
-    #: wrapper) must set ``False`` so the fallback rejects them instead
-    #: of silently replaying columns on spent state.
-    multifield_fallback_safe = True
 
     def __init__(self, n: int):
         if n < 2:
@@ -537,20 +528,6 @@ class AsynchronousGossip(ABC):
             ``max(1, n // 4)`` so checking adds O(1) amortised work per tick.
         """
         initial_values = check_state_shape(initial_values, self.n)
-        if initial_values.ndim == 2 and not self.supports_multifield:
-            # Before multi-field state existed this raised a shape error;
-            # admitting a matrix into an unaudited tick would let scalar
-            # assumptions (flattening reductions, row-view aliasing)
-            # corrupt columns silently.  The engine's run_batched offers
-            # the audited per-column fallback; this legacy entry refuses.
-            raise TypeError(
-                f"{self.name!r} does not declare supports_multifield, so "
-                f"run() only accepts scalar ({self.n},) state — audit "
-                "tick against the checklist in "
-                "docs/workloads.md and declare supports_multifield = "
-                "True, or use repro.engine.run_batched, whose per-column "
-                "fallback runs unaudited protocols one field at a time"
-            )
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         period = max(1, self.n // 4) if check_every is None else max(1, check_every)

@@ -112,14 +112,14 @@ class GeographicGossip(AsynchronousGossip):
         docstring).
     reference_quantile:
         Rejection-sampler tuning (only used in ``"rejection"`` mode).
+
+    Endpoint averaging is pure row arithmetic (see
+    :class:`~repro.gossip.randomized.RandomizedGossip`); routing and
+    target selection never read the values, so an (n, k) field matrix
+    rides the identical routes the scalar run takes.
     """
 
     name = "geographic"
-    #: Endpoint averaging is pure row arithmetic (see
-    #: :class:`~repro.gossip.randomized.RandomizedGossip`); routing and
-    #: target selection never read the values, so an (n, k) field matrix
-    #: rides the identical routes the scalar run takes.
-    supports_multifield = True
 
     def __init__(
         self,

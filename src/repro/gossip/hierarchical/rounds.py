@@ -142,29 +142,19 @@ class HierarchicalGossip:
         ε).
     config:
         Executor behaviour (:class:`RoundConfig`).
+
+    The adaptive round structure (settle checks, exchange counts, `Far`
+    retries) is an oracle over ONE field, and the affine `Far`
+    coefficient can exceed 1, an extrapolation the adaptive loop reins
+    in for the field it measures.  Secondary columns of an (n, k) matrix
+    would receive those β > 1 exchanges without their own settle checks
+    and can *diverge* while the primary converges.  So ``run`` rejects
+    matrix state, and the engine, like for every round-based protocol,
+    runs each column through its own adaptive execution (`run_batched`
+    and `MultiFieldFallbackWarning`), correct at the serial cost.
     """
 
     name = "hierarchical-affine"
-
-    #: The adaptive round structure (settle checks, exchange counts,
-    #: `Far` retries) is an oracle over ONE field, and the affine `Far`
-    #: coefficient can exceed 1 — an extrapolation the adaptive loop
-    #: reins in for the field it measures.  Secondary columns of an
-    #: (n, k) matrix would receive those β > 1 exchanges without their
-    #: own settle checks and can *diverge* while the primary converges.
-    #: The protocol therefore declares no multi-field support: the
-    #: engine's per-column fallback runs each field through its own
-    #: adaptive execution instead (`run_batched` +
-    #: `MultiFieldFallbackWarning`), which is correct at the serial
-    #: cost; this class's own ``run`` rejects matrix state outright.
-    supports_multifield = False
-
-    #: Tells the engine's fallback warning this is a design decision,
-    #: not a missing audit — the warning must not advise flipping
-    #: ``supports_multifield`` (doing so would let secondaries diverge).
-    multifield_fallback_reason = (
-        "its adaptive round structure is an oracle over one field"
-    )
 
     def __init__(
         self,

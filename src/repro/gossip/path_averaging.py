@@ -92,14 +92,14 @@ class PathAveragingGossip(AsynchronousGossip):
         walk — together the whole ``2 · hops`` transaction is subject to
         loss, and a loss anywhere aborts it with no update (the hops
         already attempted are charged under ``"route_lost"``).
+
+    The route average handles (n, k) field matrices column by column
+    (see :meth:`_average_route` for the reduction-order subtlety that
+    keeps column 0 bit-identical to a scalar run).
     """
 
     name = "path-averaging"
     flash_channel = None
-    #: The route average handles (n, k) field matrices column by column
-    #: (see :meth:`_average_route` for the reduction-order subtlety that
-    #: keeps column 0 bit-identical to a scalar run).
-    supports_multifield = True
 
     def __init__(
         self,

@@ -49,14 +49,14 @@ class RandomizedGossip(AsynchronousGossip):
         exchange with no update, charging the transmissions attempted
         under ``"near_lost"``.  ``None`` (the default) is lossless.  Set
         by :class:`~repro.dynamics.overlay.DynamicGossip`.
+
+    Pairwise averaging is pure row arithmetic: ``values[i]`` reads a
+    scalar or a length-k row, and the convex average broadcasts over the
+    row, so every column of an (n, k) field matrix mixes identically.
     """
 
     name = "randomized"
     loss_channel = None
-    #: Pairwise averaging is pure row arithmetic: ``values[i]`` reads a
-    #: scalar or a length-k row, and the convex average broadcasts over
-    #: the row — every column of an (n, k) field matrix mixes identically.
-    supports_multifield = True
 
     def __init__(self, neighbors: list[np.ndarray]):
         super().__init__(len(neighbors))

@@ -46,12 +46,12 @@ class SpatialGossip(AsynchronousGossip):
     rho:
         Distance-bias exponent; 0 recovers uniform targets, large values
         approach nearest-neighbour gossip.
+
+    Endpoint averaging is pure row arithmetic; target CDFs depend only on
+    positions, so (n, k) field matrices mix on the scalar run's routes.
     """
 
     name = "spatial"
-    #: Endpoint averaging is pure row arithmetic; target CDFs depend only
-    #: on positions, so (n, k) field matrices mix on the scalar run's routes.
-    supports_multifield = True
 
     def __init__(self, graph: RandomGeometricGraph, rho: float = 2.0):
         super().__init__(graph.n)

@@ -23,9 +23,9 @@ keep the stream trustworthy:
   which is what lets replay re-derive errors *bitwise*.
 
 One run is one well-formed trace: a ``start`` event, a body of updates
-and checks, one ``end`` event.  Runs that execute *inside* another run
-(the engine's per-column multi-field fallback, rounds-based delegation)
-are wrapped in :func:`suspend` so a trace never interleaves two runs.
+and checks, one ``end`` event.  Round-based protocols, whose
+multi-field runs execute one nested run per column, run wrapped in
+:func:`suspend` so a trace never interleaves two runs.
 
 The event vocabulary is documented in ``docs/observability.md``; the
 replay semantics live in :mod:`repro.observability.replay`.
@@ -139,11 +139,11 @@ def capture():
 def suspend():
     """Temporarily deactivate tracing for a nested run.
 
-    The engine's per-column multi-field fallback and its rounds-based
-    delegation execute whole runs *inside* the traced run; suspending
-    keeps the outer trace well-formed (one ``start``, one ``end``)
-    instead of interleaving events from runs the replay engine cannot
-    attribute.
+    The engine's rounds-based delegation (one run per column on
+    multi-field state) executes whole runs *inside* the traced run;
+    suspending keeps the outer trace well-formed (one ``start``, one
+    ``end``) instead of interleaving events from runs the replay engine
+    cannot attribute.
     """
     global _ACTIVE
     saved = _ACTIVE

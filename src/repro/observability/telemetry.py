@@ -64,9 +64,9 @@ def collect_telemetry(
     """One cell's flat telemetry mapping.
 
     Always present: ``ticks_per_sec`` and the fallback indicator
-    ``multifield_fallback`` (``1.0`` when the cell hit the engine's
-    per-column multi-field fallback — the run is correct but missed the
-    single-pass fast path).
+    ``multifield_fallback`` (``1.0`` when a round-based protocol ran the
+    cell's ``(n, k)`` state one column at a time — the run is correct
+    but missed the single-pass fast path).
     Added when applicable: the route-cache counters of
     :func:`cache_stats`, ``trace_events`` (events captured when the cell
     ran traced), and ``multifield_fallback_runs`` — the

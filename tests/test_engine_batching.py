@@ -449,7 +449,7 @@ class TestDegenerateMatrixState:
         graph, _ = instance
         with pytest.raises(ValueError, match="at least one field column"):
             run_batched(
-                ScalarOnlyGossip(graph.n),
+                HierarchicalGossip(graph),
                 np.empty((graph.n, 0)),
                 0.25,
                 spawn_rng(7, "run"),
@@ -480,11 +480,10 @@ class TestWarningAttribution:
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")
             run_batched(
-                ScalarOnlyGossip(graph.n),
+                HierarchicalGossip(graph),
                 state,
                 0.25,
                 spawn_rng(7, "run"),
-                max_ticks=16,
             )
         filenames = self._filenames(captured, MultiFieldFallbackWarning)
         assert filenames and all(

@@ -8,14 +8,18 @@ from repro.experiments import (
     ExperimentConfig,
     aggregate_trials,
     derive_seed,
+    fault_incompatible,
     fit_loglog_slope,
     format_table,
     format_value,
     make_algorithm,
+    protocol_batching,
     run_convergence,
     run_scaling_sweep,
     spawn_rng,
+    topology_incompatible,
 )
+from repro.experiments.config import multifield_support
 from repro.graphs import RandomGeometricGraph
 
 
@@ -62,6 +66,27 @@ class TestConfig:
             assert hasattr(algorithm, "run")
         with pytest.raises(ValueError):
             make_algorithm("nope", graph)
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda name: protocol_batching((name,)),
+            lambda name: multifield_support((name,)),
+            lambda name: fault_incompatible((name,)),
+            lambda name: topology_incompatible((name,), "erdos-renyi"),
+            lambda name: make_algorithm(name, None),
+        ],
+        ids=[
+            "protocol_batching",
+            "multifield_support",
+            "fault_incompatible",
+            "topology_incompatible",
+            "make_algorithm",
+        ],
+    )
+    def test_registry_lookups_reject_unknown_names_alike(self, lookup):
+        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+            lookup("nope")
 
 
 class TestRunner:

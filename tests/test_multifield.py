@@ -5,8 +5,8 @@ Covers the pieces the shared registry cannot express:
 * the NumPy reduction-order hazard the column-0 guarantee rests on;
 * the metrics helpers (`field_count`, `primary_field`, `column_errors`);
 * end-to-end quantile/histogram workloads against exact NumPy answers;
-* the per-column scalar fallback (`MultiFieldFallbackWarning`) for
-  protocols that never declared multi-field support;
+* how (n, k) state runs: natively for every tick-driven protocol, per
+  column (`MultiFieldFallbackWarning`) for the round-based one;
 * regressions for the dynamics layer's (n, k) handling — dead-owner
   tick drops and abort-and-charge mass accounting must treat columns
   independently, never silently broadcast.
@@ -31,6 +31,14 @@ from repro.engine.batching import (
     multifield_capability,
     run_batched,
     split_streams,
+)
+from repro.engine.executor import build_faulted_algorithm, cell_traceable
+from repro.experiments.config import (
+    ALGORITHM_CLASSES,
+    fault_incompatible,
+    make_algorithm,
+    multifield_support,
+    protocol_batching,
 )
 from repro.experiments.seeds import spawn_rng
 from repro.gossip.base import AsynchronousGossip, DrawStream, check_state_shape
@@ -248,10 +256,10 @@ class TestWorkloadCorrectness:
         np.testing.assert_array_equal(hist[:, -1], 1.0)  # closed last bin
 
 
-class UnauditedGossip(AsynchronousGossip):
-    """A scalar-era protocol: never declared multi-field support."""
+class TickOnlyGossip(AsynchronousGossip):
+    """A third-party protocol with only a ``tick``: row arithmetic."""
 
-    name = "unaudited"
+    name = "tick-only"
 
     def __init__(self, neighbors):
         super().__init__(len(neighbors))
@@ -269,114 +277,95 @@ class UnauditedGossip(AsynchronousGossip):
 
 
 class TestMultiFieldFallback:
-    def test_capability_classification(self):
-        assert multifield_capability(RandomizedGossip) == "native"
-        assert multifield_capability(UnauditedGossip) == "per-column"
-        # DynamicGossip propagates the wrapped protocol's capability as
-        # an instance attribute — both directions.
-        substrate = DynamicSubstrate(_GRAPH, _FAULTED_SPEC, seed=_FAULTED_SEED)
-        native = DynamicGossip(RandomizedGossip(substrate.neighbors), substrate)
-        assert multifield_capability(native) == "native"
-        substrate2 = DynamicSubstrate(_GRAPH, _FAULTED_SPEC, seed=_FAULTED_SEED)
-        unaudited = DynamicGossip(UnauditedGossip(substrate2.neighbors), substrate2)
-        assert multifield_capability(unaudited) == "per-column"
+    """One fact decides how (n, k) state runs: tick-driven protocols run
+    it natively, round-based ones run it one column at a time."""
 
-    def test_fallback_warns_with_actionable_message(self):
-        """The message must name the attribute to set, the docs page with
-        the audit checklist, and the registry-wide capability reporter."""
-        with pytest.warns(MultiFieldFallbackWarning) as captured:
-            run_batched(
-                UnauditedGossip(_GRAPH.neighbors),
-                initial_field_matrix(3),
-                0.25,
-                spawn_rng(7, "fallback"),
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
+    def test_registry_capabilities_agree(self, name):
+        batching = protocol_batching((name,))[name]
+        multifield = multifield_support((name,))[name]
+        assert (batching == "block") == (multifield == "native")
+        assert (batching == "rounds") == (multifield == "per-column")
+        assert multifield_capability(ALGORITHM_CLASSES[name]) == multifield
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            set(ALGORITHM_CLASSES)
+            - set(fault_incompatible(tuple(ALGORITHM_CLASSES)))
+        ),
+    )
+    def test_fault_wrapper_is_native(self, name):
+        wrapper = build_faulted_algorithm(
+            name, _GRAPH, _FAULTED_SPEC, _FAULTED_SEED, _GRAPH.n, 0
+        )
+        assert isinstance(wrapper, DynamicGossip)
+        assert multifield_capability(wrapper) == "native"
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            set(ALGORITHM_CLASSES)
+            - set(fault_incompatible(tuple(ALGORITHM_CLASSES)))
+        ),
+    )
+    def test_faulted_matrix_runs_natively(self, name):
+        """`DynamicGossip` on (n, k) state takes the one-pass path: no
+        warning, and column 0, ticks and ledger equal to the faulted
+        scalar run, whose epoch draws the columns share."""
+
+        def run(values):
+            wrapper = build_faulted_algorithm(
+                name, _GRAPH, _FAULTED_SPEC, _FAULTED_SEED, _GRAPH.n, 0
             )
-        message = str(captured[0].message)
-        assert "supports_multifield" in message
-        assert "docs/workloads.md" in message
-        assert "multifield_support" in message
-        assert "scalar passes" in message
+            return run_batched(
+                wrapper, values, 0.3, spawn_rng(11, name), check_stride=2
+            )
 
-    def test_fallback_column0_is_bit_identical_to_scalar_run(self):
+        scalar = run(initial_values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultiFieldFallbackWarning)
+            multi = run(initial_field_matrix(2))
+        np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
+        assert multi.ticks == scalar.ticks
+        assert multi.transmissions == scalar.transmissions
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
+    def test_cell_traceable_is_decided_by_the_protocol(self, name):
+        algorithm = make_algorithm(name, _GRAPH)
+        traceable = protocol_batching((name,))[name] == "block"
+        assert cell_traceable(algorithm, initial_values()) is traceable
+        assert cell_traceable(algorithm, initial_field_matrix(3)) is traceable
+
+    @pytest.mark.parametrize("check_stride", [1, 4])
+    def test_tick_only_protocol_runs_matrix_natively(self, check_stride):
+        """A protocol that declares nothing still takes the one-pass path:
+        no warning, column 0 equal to the scalar run, and the scalar
+        run's tick count (the columns share every draw)."""
         scalar = run_batched(
-            UnauditedGossip(_GRAPH.neighbors),
+            TickOnlyGossip(_GRAPH.neighbors),
             initial_values(),
             0.25,
-            spawn_rng(7, "fallback"),
+            spawn_rng(7, "tick-only"),
+            check_stride=check_stride,
         )
-        with pytest.warns(MultiFieldFallbackWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MultiFieldFallbackWarning)
             multi = run_batched(
-                UnauditedGossip(_GRAPH.neighbors),
+                TickOnlyGossip(_GRAPH.neighbors),
                 initial_field_matrix(3),
                 0.25,
-                spawn_rng(7, "fallback"),
+                spawn_rng(7, "tick-only"),
+                check_stride=check_stride,
             )
         np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
-        assert multi.error == scalar.error
-        assert multi.converged
-        # Serial semantics: the ticks and transmissions accumulate the
-        # per-column passes — the cost the native path amortizes away.
-        assert multi.ticks > scalar.ticks
-        assert multi.column_errors is not None and len(multi.column_errors) == 3
-        assert all(err <= 0.25 for err in multi.column_errors)
-
-    def test_fallback_column0_bit_identical_at_stride_gt_one(self):
-        """Regression: the fallback must spawn secondary-column streams
-        *after* column 0's run — a strided run spawns its own children
-        from the caller's rng, and pre-spawning would shift their seed
-        indices away from a plain scalar run's."""
-        scalar = run_batched(
-            UnauditedGossip(_GRAPH.neighbors),
-            initial_values(),
-            0.25,
-            spawn_rng(7, "fallback"),
-            check_stride=4,
-        )
-        with pytest.warns(MultiFieldFallbackWarning):
-            multi = run_batched(
-                UnauditedGossip(_GRAPH.neighbors),
-                initial_field_matrix(3),
-                0.25,
-                spawn_rng(7, "fallback"),
-                check_stride=4,
+        assert multi.ticks == scalar.ticks
+        assert multi.transmissions == scalar.transmissions
+        if check_stride == 1:
+            legacy = TickOnlyGossip(_GRAPH.neighbors).run(
+                initial_field_matrix(3), 0.25, spawn_rng(7, "tick-only")
             )
-        np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
-
-    def test_legacy_run_entry_rejects_matrix_on_unaudited_protocols(self):
-        """The public run() loop has no fallback machinery, so it must
-        refuse matrix state outright for protocols without multi-field
-        support — before this engine existed that was a shape error, and
-        silently admitting the matrix would let scalar assumptions mix
-        unrelated columns."""
-        with pytest.raises(TypeError, match="supports_multifield"):
-            UnauditedGossip(_GRAPH.neighbors).run(
-                initial_field_matrix(3), 0.25, spawn_rng(7, "legacy")
-            )
-        # Scalar state through the same entry still runs.
-        result = UnauditedGossip(_GRAPH.neighbors).run(
-            initial_values(), 0.25, spawn_rng(7, "legacy")
-        )
-        assert result.converged
-
-    def test_stateful_wrapper_without_support_is_rejected(self):
-        """A DynamicGossip wrapping a non-multifield inner cannot take
-        the per-column fallback: its epoch clock and loss streams advance
-        across runs, so columns 1..k-1 would replay a spent fault
-        timeline.  The engine must refuse, not silently corrupt."""
-        substrate = DynamicSubstrate(_GRAPH, _FAULTED_SPEC, seed=_FAULTED_SEED)
-        wrapper = DynamicGossip(UnauditedGossip(substrate.neighbors), substrate)
-        with pytest.raises(TypeError, match="multifield_fallback_safe"):
-            run_batched(
-                wrapper,
-                initial_field_matrix(3),
-                0.25,
-                spawn_rng(7, "fallback"),
-            )
-        # Scalar state on the same wrapper still runs fine.
-        result = run_batched(
-            wrapper, initial_values(), 0.25, spawn_rng(7, "fallback")
-        )
-        assert result.error < 1.0
+            np.testing.assert_array_equal(legacy.values, multi.values)
 
     def test_native_protocols_never_warn(self):
         with warnings.catch_warnings():
@@ -430,8 +419,8 @@ class TestHierarchicalPerColumn:
 
     def test_by_design_warning_never_advises_declaring_support(self):
         """hierarchical's fallback warning must say this is by design —
-        advising the user to flip supports_multifield would reintroduce
-        the secondary-column divergence."""
+        advising the user to declare or audit multi-field support would
+        invite the secondary-column divergence."""
         from repro.gossip.hierarchical.rounds import HierarchicalGossip
 
         with pytest.warns(MultiFieldFallbackWarning) as captured:
@@ -444,7 +433,7 @@ class TestHierarchicalPerColumn:
         message = str(captured[0].message)
         assert "by design" in message
         assert "oracle over one field" in message
-        assert "declare supports_multifield = True" not in message
+        assert "declare" not in message and "audit" not in message
 
     def test_engine_fallback_column0_matches_scalar_run(self):
         from repro.gossip.hierarchical.rounds import HierarchicalGossip
@@ -461,6 +450,10 @@ class TestHierarchicalPerColumn:
             )
         np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
         assert multi.error == scalar.error
+        # Serial semantics: ticks and transmissions accumulate the
+        # per-column passes, the cost a native pass amortizes away.
+        assert multi.ticks > scalar.ticks
+        assert len(multi.column_errors) == 3
 
 
 class TestMultiFieldSweep:
