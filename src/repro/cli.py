@@ -82,8 +82,13 @@ import numpy as np
 from pathlib import Path
 
 from repro.dynamics import FaultSpec
-from repro.engine import ResultStore, build_faulted_algorithm, run_batched
-from repro.engine.executor import CellRecord, cell_traceable
+from repro.engine import (
+    ResultStore,
+    batching_capability,
+    build_faulted_algorithm,
+    run_batched,
+)
+from repro.engine.executor import CellRecord
 from repro.experiments import (
     ALGORITHMS,
     ExperimentConfig,
@@ -137,6 +142,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port, 0 (ephemeral) to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
     return value
 
 
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         default=None,
         help="serve live GET /metrics (Prometheus text exposition) and "
         "GET /healthz from the coordinator on this loopback port while "
@@ -508,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     drain.add_argument(
         "--poll-interval",
-        type=float,
+        type=_positive_float,
         default=0.5,
         help="with --wait: seconds between drain checks",
     )
@@ -716,7 +732,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_trace(args: argparse.Namespace) -> int:
     graph, values, spec, algorithm = _build_run_instance(args)
-    if not cell_traceable(algorithm, values):
+    if batching_capability(algorithm) == "rounds":
         _usage_error(
             f"'{args.algorithm}' does not emit a trace (round-based "
             "protocols emit no events and suspend the recorder) — pick "

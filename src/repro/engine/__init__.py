@@ -38,7 +38,6 @@ from repro.engine.batching import (
     MultiFieldFallbackWarning,
     UncenteredFieldWarning,
     batching_capability,
-    multifield_capability,
     run_batched,
     split_streams,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "execute_cell",
     "expand_grid",
     "merge_shards",
-    "multifield_capability",
     "run_batched",
     "run_distributed_sweep",
     "run_sweep_records",

@@ -54,7 +54,6 @@ __all__ = [
     "MultiFieldFallbackWarning",
     "UncenteredFieldWarning",
     "batching_capability",
-    "multifield_capability",
     "run_batched",
     "split_streams",
 ]
@@ -136,12 +135,16 @@ def batching_capability(algorithm: AsynchronousGossip | type) -> str:
 
     * ``"block"``  — tick-driven: at strides ``>= 2`` owners come in
       vectorized blocks and every ``tick`` draws from one
-      :class:`~repro.gossip.base.DrawStream`.
+      :class:`~repro.gossip.base.DrawStream`.  It runs an ``(n, k)``
+      field matrix natively and emits the full trace vocabulary.
     * ``"rounds"`` — not tick-driven at all (e.g. the hierarchical
-      executor); the engine passes it through to its native ``run``.
+      executor); the engine passes it through to its native ``run``,
+      one column at a time for an ``(n, k)`` matrix, and it emits no
+      trace events.
 
-    Stores record this map in ``config.json``; the strings are those
-    older stores wrote, so they still resume.
+    This is the engine's one classifier of how a protocol runs.  Stores
+    record its map in ``config.json``; the strings are those older
+    stores wrote, so they still resume.
 
     >>> from repro.gossip.randomized import RandomizedGossip
     >>> batching_capability(RandomizedGossip)
@@ -152,27 +155,6 @@ def batching_capability(algorithm: AsynchronousGossip | type) -> str:
     """
     cls = algorithm if isinstance(algorithm, type) else type(algorithm)
     return "block" if issubclass(cls, AsynchronousGossip) else "rounds"
-
-
-def multifield_capability(algorithm: AsynchronousGossip | type) -> str:
-    """How ``algorithm`` executes an ``(n, k)`` field matrix.
-
-    Returns ``"native"`` for a tick-driven protocol (one pass mixes all
-    ``k`` columns on shared routing/sampling), or ``"per-column"`` for a
-    round-based one, which the engine runs as ``k`` serial scalar passes
-    with a :class:`MultiFieldFallbackWarning`.  Stores record this map in
-    ``config.json``, next to :func:`batching_capability`'s.
-
-    >>> from repro.gossip.randomized import RandomizedGossip
-    >>> multifield_capability(RandomizedGossip)
-    'native'
-    >>> from repro.gossip.hierarchical.rounds import HierarchicalGossip
-    >>> multifield_capability(HierarchicalGossip)
-    'per-column'
-    """
-    if batching_capability(algorithm) == "block":
-        return "native"
-    return "per-column"
 
 
 def run_batched(
@@ -243,7 +225,7 @@ def run_batched(
         _warn_if_uncentered(
             algorithm, initial_values, epsilon, stacklevel=stacklevel + 1
         )
-    if not isinstance(algorithm, AsynchronousGossip):
+    if batching_capability(algorithm) == "rounds":
         # Round-based protocols (e.g. the hierarchical executor) have no
         # global tick loop to batch or stride; they run their native
         # recursion unchanged at every stride, one column at a time on

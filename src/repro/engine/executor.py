@@ -34,8 +34,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.engine.batching import multifield_capability, run_batched
-from repro.gossip.base import AsynchronousGossip
+from repro.engine.batching import batching_capability, run_batched
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.observability import profile as _profile
@@ -62,7 +61,6 @@ __all__ = [
     "build_values",
     "cell_substrate",
     "cell_trace_path",
-    "cell_traceable",
     "clear_substrate",
     "execute_cell",
     "expand_grid",
@@ -348,20 +346,6 @@ def build_cell_algorithm(
     )
 
 
-def cell_traceable(algorithm, values) -> bool:
-    """Whether a run of ``algorithm`` on ``values`` emits a coherent trace.
-
-    Tick-driven protocols emit the full event vocabulary on scalar and
-    ``(n, k)`` state alike.  Round-based protocols emit no events (and on
-    matrix state run one nested run per column), so
-    :func:`repro.engine.batching.run_batched` suspends the recorder
-    around them and a capture yields an empty trace; this predicate is
-    how callers distinguish "traced" from "trace suppressed".  The
-    protocol alone decides, whatever ``values`` holds.
-    """
-    return isinstance(algorithm, AsynchronousGossip)
-
-
 def cell_trace_path(trace_dir: "str | Path", cell: SweepCell) -> Path:
     """Where a cell's JSONL trace lands under ``trace_dir``."""
     return Path(trace_dir) / (
@@ -407,7 +391,9 @@ def execute_cell(
     # trial's earlier protocols: the cell reports only its own movement.
     cache_before = cache_stats(algorithm)
     run_rng = spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)
-    tracing = trace_dir is not None and cell_traceable(algorithm, values)
+    # Round-based protocols emit no events, so a capture would be empty.
+    tick_driven = batching_capability(algorithm) == "block"
+    tracing = trace_dir is not None and tick_driven
     capture = _events.capture() if tracing else contextlib.nullcontext()
     with capture as recorder:
         started = time.perf_counter()
@@ -437,9 +423,7 @@ def execute_cell(
             "repro_cell_seconds", "Per-cell run wall clock."
         ).observe(wall_clock, algorithm=cell.algorithm)
         cell_metrics = metric_deltas(registry.counter_totals(), counters_before)
-    multifield_fallback = (
-        values.ndim == 2 and multifield_capability(algorithm) == "per-column"
-    )
+    multifield_fallback = values.ndim == 2 and not tick_driven
     telemetry = collect_telemetry(
         algorithm,
         wall_clock=wall_clock,

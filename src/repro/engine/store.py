@@ -20,16 +20,18 @@ run killed mid-write leaves at most one truncated trailing line, which
 parse.  A skipped line simply means that cell gets recomputed.
 
 ``config.json`` additionally records each protocol's engine batching
-capability (``"block"`` / ``"rounds"``) and multi-field
-capability (``"native"`` / ``"per-column"``) at the time the
-store was created.  The capability is *not* part of the content key —
-the key identifies the sweep definition, not the engine version — but a
-``check_stride > 1`` store refuses to reopen if a protocol's capability
-has since changed: a tick-driven protocol and a round-based one consume
-randomness differently, so mixing their cells in one ``cells.jsonl``
-would blend non-identical numbers (mirrors the stride-mismatch guard in
-the executor).  At stride 1 every protocol runs the same legacy loop,
-so the guard does not apply.
+capability (``"block"`` / ``"rounds"``) at the time the store was
+created.  The capability is *not* part of the content key — the key
+identifies the sweep definition, not the engine version — but a store
+with ``check_stride > 1`` or ``fields > 1`` refuses to reopen if a
+protocol's capability has since changed: a tick-driven protocol and a
+round-based one consume randomness differently, so mixing their cells
+in one ``cells.jsonl`` would blend non-identical numbers (mirrors the
+stride-mismatch guard in the executor).  A scalar stride-1 cell runs
+the same legacy loop on either path, so there the guard does not apply.
+Stores from older engines also hold a ``multifield`` map that restates
+the same fact (``"native"`` for ``"block"``, ``"per-column"`` for
+``"rounds"``); it is ignored.
 """
 
 from __future__ import annotations
@@ -178,13 +180,12 @@ class ResultStore:
         check_stride: int = 1,
     ):
         # Imported at call time: repro.experiments sits above the engine.
-        from repro.experiments.config import multifield_support, protocol_batching
+        from repro.experiments.config import protocol_batching
 
         self.root = Path(root)
         self.config = config
         self.check_stride = check_stride
         self.batching = protocol_batching(config.algorithms)
-        self.multifield = multifield_support(config.algorithms)
         self.key = content_key(config, check_stride)
         self.directory = self.root / self.key
         self.records_path = self.directory / "cells.jsonl"
@@ -220,20 +221,23 @@ class ResultStore:
     def open(self) -> "ResultStore":
         """Create the directory and config descriptor if absent.
 
-        Raises :class:`ValueError` when reopening a ``check_stride > 1``
-        store whose recorded protocol batching capabilities no longer
-        match the current engine — the stored cells ran a different
-        execution path than fresh cells would, and the two must not mix.
-        The same guard covers multi-field capability at ``fields > 1``:
-        a protocol demoted from native to per-column (or vice versa)
-        computes its secondary columns on different RNG streams, so old
-        and new ``(n, k)`` cells carry non-identical ``field_errors``.
+        Raises :class:`ValueError` when reopening a store whose recorded
+        protocol batching capabilities no longer match the current engine
+        and either ``check_stride > 1`` or ``fields > 1``.  A protocol
+        that moved between tick-driven (``"block"``) and round-based
+        (``"rounds"``) ran a different execution path: at a stride the
+        two draw their randomness differently, and on an ``(n, k)``
+        field a tick-driven run mixes every column in one pass while a
+        round-based one runs each column on its own spawned stream.
+        Either way stored and fresh cells would carry non-identical
+        numbers, and the two must not mix.  A scalar stride-1 cell is
+        the same on both paths, so such a store still resumes.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.config_path.exists():
             recorded = self.recorded_batching()
             if (
-                self.check_stride > 1
+                (self.check_stride > 1 or self.config.fields > 1)
                 and recorded is not None
                 and recorded != self.batching
             ):
@@ -246,36 +250,15 @@ class ResultStore:
                     f"store {self.directory} recorded batching "
                     f"capabilities {recorded} but the current engine has "
                     f"{self.batching} (drifted: {drifted}); at "
-                    f"check_stride={self.check_stride} the scalar and "
-                    "block paths produce non-identical numbers, so this "
-                    "store cannot be resumed — use a fresh store "
+                    f"check_stride={self.check_stride}, "
+                    f"fields={self.config.fields} the tick-driven and "
+                    "round-based paths produce non-identical numbers, so "
+                    "this store cannot be resumed — use a fresh store "
                     "directory or reset this one"
-                )
-            recorded_multifield = self.recorded_multifield()
-            if (
-                self.config.fields > 1
-                and recorded_multifield is not None
-                and recorded_multifield != self.multifield
-            ):
-                drifted = sorted(
-                    name
-                    for name in self.multifield
-                    if recorded_multifield.get(name) != self.multifield[name]
-                )
-                raise ValueError(
-                    f"store {self.directory} recorded multi-field "
-                    f"capabilities {recorded_multifield} but the current "
-                    f"engine has {self.multifield} (drifted: {drifted}); "
-                    f"at fields={self.config.fields} the native and "
-                    "per-column paths compute secondary columns on "
-                    "different RNG streams, so this store cannot be "
-                    "resumed — use a fresh store directory or reset "
-                    "this one"
                 )
         else:
             payload = _config_payload(self.config, self.check_stride)
             payload["batching"] = dict(self.batching)
-            payload["multifield"] = dict(self.multifield)
             self.config_path.write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
@@ -298,24 +281,6 @@ class ResultStore:
         if not isinstance(batching, dict):
             return None
         return {str(k): str(v) for k, v in batching.items()}
-
-    def recorded_multifield(self) -> dict[str, str] | None:
-        """The multi-field capability map persisted in ``config.json``.
-
-        ``None`` when the store does not exist yet or predates the
-        multi-field engine (a legacy store, tolerated — such stores can
-        only hold scalar cells, which both paths compute identically).
-        """
-        if not self.config_path.exists():
-            return None
-        try:
-            payload = json.loads(self.config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            return None
-        multifield = payload.get("multifield")
-        if not isinstance(multifield, dict):
-            return None
-        return {str(k): str(v) for k, v in multifield.items()}
 
     def reset(self) -> "ResultStore":
         """Drop any persisted cells and descriptor (a fresh run).

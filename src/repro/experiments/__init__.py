@@ -22,7 +22,6 @@ from repro.experiments.config import (
     ExperimentConfig,
     fault_incompatible,
     make_algorithm,
-    multifield_support,
     protocol_batching,
     topology_incompatible,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "format_table",
     "format_value",
     "make_algorithm",
-    "multifield_support",
     "protocol_batching",
     "run_convergence",
     "run_scaling_sweep",

@@ -30,7 +30,6 @@ __all__ = [
     "fault_incompatible",
     "make_algorithm",
     "topology_incompatible",
-    "multifield_support",
     "protocol_batching",
     "ExperimentConfig",
 ]
@@ -119,28 +118,6 @@ def protocol_batching(algorithms: tuple[str, ...] | list[str]) -> dict[str, str]
 
     return {
         name: batching_capability(_registry_row(name)[0]) for name in algorithms
-    }
-
-
-def multifield_support(
-    algorithms: tuple[str, ...] | list[str],
-) -> dict[str, str]:
-    """Multi-field execution capability for each named algorithm.
-
-    Maps each name to ``"native"`` (one pass mixes all ``k`` columns of
-    an ``(n, k)`` field matrix on shared routing/sampling) or
-    ``"per-column"`` (the engine runs ``k`` serial scalar passes with a
-    :class:`~repro.engine.batching.MultiFieldFallbackWarning`) — see
-    :func:`repro.engine.batching.multifield_capability`.  Every
-    tick-driven protocol in the registry is ``"native"``;
-    ``hierarchical``, the one round-based protocol, is ``"per-column"``
-    by design — its adaptive round structure is an oracle over one
-    field, so each column runs its own adaptive execution.
-    """
-    from repro.engine.batching import multifield_capability
-
-    return {
-        name: multifield_capability(_registry_row(name)[0]) for name in algorithms
     }
 
 

@@ -206,12 +206,12 @@ def multifield_native_case_names() -> list[str]:
     through the engine's per-column fallback instead (covered by its own
     dedicated tests).
     """
-    from repro.engine.batching import multifield_capability
+    from repro.engine.batching import batching_capability
 
     return [
         name
         for name, case in CASES.items()
-        if multifield_capability(case.factory()) == "native"
+        if batching_capability(case.factory()) == "block"
     ]
 
 

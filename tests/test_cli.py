@@ -178,6 +178,38 @@ class TestParser:
                 build_parser().parse_args(argv)
             assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["drain", "--poll-interval", "-1"], "must be > 0"),
+            (["drain", "--poll-interval", "0"], "must be > 0"),
+            (["serve-sweep", "--metrics-port", "-3"], "must be in 0..65535"),
+            (["serve-sweep", "--metrics-port", "65536"], "must be in 0..65535"),
+            (["serve-sweep", "--metrics-port", "http"], "expected an integer"),
+        ],
+    )
+    def test_rejects_out_of_range_service_flags(self, capsys, argv, fragment):
+        required = {
+            "drain": ["--queue-dir", "q"],
+            "serve-sweep": ["--store-dir", "s"],
+        }
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, *required[argv[0]]])
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_service_flag_bounds_accepted(self):
+        parser = build_parser()
+        drain = parser.parse_args(
+            ["drain", "--queue-dir", "q", "--poll-interval", "0.05"]
+        )
+        assert drain.poll_interval == 0.05
+        for port in ("0", "65535"):
+            args = parser.parse_args(
+                ["serve-sweep", "--store-dir", "s", "--metrics-port", port]
+            )
+            assert args.metrics_port == int(port)
+
 
 class TestCommands:
     def test_run_command(self, capsys):

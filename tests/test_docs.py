@@ -68,7 +68,7 @@ class TestApiReference:
         out, _ = generated
         engine = (out / "repro-engine.md").read_text(encoding="utf-8")
         assert "MultiFieldFallbackWarning" in engine
-        assert "multifield_capability" in engine
+        assert "batching_capability" in engine
         workloads = (out / "repro-workloads.md").read_text(encoding="utf-8")
         assert "build_field_matrix" in workloads
         assert "quantile_indicator_stack" in workloads

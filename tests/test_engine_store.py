@@ -154,49 +154,6 @@ class TestResultStore:
         assert "field_errors" not in scalar_line
         assert CellRecord.from_dict(scalar_line).field_errors is None
 
-    def test_multifield_store_refuses_capability_drift(self, tmp_path, config):
-        """A k>1 store whose recorded native/per-column map no longer
-        matches the engine must refuse to resume: the two paths compute
-        secondary columns on different RNG streams (exactly what a
-        protocol demotion like hierarchical's would cause)."""
-        import dataclasses
-
-        multi = dataclasses.replace(config, fields=4)
-        store = ResultStore(tmp_path, multi).open()
-        descriptor = json.loads(store.config_path.read_text())
-        descriptor["multifield"] = {"randomized": "per-column"}
-        store.config_path.write_text(json.dumps(descriptor))
-        with pytest.raises(ValueError, match="multi-field"):
-            ResultStore(tmp_path, multi).open()
-        # reset is the documented escape hatch.
-        assert len(ResultStore(tmp_path, multi).reset().load_records()) == 0
-
-    def test_scalar_store_tolerates_multifield_drift(self, tmp_path, config):
-        """At fields=1 both paths run the identical scalar engine, so a
-        drifted capability map must not block resume (mirrors the
-        stride-1 batching rule)."""
-        store = ResultStore(tmp_path, config).open()
-        descriptor = json.loads(store.config_path.read_text())
-        descriptor["multifield"] = {"randomized": "per-column"}
-        store.config_path.write_text(json.dumps(descriptor))
-        ResultStore(tmp_path, config).open()  # no raise
-
-    def test_legacy_store_without_multifield_map_is_tolerated(
-        self, tmp_path, config
-    ):
-        """Pre-multi-field descriptors lack the map; they can only hold
-        scalar cells, which both paths compute identically."""
-        import dataclasses
-
-        multi = dataclasses.replace(config, fields=4)
-        store = ResultStore(tmp_path, multi).open()
-        descriptor = json.loads(store.config_path.read_text())
-        del descriptor["multifield"]
-        store.config_path.write_text(json.dumps(descriptor))
-        reopened = ResultStore(tmp_path, multi)
-        assert reopened.recorded_multifield() is None
-        reopened.open()  # no raise
-
     def test_scalar_store_resumes_a_multifield_engine(self, tmp_path, config):
         """The CI round-trip in miniature: a store written at k=1 (by any
         engine version) resumes under the multi-field engine without
@@ -222,9 +179,9 @@ class TestBatchingCapabilityGuard:
     def test_capability_recorded_in_descriptor(self, tmp_path, config):
         store = ResultStore(tmp_path, config, check_stride=8).open()
         assert store.recorded_batching() == {"randomized": "block"}
-        assert json.loads(store.config_path.read_text())["batching"] == {
-            "randomized": "block"
-        }
+        payload = json.loads(store.config_path.read_text())
+        assert payload["batching"] == {"randomized": "block"}
+        assert "multifield" not in payload  # the one capability map
 
     def test_strided_store_refuses_capability_drift(self, tmp_path, config):
         """Scalar-path and block-path cells must never mix in one store."""
@@ -249,12 +206,14 @@ class TestBatchingCapabilityGuard:
     def test_legacy_store_without_capability_is_tolerated(
         self, tmp_path, config
     ):
-        store = ResultStore(tmp_path, config, check_stride=8).open()
-        payload = json.loads(store.config_path.read_text())
-        del payload["batching"]
-        store.config_path.write_text(json.dumps(payload))
-        reopened = ResultStore(tmp_path, config, check_stride=8).open()
-        assert reopened.recorded_batching() is None
+        multi = dataclasses.replace(config, fields=4)
+        for sweep, check_stride in ((config, 8), (multi, 1)):
+            store = ResultStore(tmp_path, sweep, check_stride).open()
+            payload = json.loads(store.config_path.read_text())
+            del payload["batching"]
+            store.config_path.write_text(json.dumps(payload))
+            reopened = ResultStore(tmp_path, sweep, check_stride).open()
+            assert reopened.recorded_batching() is None
 
     def test_reset_clears_a_drifted_store(self, tmp_path, config):
         store = ResultStore(tmp_path, config, check_stride=8).open()
@@ -263,6 +222,52 @@ class TestBatchingCapabilityGuard:
         fresh = ResultStore(tmp_path, config, check_stride=8).reset()
         assert len(fresh) == 0
         assert fresh.recorded_batching() == {"randomized": "block"}
+
+    def test_multifield_store_refuses_capability_drift(self, tmp_path, config):
+        """At fields > 1 a drifted map refuses even at stride 1: a
+        tick-driven run mixes all k columns in one pass, a round-based
+        one runs each column on its own spawned stream."""
+        multi = dataclasses.replace(config, fields=4)
+        store = ResultStore(tmp_path, multi, check_stride=1).open()
+        store.append(_fake_record(config))
+        self._drift_recorded_batching(store)
+        with pytest.raises(ValueError, match="fields=4"):
+            ResultStore(tmp_path, multi, check_stride=1).open()
+        # reset is the documented escape hatch.
+        fresh = ResultStore(tmp_path, multi, check_stride=1).reset()
+        assert len(fresh) == 0
+        assert fresh.recorded_batching() == {"randomized": "block"}
+        ResultStore(tmp_path, multi, check_stride=1).open()  # no raise
+
+    @pytest.mark.parametrize("fields, check_stride", [(4, 1), (1, 8), (4, 8)])
+    def test_store_with_both_maps_resumes_without_recomputation(
+        self, tmp_path, config, fields, check_stride
+    ):
+        """Older engines wrote a second ``multifield`` map
+        ("native"/"per-column") next to ``batching``; it is ignored, and
+        such a store resumes at fields > 1 and check_stride > 1 with no
+        cell recomputed."""
+        sweep = dataclasses.replace(config, fields=fields)
+        run_sweep_records(
+            sweep,
+            check_stride=check_stride,
+            store=ResultStore(tmp_path, sweep, check_stride),
+        )
+        store = ResultStore(tmp_path, sweep, check_stride)
+        payload = json.loads(store.config_path.read_text())
+        payload["multifield"] = {"randomized": "native"}
+        store.config_path.write_text(json.dumps(payload))
+        lines_before = store.records_path.read_text().count("\n")
+        fresh = []
+        records = run_sweep_records(
+            sweep,
+            check_stride=check_stride,
+            store=ResultStore(tmp_path, sweep, check_stride),
+            on_record=lambda record, is_fresh: fresh.append(is_fresh),
+        )
+        assert len(records) == len(expand_grid(sweep))
+        assert fresh and not any(fresh)
+        assert store.records_path.read_text().count("\n") == lines_before
 
 
 class TestResume:

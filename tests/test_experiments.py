@@ -19,7 +19,6 @@ from repro.experiments import (
     spawn_rng,
     topology_incompatible,
 )
-from repro.experiments.config import multifield_support
 from repro.graphs import RandomGeometricGraph
 
 
@@ -71,14 +70,12 @@ class TestConfig:
         "lookup",
         [
             lambda name: protocol_batching((name,)),
-            lambda name: multifield_support((name,)),
             lambda name: fault_incompatible((name,)),
             lambda name: topology_incompatible((name,), "erdos-renyi"),
             lambda name: make_algorithm(name, None),
         ],
         ids=[
             "protocol_batching",
-            "multifield_support",
             "fault_incompatible",
             "topology_incompatible",
             "make_algorithm",

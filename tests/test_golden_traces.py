@@ -117,12 +117,13 @@ class TestMultiField:
         )
 
     def test_registry_capabilities_are_pinned(self):
-        """Tick-driven protocols are native; hierarchical is per-column
-        by design (its adaptive round structure is a one-field oracle —
-        see tests/test_multifield.py for its fallback battery).  Any
-        drift here is a deliberate decision, not an accident."""
-        from repro.experiments.config import ALGORITHM_CLASSES, multifield_support
+        """Tick-driven protocols (``"block"``) run (n, k) state natively;
+        hierarchical is round-based and per-column by design (its adaptive
+        round structure is a one-field oracle — see
+        tests/test_multifield.py for its fallback battery).  Any drift
+        here is a deliberate decision, not an accident."""
+        from repro.experiments.config import ALGORITHM_CLASSES, protocol_batching
 
-        support = multifield_support(tuple(ALGORITHM_CLASSES))
-        assert support.pop("hierarchical") == "per-column"
-        assert set(support.values()) == {"native"}, support
+        support = protocol_batching(tuple(ALGORITHM_CLASSES))
+        assert support.pop("hierarchical") == "rounds"
+        assert set(support.values()) == {"block"}, support

@@ -28,18 +28,12 @@ from repro.dynamics import DynamicGossip, DynamicSubstrate
 from repro.dynamics.overlay import live_node_error
 from repro.engine.batching import (
     MultiFieldFallbackWarning,
-    multifield_capability,
+    batching_capability,
     run_batched,
     split_streams,
 )
-from repro.engine.executor import build_faulted_algorithm, cell_traceable
-from repro.experiments.config import (
-    ALGORITHM_CLASSES,
-    fault_incompatible,
-    make_algorithm,
-    multifield_support,
-    protocol_batching,
-)
+from repro.engine.executor import build_faulted_algorithm
+from repro.experiments.config import ALGORITHM_CLASSES, fault_incompatible
 from repro.experiments.seeds import spawn_rng
 from repro.gossip.base import AsynchronousGossip, DrawStream, check_state_shape
 from repro.gossip.path_averaging import PathAveragingGossip
@@ -280,14 +274,6 @@ class TestMultiFieldFallback:
     """One fact decides how (n, k) state runs: tick-driven protocols run
     it natively, round-based ones run it one column at a time."""
 
-    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
-    def test_registry_capabilities_agree(self, name):
-        batching = protocol_batching((name,))[name]
-        multifield = multifield_support((name,))[name]
-        assert (batching == "block") == (multifield == "native")
-        assert (batching == "rounds") == (multifield == "per-column")
-        assert multifield_capability(ALGORITHM_CLASSES[name]) == multifield
-
     @pytest.mark.parametrize(
         "name",
         sorted(
@@ -300,7 +286,7 @@ class TestMultiFieldFallback:
             name, _GRAPH, _FAULTED_SPEC, _FAULTED_SEED, _GRAPH.n, 0
         )
         assert isinstance(wrapper, DynamicGossip)
-        assert multifield_capability(wrapper) == "native"
+        assert batching_capability(wrapper) == "block"
 
     @pytest.mark.parametrize(
         "name",
@@ -329,13 +315,6 @@ class TestMultiFieldFallback:
         np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
         assert multi.ticks == scalar.ticks
         assert multi.transmissions == scalar.transmissions
-
-    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
-    def test_cell_traceable_is_decided_by_the_protocol(self, name):
-        algorithm = make_algorithm(name, _GRAPH)
-        traceable = protocol_batching((name,))[name] == "block"
-        assert cell_traceable(algorithm, initial_values()) is traceable
-        assert cell_traceable(algorithm, initial_field_matrix(3)) is traceable
 
     @pytest.mark.parametrize("check_stride", [1, 4])
     def test_tick_only_protocol_runs_matrix_natively(self, check_stride):

@@ -32,11 +32,7 @@ from protocol_equivalence import (
     run_engine,
 )
 from repro.engine.batching import run_batched
-from repro.engine.executor import (
-    CellRecord,
-    cell_traceable,
-    run_sweep_records,
-)
+from repro.engine.executor import CellRecord, run_sweep_records
 from repro.engine.store import ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.seeds import spawn_rng
@@ -157,14 +153,6 @@ def test_nested_runs_suspend_the_recorder(fields):
     _, result, recorder = run_traced(case, fields=fields)
     assert len(recorder) == 0
     assert result.error <= 1.0  # the run itself still completed
-
-
-def test_cell_traceable_predicate():
-    assert cell_traceable(CASES["randomized"].factory(), initial_values())
-    assert cell_traceable(
-        CASES["geographic-uniform"].factory(), initial_field_matrix(4)
-    )
-    assert not cell_traceable(CASES["hierarchical"].factory(), initial_values())
 
 
 def test_capture_nesting_raises():
