@@ -32,8 +32,19 @@ from repro.engine.batching import (
     run_batched,
     split_streams,
 )
-from repro.engine.executor import build_faulted_algorithm
-from repro.experiments.config import ALGORITHM_CLASSES, fault_incompatible
+from repro.engine.executor import (
+    SweepCell,
+    build_faulted_algorithm,
+    cell_trace_path,
+    execute_cell,
+)
+from repro.experiments.config import (
+    ALGORITHM_CLASSES,
+    ExperimentConfig,
+    fault_incompatible,
+    make_algorithm,
+    protocol_batching,
+)
 from repro.experiments.seeds import spawn_rng
 from repro.gossip.base import AsynchronousGossip, DrawStream, check_state_shape
 from repro.gossip.path_averaging import PathAveragingGossip
@@ -274,6 +285,18 @@ class TestMultiFieldFallback:
     """One fact decides how (n, k) state runs: tick-driven protocols run
     it natively, round-based ones run it one column at a time."""
 
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
+    def test_registry_capabilities_agree(self, name):
+        """The map a store records (``protocol_batching``) is what the
+        engine dispatches on: a built instance classifies like its
+        class, and ``"block"`` exactly for a tick-driven protocol."""
+        recorded = protocol_batching((name,))[name]
+        algorithm = make_algorithm(name, _GRAPH)
+        assert recorded in ("block", "rounds")
+        assert batching_capability(ALGORITHM_CLASSES[name]) == recorded
+        assert batching_capability(algorithm) == recorded
+        assert (recorded == "block") == isinstance(algorithm, AsynchronousGossip)
+
     @pytest.mark.parametrize(
         "name",
         sorted(
@@ -315,6 +338,28 @@ class TestMultiFieldFallback:
         np.testing.assert_array_equal(multi.values[:, 0], scalar.values)
         assert multi.ticks == scalar.ticks
         assert multi.transmissions == scalar.transmissions
+
+    @pytest.mark.filterwarnings("ignore::repro.engine.batching.UncenteredFieldWarning")
+    @pytest.mark.filterwarnings("ignore::repro.engine.batching.MultiFieldFallbackWarning")
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_CLASSES))
+    def test_cell_traceable_is_decided_by_the_protocol(self, tmp_path, name):
+        """A traced cell writes a trace exactly when its protocol is
+        tick-driven, on scalar and on (n, k) state alike: the shape of
+        the state never decides."""
+        traceable = protocol_batching((name,))[name] == "block"
+        cell = SweepCell(name, 32, 0)
+        for fields in (1, 3):
+            config = ExperimentConfig(
+                sizes=(32,), epsilon=0.3, trials=1, algorithms=(name,),
+                fields=fields,
+            )
+            trace_dir = tmp_path / f"k{fields}"
+            record = execute_cell(config, cell, trace_dir=trace_dir)
+            assert cell_trace_path(trace_dir, cell).exists() is traceable
+            assert ("trace_events" in record.telemetry) is traceable
+            assert record.telemetry["multifield_fallback"] == float(
+                fields > 1 and not traceable
+            )
 
     @pytest.mark.parametrize("check_stride", [1, 4])
     def test_tick_only_protocol_runs_matrix_natively(self, check_stride):

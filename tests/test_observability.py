@@ -31,7 +31,7 @@ from protocol_equivalence import (
     multifield_native_case_names,
     run_engine,
 )
-from repro.engine.batching import run_batched
+from repro.engine.batching import batching_capability, run_batched
 from repro.engine.executor import CellRecord, run_sweep_records
 from repro.engine.store import ResultStore
 from repro.experiments.config import ExperimentConfig
@@ -153,6 +153,17 @@ def test_nested_runs_suspend_the_recorder(fields):
     _, result, recorder = run_traced(case, fields=fields)
     assert len(recorder) == 0
     assert result.error <= 1.0  # the run itself still completed
+
+
+def test_cell_traceable_predicate():
+    """Tracing follows the protocol's one classifier: every golden case
+    that emits events under a capture is ``"block"``, and the round-based
+    executor, which emits none, is ``"rounds"``."""
+    assert batching_capability(CASES["randomized"].factory()) == "block"
+    assert batching_capability(CASES["geographic-uniform"].factory()) == "block"
+    assert batching_capability(CASES["hierarchical"].factory()) == "rounds"
+    _, _, recorder = run_traced(CASES["geographic-uniform"], fields=4)
+    assert len(recorder) > 0
 
 
 def test_capture_nesting_raises():
