@@ -84,6 +84,7 @@ from pathlib import Path
 from repro.dynamics import FaultSpec
 from repro.engine import (
     ResultStore,
+    StoreDriftError,
     batching_capability,
     build_faulted_algorithm,
     run_batched,
@@ -1031,13 +1032,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if args.trace and store is None:
         print("--trace requires --store-dir", file=sys.stderr)
         return 2
-    sweep = run_scaling_sweep(
-        config,
-        workers=args.workers,
-        check_stride=args.check_stride,
-        store=store,
-        trace=args.trace,
-    )
+    try:
+        sweep = run_scaling_sweep(
+            config,
+            workers=args.workers,
+            check_stride=args.check_stride,
+            store=store,
+            trace=args.trace,
+        )
+    except StoreDriftError as error:
+        _usage_error(str(error))
     _print_sweep_tables(args, config, sweep)
     if args.trace and store is not None:
         traces = sorted((store.directory / "traces").glob("*.jsonl"))

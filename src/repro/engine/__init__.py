@@ -66,6 +66,7 @@ from repro.engine.service import (
 from repro.engine.store import (
     ResultStore,
     ShardDivergenceError,
+    StoreDriftError,
     canonical_record_bytes,
     content_key,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "QueueStats",
     "ResultStore",
     "ShardDivergenceError",
+    "StoreDriftError",
     "SweepCell",
     "UncenteredFieldWarning",
     "batching_capability",

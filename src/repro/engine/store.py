@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a layer cycle
 __all__ = [
     "ResultStore",
     "ShardDivergenceError",
+    "StoreDriftError",
     "atomic_write_text",
     "canonical_record_bytes",
     "content_key",
@@ -91,6 +92,18 @@ class ShardDivergenceError(ValueError):
     bit-rotted ``cells.jsonl``) or engine nondeterminism, and silently
     picking either copy would poison the sweep.  Nothing is appended
     for the offending record; the store is left as it was.
+    """
+
+
+class StoreDriftError(ValueError):
+    """A store cannot be resumed: the engine's execution paths drifted.
+
+    Raised by :meth:`ResultStore.open` when the protocol batching
+    capabilities recorded in a store's ``config.json`` differ from the
+    current engine's and the grid runs at ``check_stride > 1`` or with
+    ``fields > 1``, where the tick-driven and round-based paths produce
+    different numbers.  It is a refusal of the user's request, not an
+    engine fault: the CLI prints its message and exits 2.
     """
 
 
@@ -221,7 +234,7 @@ class ResultStore:
     def open(self) -> "ResultStore":
         """Create the directory and config descriptor if absent.
 
-        Raises :class:`ValueError` when reopening a store whose recorded
+        Raises :class:`StoreDriftError` when reopening a store whose recorded
         protocol batching capabilities no longer match the current engine
         and either ``check_stride > 1`` or ``fields > 1``.  A protocol
         that moved between tick-driven (``"block"``) and round-based
@@ -246,7 +259,7 @@ class ResultStore:
                     for name in self.batching
                     if recorded.get(name) != self.batching[name]
                 )
-                raise ValueError(
+                raise StoreDriftError(
                     f"store {self.directory} recorded batching "
                     f"capabilities {recorded} but the current engine has "
                     f"{self.batching} (drifted: {drifted}); at "

@@ -125,9 +125,9 @@ class RandomizedGossip(AsynchronousGossip):
         for an isolated owner.  Partners come from a list snapshot of
         ``neighbors`` taken on first use, under the same rule as
         :meth:`tick_block`'s CSR snapshot, and so does the loss channel.
-        Scalar state is averaged as Python floats, ``0.5 · (a + b)``,
-        and written back once; ``(n, k)`` state goes through
-        :func:`~repro.gossip.pairs.apply_pair_averages`.
+        The window's pairs are averaged in tick order by
+        :func:`~repro.gossip.pairs.apply_pair_averages` (scalar state on
+        Python floats, ``(n, k)`` state in levels of disjoint pairs).
         """
         if self._lists is None:
             rows = [adjacency.tolist() for adjacency in self.neighbors]
@@ -139,16 +139,8 @@ class RandomizedGossip(AsynchronousGossip):
             pairs = [pair for pair in pairs if self._exchange_survives(counter)]
         if not pairs:
             return
-        if values.ndim == 1:
-            vals = values.tolist()
-            for a, b in pairs:
-                average = 0.5 * (vals[a] + vals[b])
-                vals[a] = average
-                vals[b] = average
-            values[:] = vals
-        else:
-            first, second = zip(*pairs)
-            apply_pair_averages(values, first, second)
+        first, second = zip(*pairs)
+        apply_pair_averages(values, first, second)
         counter.charge(2 * len(pairs), "near")
         recorder = _events.active()
         if recorder is not None:
@@ -184,8 +176,8 @@ class RandomizedGossip(AsynchronousGossip):
 
         The averages run through
         :func:`~repro.gossip.pairs.apply_pair_averages`, which applies the
-        block in levels of disjoint pairs so that each node's updates
-        still happen in order — scalar or ``(n, k)`` state alike.
+        block in tick order: scalar state on Python floats, ``(n, k)``
+        state in levels of disjoint pairs.
         """
         if self._csr is None:
             self._csr = adjacency_csr(self.neighbors)

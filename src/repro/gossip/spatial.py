@@ -65,14 +65,15 @@ class SpatialGossip(AsynchronousGossip):
         self.failed_exchanges = 0
         self._cumulative = self._target_cdfs()
 
-    def _target_cdfs(self) -> list[np.ndarray]:
-        """Per-node cumulative target distributions over all other nodes.
+    def _target_cdfs(self) -> np.ndarray:
+        """Per-node cumulative target distributions over all other nodes,
+        one ``(n, n)`` row per node.
 
         O(n²) memory; spatial gossip is a study baseline used at moderate
         n (the library's scaling experiments use the paper's algorithms).
         """
         positions = self.graph.positions
-        cdfs = []
+        cdfs = np.empty((self.n, self.n), dtype=np.float64)
         for u in range(self.n):
             diff = positions - positions[u]
             dist = np.hypot(diff[:, 0], diff[:, 1])
@@ -87,8 +88,33 @@ class SpatialGossip(AsynchronousGossip):
                 weights = np.ones(self.n)
                 weights[u] = 0.0
                 total = weights.sum()
-            cdfs.append(np.cumsum(weights / total))
+            np.cumsum(weights / total, out=cdfs[u])
         return cdfs
+
+    def _search_targets(self, owners: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """``self._cumulative[owners[i]].searchsorted(picks[i])`` for every
+        ``i`` at once.
+
+        A lower-bound binary search over the flattened table: each pass
+        gathers one probe per owner and keeps the lower half when the
+        probe is below the pick, so a row's answer is its first entry
+        ``>= pick`` (``side="left"``), or ``n`` if none is.  A row is
+        non-decreasing (its weights are non-negative), so that entry is
+        the one ``searchsorted`` finds.  The probe interval halves each
+        pass: ⌈log₂ n⌉ passes, then one last comparison.
+        """
+        flat = self._cumulative.reshape(-1)
+        rows = np.asarray(owners, dtype=np.int64) * self.n
+        base = rows.copy()
+        length = self.n
+        while length > 1:
+            half = length // 2
+            probe = base + half
+            np.copyto(base, probe, where=np.take(flat, probe) < picks)
+            length -= half
+        base += np.take(flat, base) < picks
+        base -= rows
+        return base
 
     def tick(
         self,
@@ -129,7 +155,8 @@ class SpatialGossip(AsynchronousGossip):
         Equal, bit for bit, to the base loop running :meth:`tick` per
         owner on the same :class:`~repro.gossip.base.DrawStream`: each
         owner takes the next double and finds its target in its own CDF
-        by the same ``searchsorted`` rule; owners that drew themselves
+        by the same ``searchsorted`` rule, for the whole block in one
+        batched search (:meth:`_search_targets`); owners that drew themselves
         skip their exchange, and the rest run through
         :func:`~repro.gossip.geographic.round_trip_block`.  A router
         other than the plain memoized one (a faulted cell's
@@ -138,12 +165,7 @@ class SpatialGossip(AsynchronousGossip):
         if type(self.router) is not CachedGreedyRouter:
             super().tick_block(owners, values, counter, rng)
             return
-        cdfs = self._cumulative
-        picks = rng.random(len(owners)).tolist()
-        targets = np.array(
-            [cdfs[node].searchsorted(u) for node, u in zip(owners.tolist(), picks)],
-            dtype=np.int64,
-        )
+        targets = self._search_targets(owners, rng.random(len(owners)))
         np.minimum(targets, self.n - 1, out=targets)
         routed = targets != owners
         self.failed_exchanges += round_trip_block(

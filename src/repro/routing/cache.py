@@ -389,39 +389,73 @@ class CachedGreedyRouter:
         destinations: np.ndarray,
         steps: "list[tuple[np.ndarray, np.ndarray]] | None",
     ) -> None:
-        """Walk routes ``start:stop`` to their ends, in place."""
+        """Walk routes ``start:stop`` to their ends, in place.
+
+        Every live route moves once per step, so a route that ends after
+        ``step`` steps took ``step`` hops.  A route ends the step it
+        reaches its target (its own distance is then 0, and no squared
+        distance is below 0, so it could not move again), or the step no
+        neighbour is strictly closer (a void, or a coincident sensor at
+        distance 0).  ``destinations`` already holds the sources, which
+        are the ends of routes that start at their targets.
+        """
         neighbors, neighbor_x, neighbor_y, x, y = self._walk_tables()
+        width = neighbors.shape[1]
+        flat_neighbors = neighbors.reshape(-1)
         index = np.arange(start, stop, dtype=np.int64)
         current = sources[start:stop]
-        target_x = x[targets[start:stop]]
-        target_y = y[targets[start:stop]]
+        target = targets[start:stop]
+        live = current != target
+        if not live.all():
+            index, current, target = index[live], current[live], target[live]
+        target_x = x[target]
+        target_y = y[target]
         dx = x[current] - target_x
         dy = y[current] - target_y
         own = dx * dx + dy * dy
+        step = 0
         while index.size:
-            sq = neighbor_x[current] - target_x[:, None]
+            sq = np.take(neighbor_x, current, axis=0)
+            sq -= target_x[:, None]
             sq *= sq
-            sq_y = neighbor_y[current] - target_y[:, None]
+            sq_y = np.take(neighbor_y, current, axis=0)
+            sq_y -= target_y[:, None]
             sq_y *= sq_y
             sq += sq_y
             slot = sq.argmin(axis=1)
-            best = np.take_along_axis(sq, slot[:, None], axis=1)[:, 0]
-            moves = best < own
+            own_next = np.take_along_axis(sq, slot[:, None], axis=1)[:, 0]
+            moves = own_next < own
             if not moves.all():
                 ended = ~moves
+                hops[index[ended]] = step
                 destinations[index[ended]] = current[ended]
-                index, current, slot, best = (
+                index, current, slot, own_next = (
                     index[moves],
                     current[moves],
                     slot[moves],
-                    best[moves],
+                    own_next[moves],
                 )
-                target_x, target_y = target_x[moves], target_y[moves]
-            current = neighbors[current, slot]
-            own = best
-            hops[index] += 1
+                target, target_x, target_y = (
+                    target[moves],
+                    target_x[moves],
+                    target_y[moves],
+                )
+            current = np.take(flat_neighbors, current * width + slot)
+            own = own_next
+            step += 1
             if steps is not None:
                 steps.append((index, current))
+            arrived = current == target
+            if arrived.any():
+                hops[index[arrived]] = step
+                destinations[index[arrived]] = target[arrived]
+                stay = ~arrived
+                index, current, own = index[stay], current[stay], own[stay]
+                target, target_x, target_y = (
+                    target[stay],
+                    target_x[stay],
+                    target_y[stay],
+                )
 
     def route_stats(self, target_node: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-source ``(hops, destination)`` vectors towards ``target_node``.

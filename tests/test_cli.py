@@ -435,6 +435,35 @@ class TestSweepFlags:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "serve-sweep"])
+    def test_resuming_a_drifted_store_is_a_usage_error(
+        self, capsys, tmp_path, command
+    ):
+        """A store whose recorded ``batching`` map drifted refuses a
+        ``--fields 4`` resume with its message and exit 2, no traceback."""
+        import json
+
+        from repro.engine.store import StoreDriftError
+
+        grid = ["--sizes", "64", "--trials", "1", "--fields", "4",
+                "--store-dir", str(tmp_path)]
+        assert main(["sweep", *grid]) == 0
+        (config_path,) = tmp_path.glob("*/config.json")
+        payload = json.loads(config_path.read_text())
+        payload["batching"]["hierarchical"] = "block"
+        config_path.write_text(json.dumps(payload))
+        records = next(tmp_path.glob("*/cells.jsonl")).read_text()
+        capsys.readouterr()
+        extra = ["--workers", "1"] if command == "serve-sweep" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *grid, *extra, "--resume"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "drifted: ['hierarchical']" in err
+        assert "Traceback" not in err
+        assert next(tmp_path.glob("*/cells.jsonl")).read_text() == records
+        assert issubclass(StoreDriftError, ValueError)
+
 class TestSweepService:
     def test_serve_sweep_parser_defaults(self):
         args = build_parser().parse_args(

@@ -437,6 +437,45 @@ class TestBatchedWalk:
             )
             assert (walk.destinations[i] == target) == route.delivered
 
+    @given(
+        n=st.integers(8, 60),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_routes_end_the_step_they_arrive(self, n, seed, data):
+        """Routes of one chunk arrive at different steps; routes from a
+        node to itself end before the first step, and a route to a
+        coincident twin ends undelivered, at distance 0, where it began."""
+        points = np.random.default_rng(seed).random((n, 2))
+        points[1] = points[0]
+        points[n - 1] = points[n // 2]
+        graph = RandomGeometricGraph.build(points, 0.3)
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=20))
+        pairs += [(3, 3), (0, 1), (1, 0), (n // 2, n - 1), (n - 1, n // 2)]
+        # Towards node n - 1 a route reaches its lower-id twin first
+        # wherever both are neighbours, and ends there undelivered.
+        pairs += [(s, 0) for s in range(2, n, 3)]
+        pairs += [(s, n - 1) for s in range(0, n, 3)]
+        sources, targets = map(list, zip(*pairs))
+        plain = GreedyRouter(graph)
+        routes = [plain.route_to_node(s, t) for s, t in pairs]
+        router = CachedGreedyRouter(graph)
+        for chunk in range(1, len(pairs) + 3):
+            router.WALK_CHUNK = chunk
+            walk = router.walk(sources, targets, paths=True)
+            assert [tuple(p) for p in walk.paths] == [r.path for r in routes]
+            assert walk.hops.tolist() == [r.hops for r in routes]
+            assert walk.destinations.tolist() == [r.destination for r in routes]
+        for source, target, hops, end in zip(
+            sources, targets, walk.hops.tolist(), walk.destinations.tolist()
+        ):
+            if source == target:
+                assert (hops, end) == (0, source)
+            elif (points[source] == points[target]).all():
+                assert (hops, end) == (0, source)  # undelivered, distance 0
+
     def test_lattice_ties_and_voids_across_chunk_sizes(self):
         for graph in (grid2d_graph(64), _walk_graph("erdos-renyi", 60, 3)):
             plain = GreedyRouter(graph)

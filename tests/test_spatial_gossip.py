@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gossip import SpatialGossip
 from repro.graphs import RandomGeometricGraph
@@ -91,3 +93,86 @@ class TestExecution:
         x0 = np.random.default_rng(19).normal(size=23)
         result = algo.run(x0, 0.3, np.random.default_rng(23))
         assert result.converged
+
+
+def _twinned_graph(n: int, seed: int, twins: bool) -> RandomGeometricGraph:
+    """An RGG on ``n`` random points; with ``twins``, nodes 1 and
+    ``n - 1`` sit exactly on nodes 0 and ``n // 2``."""
+    points = np.random.default_rng(seed).random((n, 2))
+    if twins:
+        points[1] = points[0]
+        points[n - 1] = points[n // 2]
+    return RandomGeometricGraph.build(points, 0.4)
+
+
+class TestBatchedTargetSearch:
+    """``tick_block``'s one batched search equals ``np.searchsorted`` on
+    each owner's own CDF row (``side="left"``), pick by pick."""
+
+    @staticmethod
+    def _assert_rowwise_equal(algo, owners, picks):
+        owners = np.asarray(owners, dtype=np.int64)
+        picks = np.asarray(picks, dtype=np.float64)
+        expected = [
+            int(np.searchsorted(algo._cumulative[u], p, side="left"))
+            for u, p in zip(owners.tolist(), picks.tolist())
+        ]
+        assert algo._search_targets(owners, picks).tolist() == expected
+
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**31 - 1),
+        twins=st.booleans(),
+        rho=st.one_of(
+            st.sampled_from([0.0, 2.0, 60.0]),
+            st.floats(0.0, 8.0, allow_nan=False),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_search_equals_searchsorted(self, n, seed, twins, rho, data):
+        algo = SpatialGossip(_twinned_graph(n, seed, twins and n >= 3), rho=rho)
+        cdfs = algo._cumulative
+        node = st.integers(0, n - 1)
+        entry = st.builds(lambda u, v: float(cdfs[u, v]), node, node)
+        pick = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
+            entry,  # exactly on a CDF entry, the flat step at u included
+            entry.map(lambda p: float(np.nextafter(p, 0.0))),
+            entry.map(lambda p: float(np.nextafter(p, 1.0))),
+            st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+        )
+        pairs = data.draw(st.lists(st.tuples(node, pick), max_size=60))
+        owners = [u for u, _ in pairs]
+        picks = [p for _, p in pairs]
+        self._assert_rowwise_equal(algo, owners, picks)
+
+    def test_every_row_at_its_own_flat_step_and_the_ends(self):
+        """Each owner at each of its row's entries (so at the repeated
+        entry of its own index), at 0.0 and just below 1.0."""
+        algo = SpatialGossip(_twinned_graph(33, 7, twins=True), rho=2.0)
+        n = algo.n
+        owners = np.repeat(np.arange(n), n + 2)
+        ends = np.array([0.0, np.nextafter(1.0, 0.0)])
+        picks = np.concatenate(
+            [np.concatenate([algo._cumulative[u], ends]) for u in range(n)]
+        )
+        self._assert_rowwise_equal(algo, owners, picks)
+
+    def test_a_row_on_the_uniform_fallback(self):
+        """Coincident sensors at a steep ρ weigh ``1e-9 ** -60`` = ``inf``:
+        their rows fall back to uniform, and the search still agrees."""
+        algo = SpatialGossip(_twinned_graph(17, 3, twins=True), rho=60.0)
+        uniform = np.cumsum(np.where(np.arange(17) == 0, 0.0, 1.0) / 16)
+        assert algo._cumulative[0].tolist() == uniform.tolist()
+        owners = np.repeat([0, 1, 8, 16, 5], 20)
+        picks = np.tile(np.concatenate([uniform, [0.0, 0.5, 0.999]]), 5)
+        self._assert_rowwise_equal(algo, owners, picks)
+
+    def test_rho_zero_rows_and_an_empty_block(self, graph):
+        algo = SpatialGossip(graph, rho=0.0)
+        rng = np.random.default_rng(29)
+        self._assert_rowwise_equal(
+            algo, rng.integers(graph.n, size=500), rng.random(500)
+        )
+        self._assert_rowwise_equal(algo, [], [])
