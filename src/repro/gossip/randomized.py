@@ -134,14 +134,18 @@ class RandomizedGossip(AsynchronousGossip):
             self._lists = rows, [len(row) for row in rows]
         rows, degrees = self._lists
         owners, picks = draw_pairs(draws, count, self.n, degrees)
-        pairs = [(i, rows[i][j]) for i, j in zip(owners, picks) if j >= 0]
+        if -1 in picks:  # isolated owners drew nothing and exchange nothing
+            owners = [i for i, j in zip(owners, picks) if j >= 0]
+            picks = [j for j in picks if j >= 0]
+        partners = [rows[i][j] for i, j in zip(owners, picks)]
         if self.loss_channel is not None:
-            pairs = [pair for pair in pairs if self._exchange_survives(counter)]
-        if not pairs:
+            survived = [self._exchange_survives(counter) for _ in owners]
+            owners = [i for i, kept in zip(owners, survived) if kept]
+            partners = [v for v, kept in zip(partners, survived) if kept]
+        if not owners:
             return
-        first, second = zip(*pairs)
-        apply_pair_averages(values, first, second)
-        counter.charge(2 * len(pairs), "near")
+        apply_pair_averages(values, owners, partners)
+        counter.charge(2 * len(owners), "near")
         recorder = _events.active()
         if recorder is not None:
             recorder.emit(
@@ -149,7 +153,7 @@ class RandomizedGossip(AsynchronousGossip):
                     "e": "pairs",
                     "op": "avg",
                     "cat": "near",
-                    "pairs": [list(pair) for pair in pairs],
+                    "pairs": [[i, v] for i, v in zip(owners, partners)],
                 }
             )
 
