@@ -49,6 +49,13 @@ class SpatialGossip(AsynchronousGossip):
 
     Endpoint averaging is pure row arithmetic; target CDFs depend only on
     positions, so (n, k) field matrices mix on the scalar run's routes.
+
+    The CDFs are one ``(n, n)`` table, row ``u`` holding node ``u``'s
+    cumulative target distribution.  :meth:`tick` finds its target with
+    ``np.searchsorted`` on its own row; :meth:`tick_block` finds a whole
+    block's targets in one batched lower-bound search over the flattened
+    table (:meth:`_search_targets`), with the same ``side="left"``
+    answers.
     """
 
     name = "spatial"
@@ -91,7 +98,9 @@ class SpatialGossip(AsynchronousGossip):
             np.cumsum(weights / total, out=cdfs[u])
         return cdfs
 
-    def _search_targets(self, owners: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    def _search_targets(
+        self, owners: np.ndarray, picks: np.ndarray
+    ) -> np.ndarray:
         """``self._cumulative[owners[i]].searchsorted(picks[i])`` for every
         ``i`` at once.
 
@@ -156,8 +165,8 @@ class SpatialGossip(AsynchronousGossip):
         owner on the same :class:`~repro.gossip.base.DrawStream`: each
         owner takes the next double and finds its target in its own CDF
         by the same ``searchsorted`` rule, for the whole block in one
-        batched search (:meth:`_search_targets`); owners that drew themselves
-        skip their exchange, and the rest run through
+        batched search (:meth:`_search_targets`); owners that drew
+        themselves skip their exchange, and the rest run through
         :func:`~repro.gossip.geographic.round_trip_block`.  A router
         other than the plain memoized one (a faulted cell's
         ``LossyRouter``) runs the per-tick loop.

@@ -32,10 +32,12 @@ node and walk only about a dozen entries of each.  For them
 no column: every route moves one hop per step over per-node tables of
 neighbour ids and coordinates, padded to the maximum degree with a
 sentinel node at ``inf``, and takes ``argmin`` of the same squared
-distances.  Geographic gossip's block and stride-1 window hooks, and
-spatial gossip's and path averaging's block hooks, route through it;
-``tick``, the paper's protocol, rejection sampling and faulted cells
-use the columns.
+distances.  Each step gathers the live routes' coordinate rows with
+``np.take`` and subtracts the targets in place, and a route ends the
+step it reaches its target.  Geographic gossip's block and stride-1
+window hooks, and spatial gossip's and path averaging's block hooks,
+route through it; ``tick``, the paper's protocol, rejection sampling
+and faulted cells use the columns.
 
 Both paths are **exact**: they apply the same elementwise IEEE
 arithmetic and the same first-minimum tie-breaking as the scalar
@@ -318,11 +320,18 @@ class CachedGreedyRouter:
         most :data:`WALK_CHUNK` move one hop per step.  At each step a
         route's neighbours' squared distances to its target are
         ``(x_v - x_t)² + (y_v - y_t)²``, the elementwise IEEE operations
-        :meth:`_build_column` applies; ``argmin`` takes the first
-        minimal neighbour in adjacency order, and the route moves only
-        if that minimum is strictly below its own distance (which is the
-        minimum it moved on, so it is computed once).  Padding slots
-        hold a sentinel node at ``inf``, which never wins.
+        :meth:`_build_column` applies, on coordinate rows gathered with
+        ``np.take`` and shifted by the target in place; ``argmin`` takes
+        the first minimal neighbour in adjacency order, and the route
+        moves only if that minimum is strictly below its own distance
+        (which is the minimum it moved on, so it is computed once).
+        Padding slots hold a sentinel node at ``inf``, which never wins.
+        A route ends the step it reaches its target, and a route from a
+        node to itself before the first step: at distance 0 no neighbour
+        is strictly closer, so the rule would end it one step later at
+        the same node.  A coincident sensor is also at distance 0 but is
+        not the target, so a route that reaches one ends there,
+        undelivered, as :meth:`route_to_node` does.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -429,16 +438,11 @@ class CachedGreedyRouter:
                 ended = ~moves
                 hops[index[ended]] = step
                 destinations[index[ended]] = current[ended]
-                index, current, slot, own_next = (
-                    index[moves],
-                    current[moves],
-                    slot[moves],
-                    own_next[moves],
-                )
-                target, target_x, target_y = (
-                    target[moves],
-                    target_x[moves],
-                    target_y[moves],
+                index, current, slot, own_next, target, target_x, target_y = (
+                    a[moves]
+                    for a in (
+                        index, current, slot, own_next, target, target_x, target_y
+                    )
                 )
             current = np.take(flat_neighbors, current * width + slot)
             own = own_next
@@ -450,11 +454,8 @@ class CachedGreedyRouter:
                 hops[index[arrived]] = step
                 destinations[index[arrived]] = target[arrived]
                 stay = ~arrived
-                index, current, own = index[stay], current[stay], own[stay]
-                target, target_x, target_y = (
-                    target[stay],
-                    target_x[stay],
-                    target_y[stay],
+                index, current, own, target, target_x, target_y = (
+                    a[stay] for a in (index, current, own, target, target_x, target_y)
                 )
 
     def route_stats(self, target_node: int) -> tuple[np.ndarray, np.ndarray]:
