@@ -339,7 +339,7 @@ class CachedGreedyRouter:
         self.walks += count
         hops = np.zeros(count, dtype=np.int64)
         destinations = sources.copy()
-        steps: "list[tuple[np.ndarray, np.ndarray]] | None" = (
+        steps: "list[tuple[int, np.ndarray, np.ndarray]] | None" = (
             [] if paths else None
         )
         size = self.WALK_CHUNK
@@ -350,19 +350,19 @@ class CachedGreedyRouter:
             )
         if steps is None:
             return Walk(hops, destinations, None)
-        # Each route's visited nodes, in step order: a stable sort by
-        # route index keeps the order the steps appended them in.
-        if steps:
-            index = np.concatenate([step[0] for step in steps])
-            visited = np.concatenate([step[1] for step in steps])
-            visited = visited[np.argsort(index, kind="stable")].tolist()
-        else:
-            visited = []
-        routes = []
-        start = 0
-        for source, length in zip(sources.tolist(), hops.tolist()):
-            routes.append([source, *visited[start : start + length]])
-            start += length
+        # Route i's path fills slots starts[i]:ends[i] of one flat
+        # array: its source first, then the node it reached at step s in
+        # slot starts[i] + s.
+        ends = np.cumsum(hops + 1)
+        starts = ends - (hops + 1)
+        visited = np.empty(int(ends[-1]) if count else 0, dtype=np.int64)
+        visited[starts] = sources
+        for step, index, nodes in steps:
+            visited[starts[index] + step] = nodes
+        flat = visited.tolist()
+        routes = [
+            flat[start:end] for start, end in zip(starts.tolist(), ends.tolist())
+        ]
         return Walk(hops, destinations, routes)
 
     def _walk_tables(self) -> "tuple[np.ndarray, ...]":
@@ -396,7 +396,7 @@ class CachedGreedyRouter:
         stop: int,
         hops: np.ndarray,
         destinations: np.ndarray,
-        steps: "list[tuple[np.ndarray, np.ndarray]] | None",
+        steps: "list[tuple[int, np.ndarray, np.ndarray]] | None",
     ) -> None:
         """Walk routes ``start:stop`` to their ends, in place.
 
@@ -448,7 +448,7 @@ class CachedGreedyRouter:
             own = own_next
             step += 1
             if steps is not None:
-                steps.append((index, current))
+                steps.append((step, index, current))
             arrived = current == target
             if arrived.any():
                 hops[index[arrived]] = step

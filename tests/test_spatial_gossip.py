@@ -1,5 +1,11 @@
 """Unit tests for repro.gossip.spatial (Kempe–Kleinberg baseline)."""
 
+import concurrent.futures
+import multiprocessing
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,3 +182,118 @@ class TestBatchedTargetSearch:
             algo, rng.integers(graph.n, size=500), rng.random(500)
         )
         self._assert_rowwise_equal(algo, [], [])
+
+
+def _reference_cdfs(positions: np.ndarray, rho: float) -> np.ndarray:
+    """The table as a per-row loop builds it: one row's weights, sum,
+    fallback and cumulative sum at a time."""
+    n = len(positions)
+    cdfs = np.empty((n, n), dtype=np.float64)
+    for u in range(n):
+        diff = positions - positions[u]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        dist = np.maximum(dist, 1e-9)
+        dist[u] = np.inf  # never pick yourself
+        weights = dist ** (-rho) if rho > 0 else np.ones(n)
+        weights[u] = 0.0
+        total = weights.sum()
+        if not np.isfinite(total) or total <= 0:
+            weights = np.ones(n)
+            weights[u] = 0.0
+            total = weights.sum()
+        np.cumsum(weights / total, out=cdfs[u])
+    return cdfs
+
+
+def _cpus(count: int):
+    """Pretend this process may run on ``count`` CPUs."""
+    return mock.patch("os.sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _build_in_child(graph, expected: bytes) -> None:
+    with _cpus(2):
+        table = SpatialGossip(graph, rho=2.0)._cumulative
+    raise SystemExit(0 if table.tobytes() == expected else 1)
+
+
+class TestTargetTableBuild:
+    """The blocked, threaded table equals the per-row loop bit for bit,
+    on one CPU and on two, and leaves no thread behind."""
+
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**31 - 1),
+        placement=st.sampled_from(["random", "twins", "coincident"]),
+        rho=st.one_of(
+            st.sampled_from([0.0, 2.0, 60.0]),
+            st.floats(0.0, 8.0, allow_nan=False),
+        ),
+        block=st.sampled_from([1, 7, SpatialGossip.TABLE_BLOCK]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_the_per_row_loop(self, n, seed, placement, rho, block):
+        points = np.random.default_rng(seed).random((n, 2))
+        if placement == "twins" and n >= 3:
+            points[1] = points[0]
+            points[n - 1] = points[n // 2]
+        elif placement == "coincident":
+            points[:] = points[0]  # every row falls back to uniform
+        graph = RandomGeometricGraph.build(points, 0.4)
+        with np.errstate(over="ignore"):
+            expected = _reference_cdfs(graph.positions, rho).tobytes()
+        with mock.patch.object(SpatialGossip, "TABLE_BLOCK", block):
+            for cpus in (2, 1):
+                with _cpus(cpus), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    table = SpatialGossip(graph, rho=rho)._cumulative
+                assert table.tobytes() == expected, (cpus, block)
+
+    def test_blocks_run_on_a_pool_only_with_more_than_one_cpu(self):
+        graph = _twinned_graph(3 * SpatialGossip.TABLE_BLOCK + 5, 11, True)
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        with mock.patch("concurrent.futures.ThreadPoolExecutor", Recording):
+            for cpus in (1, 2, 8):
+                with _cpus(cpus):
+                    SpatialGossip(graph, rho=2.0)
+        assert sizes == [2, 4]  # min(CPUs, blocks); one CPU runs inline
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_steep_rho_with_twins_builds_without_warnings(self, cpus):
+        """``1e-9 ** -60`` overflows to ``inf`` on every diagonal and on
+        each coincident pair; neither warns, on the calling thread or on
+        the pool's, and the twin rows fall back to uniform."""
+        with _cpus(cpus), mock.patch.object(SpatialGossip, "TABLE_BLOCK", 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                algo = SpatialGossip(_twinned_graph(17, 3, twins=True), rho=60.0)
+        for u in (0, 1, 8, 16):
+            uniform = np.cumsum(np.where(np.arange(17) == u, 0.0, 1.0) / 16)
+            assert algo._cumulative[u].tolist() == uniform.tolist()
+
+    def test_no_thread_outlives_the_build(self):
+        graph = _twinned_graph(4 * SpatialGossip.TABLE_BLOCK, 13, False)
+        before = threading.active_count()
+        with _cpus(2):
+            SpatialGossip(graph, rho=2.0)
+        assert threading.active_count() == before
+
+    def test_a_forked_child_builds_after_the_parent_did(self):
+        graph = _twinned_graph(4 * SpatialGossip.TABLE_BLOCK, 17, False)
+        with _cpus(2):
+            table = SpatialGossip(graph, rho=2.0)._cumulative
+        child = multiprocessing.get_context("fork").Process(
+            target=_build_in_child, args=(graph, table.tobytes())
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's build did not finish in 60 s")
+        assert child.exitcode == 0
