@@ -24,8 +24,6 @@ delivery/abort semantics as :class:`~repro.gossip.geographic.GeographicGossip`.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.gossip.base import AsynchronousGossip, DrawStream
@@ -36,14 +34,6 @@ from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
 
 __all__ = ["SpatialGossip"]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all CPUs where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 class SpatialGossip(AsynchronousGossip):
@@ -70,8 +60,8 @@ class SpatialGossip(AsynchronousGossip):
 
     name = "spatial"
 
-    #: Rows one block of the CDF table build covers; each worker of the
-    #: build computes in two arrays of this many rows by ``n``.
+    #: Rows one block of the CDF table build covers; the build's one
+    #: work array has this many rows by ``n``.
     TABLE_BLOCK = 64
 
     def __init__(self, graph: RandomGeometricGraph, rho: float = 2.0):
@@ -95,33 +85,25 @@ class SpatialGossip(AsynchronousGossip):
         ``w[u] = 0``; a row whose sum is not finite and positive (a
         coincident sensor at a steep ρ weighs ``inf``) falls back to
         uniform over the other nodes.  The table is built in blocks of
-        :attr:`TABLE_BLOCK` rows, in two phases:
+        :attr:`TABLE_BLOCK` rows, top to bottom, each in two steps:
 
-        1. *Weights, once per pair.*  A block ``[i0, i1)`` computes its
-           upper band, columns ``i0:``, and writes the band to its own
-           rows and its transpose to rows ``i1:`` of columns ``i0:i1``.
+        1. *Weights, once per pair.*  Block ``[i0, i1)`` computes its
+           upper band, columns ``i0:``, in its own rows, and copies the
+           band's transpose into rows ``i1:`` of columns ``i0:i1``.
            That transpose is exact: entry ``(v, u)`` would compute
            ``hypot(-a, -b)`` from the ``a, b`` of entry ``(u, v)``
            (IEEE subtraction is odd), which is ``hypot(a, b)``, and the
            floor and power are elementwise.  So each pair's ``hypot``
            and power run once, on half the table.
-        2. *Normalise.*  Each block zeroes its diagonal, takes its row
-           sums, applies the uniform fallback, divides into a work array
-           and accumulates that back into its rows, each row on its own
-           as the per-row loop did.
+        2. *Normalise.*  The earlier blocks' transposes filled the
+           block's columns ``:i0``, so its rows are complete: it zeroes
+           their diagonal, takes their sums, applies the uniform
+           fallback, divides into a work array and accumulates that back
+           into the rows, each row on its own as the per-row loop did.
 
         Every value goes through the same IEEE operations as a per-row
-        loop, so the table is the same bit for bit.  Blocks of one phase
-        write disjoint entries, so each phase runs on a thread pool as
-        large as the CPUs this process may use (NumPy releases the GIL
-        inside these ufuncs), worker ``w`` taking every ``workers``-th
-        block from block ``w``; on one CPU the same loop runs inline.
-        The pool is opened and joined within the call, so no thread
-        outlives the build and a later ``fork`` is safe.  Each worker
-        computes in two ``TABLE_BLOCK × n`` arrays that the calling
-        thread allocates: they return to its heap when the build ends,
-        where the cell's later arrays reuse them, whereas arrays a
-        worker allocated would stay in that thread's malloc arena.
+        loop, so the table is the same bit for bit.  Beside the table
+        the build holds one ``TABLE_BLOCK × n`` work array.
 
         O(n²) memory; spatial gossip is a study baseline used at moderate
         n (the library's scaling experiments use the paper's algorithms).
@@ -130,17 +112,12 @@ class SpatialGossip(AsynchronousGossip):
         x = np.ascontiguousarray(self.graph.positions[:, 0], dtype=np.float64)
         y = np.ascontiguousarray(self.graph.positions[:, 1], dtype=np.float64)
         cdfs = np.empty((n, n), dtype=np.float64)
-        starts = range(0, n, size)
-        workers = min(_usable_cpus(), len(starts))
-        # Two block-sized work arrays per worker, allocated by this thread
-        # so that they go back to its heap, not to a worker's, at the end.
-        scratch = np.empty((workers, 2, min(size, n) * n), dtype=np.float64)
-
-        def weigh(i0: int, work: np.ndarray) -> None:
+        # The band's y differences, then the block's row shares.
+        work = np.empty(min(size, n) * n, dtype=np.float64)
+        for i0 in range(0, n, size):
             i1 = min(i0 + size, n)
-            shape = (i1 - i0, n - i0)
-            band = work[0, : shape[0] * shape[1]].reshape(shape)
-            dy = work[1, : shape[0] * shape[1]].reshape(shape)
+            band = cdfs[i0:i1, i0:]
+            dy = work[: band.size].reshape(band.shape)
             np.subtract(x[i0:], x[i0:i1, None], out=band)
             np.subtract(y[i0:], y[i0:i1, None], out=dy)
             np.hypot(band, dy, out=band)
@@ -149,11 +126,8 @@ class SpatialGossip(AsynchronousGossip):
             np.maximum(band, 1e-9, out=band)
             with np.errstate(over="ignore"):
                 band **= -rho
-            cdfs[i0:i1, i0:] = band
             cdfs[i1:, i0:i1] = band[:, i1 - i0 :].T
 
-        def normalise(i0: int, work: np.ndarray) -> None:
-            i1 = min(i0 + size, n)
             block = cdfs[i0:i1]
             rows = np.arange(i1 - i0)
             block[rows, rows + i0] = 0.0  # never pick yourself
@@ -164,23 +138,9 @@ class SpatialGossip(AsynchronousGossip):
                 block[fallback] = 1.0
                 block[fallback, fallback + i0] = 0.0
                 totals[fallback] = n - 1
-            shares = work[0, : block.size].reshape(block.shape)
+            shares = work[: block.size].reshape(block.shape)
             np.divide(block, totals[:, None], out=shares)
             np.cumsum(shares, axis=1, out=block)
-
-        def run(phase, worker: int) -> None:
-            for i0 in starts[worker::workers]:
-                phase(i0, scratch[worker])
-
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers) as pool:
-                for phase in (weigh, normalise):
-                    list(pool.map(run, [phase] * workers, range(workers)))
-        else:
-            for phase in (weigh, normalise):
-                run(phase, 0)
         return cdfs
 
     def _search_targets(

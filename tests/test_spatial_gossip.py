@@ -1,8 +1,6 @@
 """Unit tests for repro.gossip.spatial (Kempe–Kleinberg baseline)."""
 
-import concurrent.futures
-import multiprocessing
-import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -205,20 +203,9 @@ def _reference_cdfs(positions: np.ndarray, rho: float) -> np.ndarray:
     return cdfs
 
 
-def _cpus(count: int):
-    """Pretend this process may run on ``count`` CPUs."""
-    return mock.patch("os.sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _build_in_child(graph, expected: bytes) -> None:
-    with _cpus(2):
-        table = SpatialGossip(graph, rho=2.0)._cumulative
-    raise SystemExit(0 if table.tobytes() == expected else 1)
-
-
 class TestTargetTableBuild:
-    """The blocked, threaded table equals the per-row loop bit for bit,
-    on one CPU and on two, and leaves no thread behind."""
+    """The blocked table equals the per-row loop bit for bit and holds
+    one block-sized work array beside it."""
 
     @given(
         n=st.integers(2, 300),
@@ -242,33 +229,16 @@ class TestTargetTableBuild:
         with np.errstate(over="ignore"):
             expected = _reference_cdfs(graph.positions, rho).tobytes()
         with mock.patch.object(SpatialGossip, "TABLE_BLOCK", block):
-            for cpus in (2, 1):
-                with _cpus(cpus), warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    table = SpatialGossip(graph, rho=rho)._cumulative
-                assert table.tobytes() == expected, (cpus, block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = SpatialGossip(graph, rho=rho)._cumulative
+        assert table.tobytes() == expected, block
 
-    def test_blocks_run_on_a_pool_only_with_more_than_one_cpu(self):
-        graph = _twinned_graph(3 * SpatialGossip.TABLE_BLOCK + 5, 11, True)
-        sizes = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                sizes.append(workers)
-                super().__init__(workers)
-
-        with mock.patch("concurrent.futures.ThreadPoolExecutor", Recording):
-            for cpus in (1, 2, 8):
-                with _cpus(cpus):
-                    SpatialGossip(graph, rho=2.0)
-        assert sizes == [2, 4]  # min(CPUs, blocks); one CPU runs inline
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_steep_rho_with_twins_builds_without_warnings(self, cpus):
+    def test_steep_rho_with_twins_builds_without_warnings(self):
         """``1e-9 ** -60`` overflows to ``inf`` on every diagonal and on
-        each coincident pair; neither warns, on the calling thread or on
-        the pool's, and the twin rows fall back to uniform."""
-        with _cpus(cpus), mock.patch.object(SpatialGossip, "TABLE_BLOCK", 4):
+        each coincident pair; neither warns, and the twin rows fall back
+        to uniform."""
+        with mock.patch.object(SpatialGossip, "TABLE_BLOCK", 4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 algo = SpatialGossip(_twinned_graph(17, 3, twins=True), rho=60.0)
@@ -276,24 +246,20 @@ class TestTargetTableBuild:
             uniform = np.cumsum(np.where(np.arange(17) == u, 0.0, 1.0) / 16)
             assert algo._cumulative[u].tolist() == uniform.tolist()
 
-    def test_no_thread_outlives_the_build(self):
-        graph = _twinned_graph(4 * SpatialGossip.TABLE_BLOCK, 13, False)
-        before = threading.active_count()
-        with _cpus(2):
-            SpatialGossip(graph, rho=2.0)
-        assert threading.active_count() == before
-
-    def test_a_forked_child_builds_after_the_parent_did(self):
-        graph = _twinned_graph(4 * SpatialGossip.TABLE_BLOCK, 17, False)
-        with _cpus(2):
-            table = SpatialGossip(graph, rho=2.0)._cumulative
-        child = multiprocessing.get_context("fork").Process(
-            target=_build_in_child, args=(graph, table.tobytes())
-        )
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-            child.join()
-            pytest.fail("the forked child's build did not finish in 60 s")
-        assert child.exitcode == 0
+    @pytest.mark.parametrize("n", [1024, 1500])
+    def test_the_build_holds_one_block_of_scratch(self, n):
+        """Beside the table, the build holds the position columns, one
+        ``TABLE_BLOCK × n`` work array and NumPy's ufunc buffers (a
+        constant, about 200 KiB): nothing that grows with the number of
+        blocks, and no temporary copy of a block."""
+        algo = SpatialGossip.__new__(SpatialGossip)
+        algo.n, algo.rho = n, 2.0
+        algo.graph = _twinned_graph(n, 19, True)
+        tracemalloc.start()
+        try:
+            algo._target_cdfs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table, work = n * n * 8, SpatialGossip.TABLE_BLOCK * n * 8
+        assert peak <= table + work + 2 * n * 8 + 256 * 1024
