@@ -773,9 +773,9 @@ def _command_profile(args: argparse.Namespace) -> int:
     from repro.observability import metrics, profile
 
     with metrics.expose() as registry, profile.capture() as profiler:
-        # Built inside the exposed scope so construction-time collectors
-        # (the route cache's) register; building consumes the same RNG
-        # either way, so the numbers still match a plain 'run'.
+        # Built inside the profiled scope so the build has its span;
+        # building consumes the same RNG either way, so the numbers
+        # still match a plain 'run'.
         with profile.span("build"):
             graph, values, spec, algorithm = _build_run_instance(args)
         with profile.span("run"):

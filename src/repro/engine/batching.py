@@ -47,6 +47,8 @@ from repro.gossip.base import (
     split_streams,
 )
 from repro.observability import events as _events
+from repro.observability import metrics as _metrics
+from repro.observability.telemetry import CACHE_SERIES, cache_stats
 from repro.routing.cost import TransmissionCounter
 
 __all__ = [
@@ -171,6 +173,13 @@ def run_batched(
 ) -> GossipRunResult:
     """Run ``algorithm`` to ε through the batched engine.
 
+    This is where the metrics registry gets the route cache's counts.
+    When a registry is active, the run's movement in
+    :func:`~repro.observability.telemetry.cache_stats` is added to the
+    ``repro_route_cache_*_total`` counters once the run ends, even if
+    it raised.  With no registry active the run pays one
+    :func:`~repro.observability.metrics.active` read.
+
     Parameters
     ----------
     algorithm:
@@ -225,47 +234,59 @@ def run_batched(
         _warn_if_uncentered(
             algorithm, initial_values, epsilon, stacklevel=stacklevel + 1
         )
-    if batching_capability(algorithm) == "rounds":
-        # Round-based protocols (e.g. the hierarchical executor) have no
-        # global tick loop to batch or stride; they run their native
-        # recursion unchanged at every stride, one column at a time on
-        # (n, k) state.  They predate the tick-shaped event vocabulary,
-        # and a per-column run would interleave k start/end streams into
-        # one file, so tracing stays suspended.
-        with _events.suspend():
-            if initial_values.ndim != 2:
-                return algorithm.run(
-                    initial_values, epsilon, rng, trace_thinning=trace_thinning
+    registry = _metrics.active()
+    cache_before = None if registry is None else cache_stats(algorithm)
+    try:
+        if batching_capability(algorithm) == "rounds":
+            # Round-based protocols (e.g. the hierarchical executor) have no
+            # global tick loop to batch or stride; they run their native
+            # recursion unchanged at every stride, one column at a time on
+            # (n, k) state.  They predate the tick-shaped event vocabulary,
+            # and a per-column run would interleave k start/end streams into
+            # one file, so tracing stays suspended.
+            with _events.suspend():
+                if initial_values.ndim != 2:
+                    return algorithm.run(
+                        initial_values, epsilon, rng, trace_thinning=trace_thinning
+                    )
+                name = getattr(algorithm, "name", type(algorithm).__name__)
+                warnings.warn(
+                    f"{name!r} is round-based, so it runs multi-field state per "
+                    "column by design (an adaptive round structure is an "
+                    f"oracle over one field): its {initial_values.shape[1]} "
+                    "field columns execute as independent scalar passes — "
+                    "correct results at the serial cost, with no cross-field "
+                    "amortization (see docs/workloads.md)",
+                    MultiFieldFallbackWarning,
+                    stacklevel=stacklevel,
                 )
-            name = getattr(algorithm, "name", type(algorithm).__name__)
-            warnings.warn(
-                f"{name!r} is round-based, so it runs multi-field state per "
-                "column by design (an adaptive round structure is an "
-                f"oracle over one field): its {initial_values.shape[1]} "
-                "field columns execute as independent scalar passes — "
-                "correct results at the serial cost, with no cross-field "
-                "amortization (see docs/workloads.md)",
-                MultiFieldFallbackWarning,
-                stacklevel=stacklevel,
-            )
-            return _run_per_column(
-                algorithm, initial_values, epsilon, rng, trace_thinning
-            )
-    n = algorithm.n
-    initial_values = check_state_shape(initial_values, n)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return drive_ticks(
-        algorithm,
-        initial_values,
-        epsilon,
-        rng,
-        period=check_stride * max(1, n // 4),
-        check_stride=check_stride,
-        max_ticks=max_ticks,
-        block_size=block_size,
-        trace_thinning=trace_thinning,
-    )
+                return _run_per_column(
+                    algorithm, initial_values, epsilon, rng, trace_thinning
+                )
+        n = algorithm.n
+        initial_values = check_state_shape(initial_values, n)
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        return drive_ticks(
+            algorithm,
+            initial_values,
+            epsilon,
+            rng,
+            period=check_stride * max(1, n // 4),
+            check_stride=check_stride,
+            max_ticks=max_ticks,
+            block_size=block_size,
+            trace_thinning=trace_thinning,
+        )
+    finally:
+        if cache_before is not None:
+            # Only counters that moved are touched: a run that routed
+            # nothing creates no series.
+            cache_after = cache_stats(algorithm)
+            for key, (series, help_text) in CACHE_SERIES.items():
+                moved = cache_after[key] - cache_before[key]
+                if moved:
+                    registry.counter(series, help_text).inc(moved)
 
 
 def _run_per_column(

@@ -266,14 +266,9 @@ def cell_substrate(config: ExperimentConfig, cell: SweepCell):
     their consecutive cells often come from different trials and the
     memo misses.  The field array is marked read-only (every run works
     on its own copy), so no cell can perturb the next one's input.
-
-    The key also holds the active metrics registry: a route cache
-    registers its pull-time collector with the registry active when it
-    is built, so a cache built under one registry (or none) is never
-    reused under another, where its counts would go unreported.
     """
     global _memo
-    key = (config, cell.n, cell.trial, _metrics.active())
+    key = (config, cell.n, cell.trial)
     if _memo is None or _memo[0] != key:
         _memo = None  # free the previous trial's route table first
         graph, values = build_instance(config, cell.n, cell.trial)
@@ -378,8 +373,8 @@ def execute_cell(
     from repro.experiments.seeds import spawn_rng
 
     # Snapshot counter totals up front so every increment this cell's
-    # build and run produce (engine windows, fault events, route-cache
-    # collectors registered at build time) lands in its telemetry delta.
+    # build and run produce (engine windows, fault events, the run's
+    # route-cache movement) lands in its telemetry delta.
     registry = _metrics.active()
     counters_before = registry.counter_totals() if registry is not None else None
     with _profile.span("build"):

@@ -333,18 +333,6 @@ def _write_service_telemetry(
     return payload
 
 
-#: Route-cache counters a cell record carries home in its telemetry,
-#: mapped to the fleet-wide series the coordinator republishes them as.
-_RECORD_CACHE_SERIES = {
-    "cache_hits": "repro_route_cache_hits_total",
-    "cache_misses": "repro_route_cache_misses_total",
-    "cache_walks": "repro_route_cache_walks_total",
-    "cache_invalidations": "repro_route_cache_invalidations_total",
-    "cache_repairs": "repro_route_cache_repairs_total",
-    "cache_drops": "repro_route_cache_drops_total",
-}
-
-
 def _set_total(counter: Counter, value: float, **labels) -> None:
     """``set_total`` clamped against transient dips.
 
@@ -376,7 +364,7 @@ def _update_service_metrics(
     :class:`CellRecord` carries.  ``stores`` holds one canonical store
     per registered grid (one-shot sessions pass exactly one).
     """
-    from repro.observability.telemetry import service_telemetry
+    from repro.observability.telemetry import CACHE_SERIES, service_telemetry
 
     stats = queue.stats()
     depth = registry.gauge(
@@ -417,19 +405,14 @@ def _update_service_metrics(
             "repro_worker_cells_per_sec",
             "Per-worker throughput over lease-held time.",
         ).set(slot["cells_per_sec"], worker=worker)
-    sums = {series: 0.0 for series in _RECORD_CACHE_SERIES.values()}
+    sums = dict.fromkeys(CACHE_SERIES, 0.0)
     for store in stores:
         for record in _landed_records(store, shards).values():
             telemetry = record.telemetry or {}
-            for field, series in _RECORD_CACHE_SERIES.items():
-                sums[series] += float(telemetry.get(field, 0.0))
-    for series, total in sums.items():
-        _set_total(
-            registry.counter(
-                series, "Route-cache total summed from landed cell records."
-            ),
-            total,
-        )
+            for key in CACHE_SERIES:
+                sums[key] += float(telemetry.get(key, 0.0))
+    for key, (series, help_text) in CACHE_SERIES.items():
+        _set_total(registry.counter(series, help_text), sums[key])
 
 
 def _count_merge(registry: "MetricsRegistry | None", report: dict) -> None:

@@ -124,11 +124,14 @@ class RandomizedGossip(AsynchronousGossip):
         owner and its neighbour index, with no draw (and no exchange)
         for an isolated owner.  Partners come from a list snapshot of
         ``neighbors`` taken on first use, under the same rule as
-        :meth:`tick_block`'s CSR snapshot, and so does the loss channel.
-        The window's pairs are averaged in tick order by
-        :func:`~repro.gossip.pairs.apply_pair_averages` (scalar state on
-        Python floats, ``(n, k)`` state in levels of disjoint pairs).
+        :meth:`tick_block`'s CSR snapshot.  A :attr:`loss_channel` runs
+        the per-tick loop.  The window's pairs are averaged in tick order
+        by :func:`~repro.gossip.pairs.apply_pair_averages` (scalar state
+        on Python floats, ``(n, k)`` state in levels of disjoint pairs).
         """
+        if self.loss_channel is not None:
+            super().tick_window(count, values, counter, draws)
+            return
         if self._lists is None:
             rows = [adjacency.tolist() for adjacency in self.neighbors]
             self._lists = rows, [len(row) for row in rows]
@@ -138,10 +141,6 @@ class RandomizedGossip(AsynchronousGossip):
             owners = [i for i, j in zip(owners, picks) if j >= 0]
             picks = [j for j in picks if j >= 0]
         partners = [rows[i][j] for i, j in zip(owners, picks)]
-        if self.loss_channel is not None:
-            survived = [self._exchange_survives(counter) for _ in owners]
-            owners = [i for i, kept in zip(owners, survived) if kept]
-            partners = [v for v, kept in zip(partners, survived) if kept]
         if not owners:
             return
         apply_pair_averages(values, owners, partners)
@@ -174,15 +173,17 @@ class RandomizedGossip(AsynchronousGossip):
         draws.  Partners come from a CSR snapshot of ``neighbors`` taken
         on first use, so ``neighbors`` must not change afterwards
         (:class:`~repro.dynamics.overlay.DynamicGossip`, whose masked
-        adjacency does, drives :meth:`tick` only).  Under a
-        ``loss_channel`` the survivals are drawn in pair order first, as
-        the per-tick loop draws them.
+        adjacency does, drives :meth:`tick` only).  A
+        :attr:`loss_channel` runs the per-tick loop.
 
         The averages run through
         :func:`~repro.gossip.pairs.apply_pair_averages`, which applies the
         block in tick order: scalar state on Python floats, ``(n, k)``
         state in levels of disjoint pairs.
         """
+        if self.loss_channel is not None:
+            super().tick_block(owners, values, counter, rng)
+            return
         if self._csr is None:
             self._csr = adjacency_csr(self.neighbors)
         flat, offsets, degrees = self._csr
@@ -193,9 +194,6 @@ class RandomizedGossip(AsynchronousGossip):
             owners, owner_degrees = owners[live], owner_degrees[live]
         picks = rng.random(len(owners))
         partners = flat[offsets[owners] + (picks * owner_degrees).astype(np.int64)]
-        if self.loss_channel is not None:
-            survived = [self._exchange_survives(counter) for _ in range(len(owners))]
-            owners, partners = owners[survived], partners[survived]
         if not len(owners):
             return
         apply_pair_averages(values, owners, partners)

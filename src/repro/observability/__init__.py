@@ -25,12 +25,12 @@ Three pieces make engine runs debuggable and independently checkable:
 
 Three more pieces make a *running* sweep observable live:
 
-* :mod:`repro.observability.metrics` — an opt-in pull-based metrics
-  registry (labelled counters, gauges, fixed-bucket histograms) with
-  Prometheus text-exposition rendering.  Hot layers either update it at
-  window granularity or register pull-time collectors, so the same
+* :mod:`repro.observability.metrics` — an opt-in metrics registry
+  (labelled counters, gauges, fixed-bucket histograms) with Prometheus
+  text-exposition rendering.  The engine updates it once per window,
+  and the route cache's counts reach it once per run, so the same
   bit-identity and ``is None``-when-off guarantees as tracing hold
-  (benchmark E22 caps the enabled overhead at 1.05×).
+  (benchmark E22 gates the enabled overhead at 1.05×).
 * :mod:`repro.observability.profile` — a nestable span profiler on
   :func:`time.perf_counter` aggregating into a per-phase hotpath table
   (count, total, mean, p50/p99), surfaced by ``repro profile``.

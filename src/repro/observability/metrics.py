@@ -1,8 +1,8 @@
-"""The pull-based metrics registry: labelled counters, gauges, histograms.
+"""The metrics registry: labelled counters, gauges, histograms.
 
 Where :mod:`repro.observability.events` answers "what happened, in
 order", this module answers "how much, right now": live operational
-counters a scraper can pull from a running sweep service.  The design
+counters a scraper can read from a running sweep service.  The design
 rules mirror the event recorder's, because they are what keep the
 engine's bit-identity guarantees intact:
 
@@ -13,14 +13,14 @@ engine's bit-identity guarantees intact:
 * **Purely observational.**  The registry never consumes randomness and
   never changes a code path, so metrics-on runs are bit-identical to
   metrics-off runs in values, ticks, and transmissions (golden-suite
-  tested, and held to a ≤1.05× wall-clock ceiling by benchmark E22).
-* **Pull, not push, for the hottest sites.**  Layers whose own counters
-  already exist (the route cache's ``hits``/``misses``) do not pay a
-  registry update per operation; they register a *collector* via
-  :meth:`MetricsRegistry.add_collector` and the registry reads their
-  state at scrape time.  Per-operation :meth:`Counter.inc` calls are
-  reserved for rare sites (per-window engine checks, lease operations,
-  fault epochs, shard merges).
+  tested; benchmark E22 gates the wall-clock cost at ≤1.05×).
+* **Coarse updates only.**  No site updates the registry per tick or
+  per route.  Layers that already count per operation keep their own
+  plain counters and publish the movement once: the route cache's
+  ``hits``/``misses``… reach ``repro_route_cache_*_total`` once per run,
+  from :func:`repro.engine.batching.run_batched`.  :meth:`Counter.inc`
+  calls elsewhere sit at rare sites (per-window engine checks, lease
+  operations, fault epochs, shard merges).
 
 Naming follows the Prometheus conventions: ``repro_`` prefix, base
 units, ``_total`` suffix on counters, labels for bounded dimensions only
@@ -57,12 +57,10 @@ from __future__ import annotations
 import math
 import re
 import threading
-import weakref
 from contextlib import contextmanager
 
 __all__ = [
     "CONTENT_TYPE",
-    "CollectorSink",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -70,7 +68,6 @@ __all__ = [
     "MetricsRegistry",
     "Series",
     "active",
-    "cache_collector",
     "disable",
     "enable",
     "expose",
@@ -238,11 +235,12 @@ class Counter(_Metric):
     def set_total(self, value: float, **labels) -> None:
         """Mirror an externally accumulated monotone total.
 
-        The sweep coordinator aggregates counts it does not itself
-        produce (queue completions, per-worker cell counts, route-cache
-        totals summed from landed cell records); ``set_total`` lets it
-        publish those as counters without double counting.  The value
-        must not move backwards.
+        The sweep coordinator republishes counts it re-derives from
+        on-disk state (queue completions, per-worker cell counts, and
+        route-cache totals summed from the ``cache_*`` telemetry of
+        landed cell records); ``set_total`` lets it publish those as
+        counters without double counting.  The value must not move
+        backwards.
         """
         key = self._key(labels)
         with self._lock:
@@ -395,7 +393,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """A thread-safe collection of metrics with pull-time collectors.
+    """A thread-safe collection of named metrics.
 
     Instruments are created lazily and get-or-create by name —
     instrumented layers call ``registry.counter(name, help)`` at the
@@ -415,12 +413,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
-        self._collectors: list = []
-        #: Per-collector last report, folded into ``_retired`` when the
-        #: collector's owner is garbage collected — keeps collected
-        #: counters cumulative across object lifetimes.
-        self._last_reports: dict[int, "CollectorSink"] = {}
-        self._retired: dict[tuple, tuple] = {}
 
     def _instrument(self, cls, name: str, help_text: str, **kwargs) -> _Metric:
         with self._lock:
@@ -448,76 +440,13 @@ class MetricsRegistry:
         """Get or create the :class:`Histogram` called ``name``."""
         return self._instrument(Histogram, name, help_text, buckets=buckets)
 
-    def add_collector(self, collect) -> None:
-        """Register a pull-time collector, called before every scrape.
-
-        ``collect`` is invoked with a :class:`CollectorSink` and should
-        report its owner's *current cumulative* counts; the registry
-        sums reports across collectors (several live route caches add
-        up) and publishes the sums monotonically.  A collector that
-        raises :class:`ReferenceError` — the natural failure of a
-        ``weakref``-holding closure whose owner was garbage collected —
-        is dropped silently, so hot objects can register themselves
-        without extending their own lifetime.
-        """
-        self._collectors.append(collect)
-
-    def collect(self) -> None:
-        """Run all registered collectors, pruning dead ones.
-
-        Collected counter series stay cumulative across their owners'
-        lifetimes: each collector's latest report is remembered, and
-        when its owner is garbage collected (the collector raises
-        :class:`ReferenceError`) that last report folds into a retired
-        base the live sums stack on.  Counts an object accrued *after*
-        its last scrape and before collection are lost — the inherent
-        imprecision of pull-based metrics — but the exported series
-        never decreases, and anything scraped once is never un-counted.
-        """
-        live_sums = CollectorSink()
-        live = []
-        for collector in list(self._collectors):
-            sink = CollectorSink()
-            try:
-                collector(sink)
-            except ReferenceError:
-                last = self._last_reports.pop(id(collector), None)
-                if last is not None:
-                    for key, (help_text, value) in last._counters.items():
-                        _, base = self._retired.get(key, (help_text, 0.0))
-                        self._retired[key] = (help_text, base + value)
-                continue
-            live.append(collector)
-            self._last_reports[id(collector)] = sink
-            for key, (help_text, value) in sink._counters.items():
-                live_sums.counter(key[0], value, help_text, **dict(key[1]))
-            for key, (help_text, value) in sink._gauges.items():
-                live_sums.gauge(key[0], value, help_text, **dict(key[1]))
-        self._collectors = live
-        totals = dict(live_sums._counters)
-        for key, (help_text, base) in self._retired.items():
-            prior_help, value = totals.get(key, (help_text, 0.0))
-            totals[key] = (prior_help or help_text, base + value)
-        for (name, key), (help_text, value) in totals.items():
-            metric = self.counter(name, help_text)
-            with self._lock:
-                # Monotone guard: a raced report can only hold, not
-                # rewind, the exported value.
-                if value > metric._series.get(key, 0.0):
-                    metric._series[key] = value
-        for (name, key), (help_text, value) in live_sums._gauges.items():
-            metric = self.gauge(name, help_text)
-            with self._lock:
-                metric._series[key] = value
-
     def snapshot(self) -> dict:
         """Flat ``{series: value}`` map of every scalar series.
 
-        Runs collectors first.  Histograms contribute their ``_sum`` and
+        Histograms contribute their ``_sum`` and
         ``_count`` series.  Series names are rendered exactly as in the
         exposition format, so snapshots diff cleanly against scrapes.
         """
-        self.collect()
         out: dict[str, float] = {}
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
@@ -541,11 +470,10 @@ class MetricsRegistry:
     def counter_totals(self) -> dict:
         """Flat ``{series: value}`` map of counter series only.
 
-        Runs collectors first.  This is what
+        This is what
         :func:`repro.observability.telemetry.metric_deltas` diffs to
         attribute counter movement to one executed cell.
         """
-        self.collect()
         out: dict[str, float] = {}
         with self._lock:
             counters = sorted(
@@ -561,9 +489,8 @@ class MetricsRegistry:
         """Render every metric in text exposition format 0.0.4.
 
         Families are sorted by name and series by label set, so output
-        is deterministic for a given state.  Collectors run first.
+        is deterministic for a given state.
         """
-        self.collect()
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: list[str] = []
@@ -600,95 +527,3 @@ class MetricsRegistry:
                         f"{_series_name(metric.name, key)} {_format_value(value)}"
                     )
         return "\n".join(lines) + "\n" if lines else ""
-
-
-
-
-class CollectorSink:
-    """Accumulates values reported by collectors during one scrape.
-
-    Reports for the same ``(name, labels)`` series *sum* — several live
-    route caches each report their own cumulative counts and the scrape
-    exports the total.
-
-    >>> sink = CollectorSink()
-    >>> sink.counter("repro_hits_total", 3, "Hits.")
-    >>> sink.counter("repro_hits_total", 4, "Hits.")
-    >>> sink._counters[("repro_hits_total", ())]
-    ('Hits.', 7.0)
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[tuple, tuple] = {}
-        self._gauges: dict[tuple, tuple] = {}
-
-    def _add(self, store: dict, name: str, value: float, help_text: str, labels):
-        key = (name, _label_key(labels))
-        _, current = store.get(key, (help_text, 0.0))
-        store[key] = (help_text, current + float(value))
-
-    def counter(
-        self, name: str, value: float, help_text: str = "", **labels
-    ) -> None:
-        """Report one object's cumulative count for a counter series."""
-        self._add(self._counters, name, value, help_text, labels)
-
-    def gauge(self, name: str, value: float, help_text: str = "", **labels) -> None:
-        """Report one object's contribution to a gauge series."""
-        self._add(self._gauges, name, value, help_text, labels)
-
-
-def cache_collector(registry: "MetricsRegistry", cache) -> None:
-    """Register pull-time route-cache series for ``cache``.
-
-    Called by :class:`repro.routing.cache.CachedGreedyRouter` when a
-    registry is active at construction.  Pull-time collection is what
-    keeps the route hot path free: the cache maintains its own plain
-    integer counters exactly as before, and the registry reads them only
-    when scraped — zero cost per routed message, which is how benchmark
-    E22 holds metrics-on runs to a ≤1.05× wall-clock ceiling.
-
-    The collector holds only a weak reference, so registering never
-    extends a cache's lifetime; once the cache is garbage collected the
-    registry prunes the collector on the next scrape (exported counters
-    hold their high-water marks).  Counts from multiple live caches
-    (e.g. the protocols of one in-process sweep) sum.
-    """
-    ref = weakref.ref(cache)
-
-    def collect(sink: CollectorSink) -> None:
-        target = ref()
-        if target is None:
-            raise ReferenceError("route cache was garbage collected")
-        sink.counter(
-            "repro_route_cache_hits_total",
-            target.hits,
-            "Column routes served by an existing column.",
-        )
-        sink.counter(
-            "repro_route_cache_misses_total",
-            target.misses,
-            "Column routes that built their column.",
-        )
-        sink.counter(
-            "repro_route_cache_walks_total",
-            target.walks,
-            "Routes served by batched walks (no column).",
-        )
-        sink.counter(
-            "repro_route_cache_invalidations_total",
-            target.invalidations,
-            "Route-cache invalidation events.",
-        )
-        sink.counter(
-            "repro_route_cache_repairs_total",
-            target.repairs,
-            "Cached columns repaired in place on invalidation.",
-        )
-        sink.counter(
-            "repro_route_cache_drops_total",
-            target.drops,
-            "Cached columns dropped on invalidation (past repair budget).",
-        )
-
-    registry.add_collector(collect)

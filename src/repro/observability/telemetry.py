@@ -18,11 +18,46 @@ imports): this module is a leaf the engine layers can import freely.
 from __future__ import annotations
 
 __all__ = [
+    "CACHE_SERIES",
     "cache_stats",
     "collect_telemetry",
     "metric_deltas",
     "service_telemetry",
 ]
+
+#: The route cache's counters, one row each: the ``cache_*`` telemetry
+#: key a cell record carries (its suffix is the
+#: :class:`~repro.routing.cache.CachedGreedyRouter` attribute), mapped
+#: to the registry series and help text it is published as.  Cell
+#: records (:func:`cache_stats`), the per-run registry publish
+#: (:func:`~repro.engine.batching.run_batched`) and the fleet
+#: coordinator's record sums all read this one table.
+CACHE_SERIES = {
+    "cache_hits": (
+        "repro_route_cache_hits_total",
+        "Column routes served by an existing column.",
+    ),
+    "cache_misses": (
+        "repro_route_cache_misses_total",
+        "Column routes that built their column.",
+    ),
+    "cache_walks": (
+        "repro_route_cache_walks_total",
+        "Routes served by batched walks (no column).",
+    ),
+    "cache_invalidations": (
+        "repro_route_cache_invalidations_total",
+        "Route-cache invalidation events.",
+    ),
+    "cache_repairs": (
+        "repro_route_cache_repairs_total",
+        "Cached columns repaired in place on invalidation.",
+    ),
+    "cache_drops": (
+        "repro_route_cache_drops_total",
+        "Cached columns dropped on invalidation (past repair budget).",
+    ),
+}
 
 
 def cache_stats(algorithm) -> "dict[str, float] | None":
@@ -34,6 +69,7 @@ def cache_stats(algorithm) -> "dict[str, float] | None":
     (``router.inner``) to reach the underlying
     :class:`~repro.routing.cache.CachedGreedyRouter`; protocols without
     a router (randomized, the affine comparators) return ``None``.
+    The keys are those of :data:`CACHE_SERIES`.
     """
     inner = getattr(algorithm, "inner", algorithm)
     cache = getattr(inner, "router", None)
@@ -41,12 +77,8 @@ def cache_stats(algorithm) -> "dict[str, float] | None":
     if getattr(cache, "hits", None) is None:
         return None
     return {
-        "cache_hits": float(cache.hits),
-        "cache_misses": float(cache.misses),
-        "cache_walks": float(cache.walks),
-        "cache_invalidations": float(cache.invalidations),
-        "cache_repairs": float(getattr(cache, "repairs", 0)),
-        "cache_drops": float(getattr(cache, "drops", 0)),
+        key: float(getattr(cache, key.removeprefix("cache_")))
+        for key in CACHE_SERIES
     }
 
 
@@ -110,13 +142,14 @@ def metric_deltas(
 ) -> dict[str, float]:
     """Counter movement between two registry snapshots, per series.
 
-    The sweep executor snapshots
+    When a registry is active in the process that runs a cell, the
+    sweep executor snapshots
     :meth:`~repro.observability.metrics.MetricsRegistry.counter_totals`
-    around a cell and stores the nonzero deltas on the cell's record —
-    which is how the distributed coordinator (a separate process from
-    its workers) can still aggregate engine-level counters fleet-wide:
-    they ride home inside each landed
-    :class:`~repro.engine.executor.CellRecord`.
+    around the cell and stores the nonzero deltas on the cell's record.
+    They describe that process only.  Fleet workers run no registry, so
+    their records carry no ``metric_*`` keys: the coordinator's
+    route-cache totals are sums of the records' ``cache_*`` keys, and
+    engine counters stay in the worker that ran the cell.
 
     >>> metric_deltas(
     ...     {"repro_x_total": 5.0, "repro_y_total": 2.0},

@@ -85,7 +85,6 @@ import numpy as np
 
 from repro.graphs.rgg import RandomGeometricGraph, adjacency_csr
 from repro.observability import events as _events
-from repro.observability import metrics as _metrics
 from repro.routing.cost import TransmissionCounter
 from repro.routing.greedy import GreedyRouter, RouteResult
 
@@ -176,12 +175,6 @@ class CachedGreedyRouter:
         self.repairs = 0
         self.drops = 0
         self._refresh_adjacency()
-        # Metrics are pull-based here: the registry reads the counters
-        # above at scrape time (weakly referenced), so the per-route hot
-        # path pays nothing — see observability.metrics.cache_collector.
-        registry = _metrics.active()
-        if registry is not None:
-            _metrics.cache_collector(registry, self)
 
     @classmethod
     def share(cls, graph) -> "CachedGreedyRouter":

@@ -15,13 +15,11 @@ and the live ``serve-sweep --metrics-port`` integration.
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 import threading
 import urllib.error
 import urllib.request
-import weakref
 from math import inf
 
 import pytest
@@ -32,22 +30,26 @@ from protocol_equivalence import (
     case_names,
     run_engine,
 )
+from repro.dynamics import DynamicGossip, DynamicSubstrate, FaultSpec
+from repro.engine.batching import run_batched
 from repro.engine.executor import execute_cell, expand_grid
 from repro.engine.queue import LeaseQueue
 from repro.engine.service import diff_stores, run_distributed_sweep
 from repro.engine.store import ResultStore, atomic_write_text
 from repro.experiments import ExperimentConfig
+from repro.gossip.geographic import GeographicGossip
+from repro.gossip.hierarchical.rounds import HierarchicalGossip
+from repro.gossip.randomized import RandomizedGossip
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import metrics, profile
-from repro.observability.metrics import (
-    CONTENT_TYPE,
-    CollectorSink,
-    MetricsRegistry,
-)
+from repro.observability.metrics import CONTENT_TYPE, MetricsRegistry
 from repro.observability.profile import SpanProfiler, render_table
 from repro.observability.server import MetricsServer
-from repro.observability.telemetry import metric_deltas
-from repro.routing.cache import CachedGreedyRouter
+from repro.observability.telemetry import (
+    CACHE_SERIES,
+    cache_stats,
+    metric_deltas,
+)
 
 import numpy as np
 
@@ -307,66 +309,108 @@ class TestDisabledMode:
         assert metrics.active() is None and profile.active() is None
 
 
-class TestCollectors:
-    """Pull-time collection: the route cache's zero-hot-path-cost path."""
+class TestRouteCachePublish:
+    """``run_batched`` adds each run's route-cache movement, once."""
 
-    @staticmethod
-    def _graph(n=32, seed=5):
-        return RandomGeometricGraph.sample_connected(
-            n, np.random.default_rng(seed), radius_constant=3.0
+    GRAPH = RandomGeometricGraph.sample_connected(
+        48, np.random.default_rng(20070801), radius_constant=3.0
+    )
+    VALUES = np.random.default_rng(4242).normal(size=48)
+
+    @classmethod
+    def _faulted_geographic(cls):
+        substrate = DynamicSubstrate(
+            cls.GRAPH,
+            FaultSpec(link_failure_rate=0.1, loss_prob=0.05, epoch_ticks=64),
+            seed=1312,
+        )
+        return DynamicGossip(
+            GeographicGossip(substrate, target_mode="uniform"), substrate
         )
 
-    def test_cache_registers_and_reports_on_scrape(self):
-        graph = self._graph()
+    #: name -> (factory, check stride, the counters the run must move).
+    RUNS = {
+        "geographic-stride1": (
+            lambda cls: GeographicGossip(cls.GRAPH, target_mode="uniform"),
+            1,
+            ("cache_walks",),
+        ),
+        "geographic-stride16": (
+            lambda cls: GeographicGossip(cls.GRAPH, target_mode="uniform"),
+            16,
+            ("cache_walks",),
+        ),
+        "hierarchical": (
+            lambda cls: HierarchicalGossip(cls.GRAPH),
+            1,
+            ("cache_hits", "cache_misses"),
+        ),
+        "geographic-faulted": (
+            lambda cls: cls._faulted_geographic(),
+            4,
+            ("cache_hits", "cache_misses", "cache_invalidations"),
+        ),
+    }
+
+    @staticmethod
+    def _route_totals(registry) -> dict:
+        return {
+            series: value
+            for series, value in registry.counter_totals().items()
+            if series.startswith("repro_route_cache_")
+        }
+
+    @staticmethod
+    def _movement(after: dict, before: dict) -> dict:
+        return {
+            series: after[key] - before[key]
+            for key, (series, _) in CACHE_SERIES.items()
+            if after[key] != before[key]
+        }
+
+    def _run(self, algorithm, stride, seed=7, epsilon=0.25):
+        return run_batched(
+            algorithm,
+            self.VALUES.copy(),
+            epsilon,
+            np.random.default_rng(seed),
+            check_stride=stride,
+        )
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_adds_exactly_the_runs_movement(self, name):
+        factory, stride, moved = self.RUNS[name]
+        algorithm = factory(type(self))
         with metrics.expose() as registry:
-            router = CachedGreedyRouter(graph)
-            rng = np.random.default_rng(3)
-            for target in rng.integers(graph.n, size=12):
-                router.route_stats(int(target))
-            snap = registry.snapshot()
-            assert snap["repro_route_cache_misses_total"] == router.misses
-            assert snap["repro_route_cache_hits_total"] == router.hits
-            assert router.misses > 0
+            before = cache_stats(algorithm)
+            self._run(algorithm, stride)
+            after = cache_stats(algorithm)
+            totals = self._route_totals(registry)
+        assert totals == self._movement(after, before)
+        for key in moved:
+            assert totals[CACHE_SERIES[key][0]] > 0, (key, totals)
 
-    def test_collected_counters_survive_cache_death(self):
-        """A garbage-collected cache retires its last report: the
-        exported series holds its high-water mark, never rewinds."""
-        graph = self._graph()
+    def test_two_runs_add_up(self):
+        algorithm = GeographicGossip(self.GRAPH, target_mode="uniform")
         with metrics.expose() as registry:
-            router = CachedGreedyRouter(graph)
-            router.route_stats(graph.n - 1)
-            before = registry.snapshot()["repro_route_cache_misses_total"]
-            assert before > 0
-            del router
-            gc.collect()
-            after = registry.snapshot()["repro_route_cache_misses_total"]
-            assert after == before
-            # A second cache's counts stack on the retired base.
-            other = CachedGreedyRouter(graph)
-            other.route_stats(graph.n - 1)
-            stacked = registry.snapshot()["repro_route_cache_misses_total"]
-            assert stacked == before + other.misses
+            before = cache_stats(algorithm)
+            self._run(algorithm, 4, seed=1)
+            self._run(algorithm, 4, seed=2)
+            after = cache_stats(algorithm)
+            totals = self._route_totals(registry)
+        assert totals == self._movement(after, before)
+        assert totals["repro_route_cache_walks_total"] == after["cache_walks"]
 
-    def test_collector_registration_never_extends_lifetime(self):
-        graph = self._graph()
-        with metrics.expose():
-            router = CachedGreedyRouter(graph)
-            probe = weakref.ref(router)
-            del router
-            gc.collect()
-            assert probe() is None  # the registry held no strong ref
-
-    def test_sink_sums_same_series(self):
-        sink = CollectorSink()
-        sink.counter("repro_hits_total", 3, "Hits.")
-        sink.counter("repro_hits_total", 4, "Hits.")
-        assert sink._counters[("repro_hits_total", ())] == ("Hits.", 7.0)
-
-    def test_no_registration_without_active_registry(self):
-        graph = self._graph()
-        registry = MetricsRegistry()
-        CachedGreedyRouter(graph)  # built with metrics off
-        assert registry.snapshot() == {}
+    def test_no_movement_creates_no_series(self):
+        algorithm = GeographicGossip(self.GRAPH, target_mode="uniform")
+        with metrics.expose() as registry:
+            # Already within ε of the mean: the run stops before a tick.
+            result = self._run(algorithm, 1, epsilon=10.0)
+            # Randomized gossip has no route cache at all.
+            self._run(RandomizedGossip(self.GRAPH.neighbors), 1)
+            totals = self._route_totals(registry)
+        assert result.ticks == 0
+        assert totals == {}
 
 
 class TestSpanProfiler:
@@ -650,6 +694,41 @@ class TestExecutorIntegration:
         seconds = registry.snapshot()
         assert seconds['repro_cell_seconds_count{algorithm="geographic"}'] == 1.0
         assert "metric_" not in str(plain.telemetry)
+
+    def test_trial_substrate_is_shared_across_registries(self, monkeypatch):
+        """A cell run under a registry reuses the trial's substrate (and
+        route cache) that an unobserved cell built, and its registry
+        deltas are exactly its own ``cache_*`` movement."""
+        from repro.engine import executor
+
+        config = ExperimentConfig(
+            sizes=(64,),
+            epsilon=0.3,
+            trials=1,
+            radius_constant=3.0,
+            algorithms=("geographic", "path-averaging"),
+        )
+        builds = []
+        build_instance = executor.build_instance
+        monkeypatch.setattr(
+            executor,
+            "build_instance",
+            lambda *args: builds.append(args) or build_instance(*args),
+        )
+        first, second = expand_grid(config)
+        executor.clear_substrate()
+        try:
+            execute_cell(config, first)
+            with metrics.expose():
+                record = execute_cell(config, second)
+        finally:
+            executor.clear_substrate()
+        assert len(builds) == 1
+        telemetry = record.telemetry
+        # Stride-1 path averaging routes through next-hop columns.
+        assert telemetry["cache_hits"] + telemetry["cache_misses"] > 0
+        for key, (series, _) in CACHE_SERIES.items():
+            assert telemetry.get(f"metric_{series}", 0.0) == telemetry[key], key
 
 
 class TestServeSweepMetrics:
