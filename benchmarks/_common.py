@@ -14,10 +14,17 @@ runs to track the perf trajectory.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: The arms of an overhead measurement, interleaved in this order:
+#: ``bare`` and ``control`` run the same uninstrumented code, and
+#: ``observed`` runs it instrumented.  ``control / bare`` is the noise
+#: floor the ``observed / bare`` ratio is read against.
+OVERHEAD_ARMS = ("bare", "observed", "control")
 
 
 def emit(experiment: str, text: str) -> None:
@@ -54,3 +61,34 @@ def timed_pedantic(benchmark, experiment: str, fn, **extra):
         pass
     emit_timing(experiment, elapsed, **extra)
     return result
+
+
+def sample_overhead(run, *, samples: int, sample_seconds: float):
+    """Best seconds per run of each of :data:`OVERHEAD_ARMS`.
+
+    ``run(arm)`` executes one run of ``arm`` and returns ``(outputs,
+    seconds)``, timing only what the caller wants measured.  One run is
+    often a few milliseconds, short enough that scheduler noise is as
+    large as the overhead being judged.  So an untimed warm-up runs
+    each code path first, and the bare warm-up's time sizes a *sample*:
+    the run repeats until the sample has lasted about
+    ``sample_seconds``.  The arms are interleaved so clock drift hits
+    them alike, and each keeps the best of ``samples`` samples.
+
+    Returns ``(best, outputs, repeats)``: the best mean seconds per run
+    of each arm, the last outputs of each arm, and the repeats per
+    sample.
+    """
+    run("observed")
+    _, warm = run("bare")
+    repeats = max(1, math.ceil(sample_seconds / warm))
+    best = dict.fromkeys(OVERHEAD_ARMS, math.inf)
+    outputs = {}
+    for _ in range(samples):
+        for arm in OVERHEAD_ARMS:
+            total = 0.0
+            for _ in range(repeats):
+                outputs[arm], seconds = run(arm)
+                total += seconds
+            best[arm] = min(best[arm], total / repeats)
+    return best, outputs, repeats

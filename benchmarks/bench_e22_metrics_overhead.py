@@ -2,10 +2,10 @@
 
 The live-metrics layer promises an even tighter bar than tracing (E20):
 where the event recorder pays one emission per batch window, the metrics
-registry is updated once per window, and the route cache's counters
-reach it once per run (``run_batched`` adds the run's movement when the
-run ends), never on the route hot path.  The span profiler touches
-:func:`time.perf_counter` twice per window.  So a
+registry is updated once per run — the engine's ticks, checks and error
+when ``drive_ticks`` ends, the route cache's movement when
+``run_batched`` ends — never per window or on the route hot path.  The
+span profiler touches :func:`time.perf_counter` twice per window.  So a
 metrics-and-profiling-on run must cost at most 5% wall clock, an order
 tighter than E20's 30% tracing ceiling.
 
@@ -18,14 +18,13 @@ one engine run bare vs the same run under an active
 :class:`~repro.observability.profile.SpanProfiler`.
 
 One run takes 3–30 ms, short enough that scheduler noise is as large as
-the 5% being judged.  So each *sample* repeats the run until it has
-lasted about :data:`SAMPLE_SECONDS` (the repeat count is sized from an
-untimed warm-up run, which is discarded), and each arm keeps the best of
-:data:`SAMPLES` samples.  The arms are interleaved so clock drift hits
-them alike.  A third arm, *control*, is the bare run again: its ratio to
-the bare arm is the noise floor of the measurement, reported beside the
-observed ratio in the table and in the ``BENCH_e22_*_control.json``
-artifacts.
+the 5% being judged, so the arms are sampled by
+:func:`_common.sample_overhead` (shared with E20): an untimed warm-up,
+samples of about :data:`SAMPLE_SECONDS` of repeated runs, interleaved
+arms, best of :data:`SAMPLES`.  A third arm, *control*, is the bare run
+again: its ratio to the bare arm is the noise floor of the measurement,
+reported beside the observed ratio in the table and in the
+``BENCH_e22_*_control.json`` artifacts.
 
 Asserted: the observed run is bit-identical to the bare one (values,
 transmissions, ticks — neither instrument consumes RNG), the registry's
@@ -34,12 +33,17 @@ accounts for the run, and the observed arm costs at most 5% more than
 the bare arm.  The control arm is reported, not gated.
 """
 
-import math
 import time
 
 import numpy as np
 
-from _common import emit, emit_timing, timed_pedantic
+from _common import (
+    OVERHEAD_ARMS,
+    emit,
+    emit_timing,
+    sample_overhead,
+    timed_pedantic,
+)
 from repro.engine import build_instance, run_batched
 from repro.experiments import (
     ExperimentConfig,
@@ -59,19 +63,16 @@ CONFIGS = tuple((name, stride) for stride in STRIDES for name in PROTOCOLS)
 SAMPLES = 7
 #: Target length of one sample: the run repeats until it lasts this long.
 SAMPLE_SECONDS = 0.15
-#: ``bare`` and ``control`` run the same bare code; ``observed`` runs
-#: under a registry and a profiler.  Interleaved in this order.
-ARMS = ("bare", "observed", "control")
 OVERHEAD_CEILING = 1.05
 
 
 def _run(name, stride, graph, values, config, observed: bool):
-    """One engine run; returns (result, seconds, registry, profiler).
+    """One engine run; returns ((result, registry, profiler), seconds).
 
-    The observed variant builds the algorithm *inside* the exposed
-    scope, exactly as ``execute_cell`` does, so whatever the build and
-    the run record (the engine's window counters, the run's route-cache
-    movement) is part of what's timed.
+    The observed variant (under a registry and a profiler) builds the
+    algorithm *inside* the exposed scope, exactly as ``execute_cell``
+    does, so whatever the build and the run record (the engine's
+    counters, the run's route-cache movement) is part of what's timed.
     """
     rng = spawn_rng(config.root_seed, "e22", name)
     if observed:
@@ -82,23 +83,12 @@ def _run(name, stride, graph, values, config, observed: bool):
                 algorithm, values, EPSILON, rng, check_stride=stride
             )
             seconds = time.perf_counter() - start
-        return result, seconds, registry, profiler
+        return (result, registry, profiler), seconds
     start = time.perf_counter()
     algorithm = make_algorithm(name, graph)
     result = run_batched(algorithm, values, EPSILON, rng, check_stride=stride)
     seconds = time.perf_counter() - start
-    return result, seconds, None, None
-
-
-def _sample(name, stride, graph, values, config, observed, repeats):
-    """``repeats`` runs back to back: (last run's outputs, total seconds)."""
-    total = 0.0
-    for _ in range(repeats):
-        result, seconds, registry, profiler = _run(
-            name, stride, graph, values, config, observed
-        )
-        total += seconds
-    return (result, registry, profiler), total
+    return (result, None, None), seconds
 
 
 def test_e22_metrics_overhead(benchmark):
@@ -110,27 +100,18 @@ def test_e22_metrics_overhead(benchmark):
     def measure():
         results = {}
         for name, stride in CONFIGS:
-            # Warm-up, discarded: one run per arm's code path.  The bare
-            # run's time sizes the samples.
-            _run(name, stride, graph, values, config, observed=True)
-            _, warm, _, _ = _run(
-                name, stride, graph, values, config, observed=False
+            seconds, outputs, repeats = sample_overhead(
+                lambda arm: _run(
+                    name,
+                    stride,
+                    graph,
+                    values,
+                    config,
+                    observed=arm == "observed",
+                ),
+                samples=SAMPLES,
+                sample_seconds=SAMPLE_SECONDS,
             )
-            repeats = max(1, math.ceil(SAMPLE_SECONDS / warm))
-            seconds = {arm: [] for arm in ARMS}
-            outputs = {}
-            for _ in range(SAMPLES):
-                for arm in ARMS:
-                    outputs[arm], total = _sample(
-                        name,
-                        stride,
-                        graph,
-                        values,
-                        config,
-                        observed=arm == "observed",
-                        repeats=repeats,
-                    )
-                    seconds[arm].append(total / repeats)
             base_result = outputs["bare"][0]
             observed_result, registry, profiler = outputs["observed"]
 
@@ -157,7 +138,7 @@ def test_e22_metrics_overhead(benchmark):
             assert {"window", "check"} <= set(spans), sorted(spans)
 
             results[(name, stride)] = {
-                **{f"{arm}_seconds": min(seconds[arm]) for arm in ARMS},
+                **{f"{arm}_seconds": seconds[arm] for arm in OVERHEAD_ARMS},
                 "repeats": repeats,
                 "windows": spans["window"]["count"],
                 "ticks": base_result.ticks,

@@ -62,7 +62,6 @@ from repro.gossip.base import AsynchronousGossip
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.metrics.error import deviation_norm, primary_field
 from repro.observability import events as _events
-from repro.observability import metrics as _metrics
 from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
 from repro.routing.greedy import RouteResult
@@ -236,19 +235,6 @@ class DynamicSubstrate:
                             "recovered": recovered,
                         }
                     )
-                registry = _metrics.active()
-                if registry is not None:
-                    registry.counter(
-                        "repro_fault_crashes_total", "Nodes crashed by churn."
-                    ).inc(len(crashed))
-                    registry.counter(
-                        "repro_fault_recoveries_total",
-                        "Nodes recovered by churn.",
-                    ).inc(len(recovered))
-                    registry.gauge(
-                        "repro_fault_live_fraction",
-                        "Fraction of nodes live after the last churn epoch.",
-                    ).set(float(self.live.mean()))
         # Link draws are sized by the *post-jitter* edge list — their
         # stream is separate from the node events precisely so this
         # ordering is safe (see FaultSchedule.link_events).
@@ -496,12 +482,6 @@ class LossyRouter:
                 recorder.emit(
                     {"e": "drop", "tx": attempted, "cat": self.LOST_CATEGORY}
                 )
-            registry = _metrics.active()
-            if registry is not None:
-                registry.counter(
-                    "repro_fault_lost_transmissions_total",
-                    "Transmissions charged to dropped routes.",
-                ).inc(attempted)
         return (
             RouteResult(path=result.path[:attempted], delivered=False),
             True,
@@ -608,12 +588,6 @@ class DynamicGossip(AsynchronousGossip):
             recorder = _events.active()
             if recorder is not None:
                 recorder.emit({"e": "dead", "ticks": 1})
-            registry = _metrics.active()
-            if registry is not None:
-                registry.counter(
-                    "repro_fault_dead_ticks_total",
-                    "Ticks owned by crashed nodes (wasted).",
-                ).inc()
             return
         self.inner.tick(node, values, counter, rng)
 

@@ -36,13 +36,8 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.engine.batching import batching_capability, run_batched
 from repro.observability import events as _events
-from repro.observability import metrics as _metrics
 from repro.observability import profile as _profile
-from repro.observability.telemetry import (
-    cache_stats,
-    collect_telemetry,
-    metric_deltas,
-)
+from repro.observability.telemetry import cache_stats, collect_telemetry
 from repro.routing.cache import CachedGreedyRouter
 from repro.workloads.fields import FIELD_GENERATORS, build_field_matrix
 
@@ -372,11 +367,6 @@ def execute_cell(
     """
     from repro.experiments.seeds import spawn_rng
 
-    # Snapshot counter totals up front so every increment this cell's
-    # build and run produce (engine windows, fault events, the run's
-    # route-cache movement) lands in its telemetry delta.
-    registry = _metrics.active()
-    counters_before = registry.counter_totals() if registry is not None else None
     with _profile.span("build"):
         graph, values = cell_substrate(config, cell)
         algorithm = build_cell_algorithm(
@@ -409,15 +399,6 @@ def execute_cell(
         )
         recorder.write(cell_trace_path(trace_dir, cell))
         trace_events = len(recorder)
-    cell_metrics = None
-    if registry is not None:
-        registry.counter(
-            "repro_cells_executed_total", "Cells executed in this process."
-        ).inc(algorithm=cell.algorithm)
-        registry.histogram(
-            "repro_cell_seconds", "Per-cell run wall clock."
-        ).observe(wall_clock, algorithm=cell.algorithm)
-        cell_metrics = metric_deltas(registry.counter_totals(), counters_before)
     multifield_fallback = values.ndim == 2 and not tick_driven
     telemetry = collect_telemetry(
         algorithm,
@@ -429,7 +410,6 @@ def execute_cell(
         # cover k runs, not one; the run count annotates the inflation.
         multifield_runs=(values.shape[1] if multifield_fallback else None),
         trace_events=trace_events,
-        metrics=cell_metrics,
         cache_baseline=cache_before,
     )
     fault_metrics = getattr(algorithm, "fault_metrics", None)

@@ -80,7 +80,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from repro.engine.executor import SweepCell
-from repro.observability import metrics as _metrics
 
 __all__ = [
     "DEFAULT_PRIORITY",
@@ -596,12 +595,6 @@ class LeaseQueue:
                     os.rename(lease_path, grave)
                 except FileNotFoundError:
                     continue  # lost the reclaim race
-                registry = _metrics.active()
-                if registry is not None:
-                    registry.counter(
-                        "repro_queue_reclaims_total",
-                        "Stale leases reclaimed by this process.",
-                    ).inc(owner=owner)
                 # The winner owns the graveyard file exclusively now;
                 # annotate it so the audit log carries the full story.
                 audit = _read_json(grave) or {}
@@ -628,11 +621,6 @@ class LeaseQueue:
             }
             if not self._publish_lease(lease_path, lease_entry):
                 continue  # another claimant got here first
-            registry = _metrics.active()
-            if registry is not None:
-                registry.counter(
-                    "repro_queue_claims_total", "Leases claimed."
-                ).inc(owner=owner)
             return Lease(
                 cell=cell,
                 owner=owner,
@@ -683,11 +671,6 @@ class LeaseQueue:
             )
         entry["heartbeat"] = self._clock()
         _atomic_write_json(lease.path, entry)
-        registry = _metrics.active()
-        if registry is not None:
-            registry.counter(
-                "repro_queue_heartbeats_total", "Lease heartbeats written."
-            ).inc(owner=lease.owner)
 
     def complete(self, lease: Lease) -> None:
         """Mark the leased cell done and release the lease.
@@ -710,15 +693,6 @@ class LeaseQueue:
         _atomic_write_json(self.done_dir / f"{lease.stem}.json", marker)
         self.release(lease)
         self._retire_pending(lease.stem)
-        registry = _metrics.active()
-        if registry is not None:
-            registry.counter(
-                "repro_queue_completions_total", "Cells completed."
-            ).inc(owner=lease.owner)
-            registry.histogram(
-                "repro_queue_cell_seconds",
-                "Claim-to-completion wall clock per cell.",
-            ).observe(marker["completed_at"] - lease.claimed_at)
 
     def _retire_pending(self, stem: str) -> None:
         """Remove every registration file for ``stem`` (all buckets)."""

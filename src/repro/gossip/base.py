@@ -32,6 +32,11 @@ from repro.metrics.trace import ConvergenceTrace
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.observability import profile as _profile
+from repro.observability.telemetry import (
+    FAULT_SERIES,
+    LIVE_FRACTION_GAUGE,
+    fault_counts,
+)
 from repro.routing.cost import TransmissionCounter
 
 __all__ = [
@@ -555,6 +560,50 @@ def split_streams(
     return owner_rng, protocol_rng
 
 
+def _publish_run(
+    registry,
+    algorithm,
+    ticks: int,
+    checks: int,
+    error: float,
+    counter: TransmissionCounter,
+    faults_before: "dict[str, float] | None",
+) -> None:
+    """Publish one run's engine and fault counters to ``registry``.
+
+    Engine series carry the protocol's name; the error gauge is the last
+    checked error, so a run that made no check sets none.  For a
+    fault-wrapped protocol, each :data:`FAULT_SERIES` counter receives
+    the run's movement when it moved; the churn pair and the live
+    fraction are published together whenever churn moved.
+    """
+    labels = {"algorithm": algorithm.name}
+    registry.counter("repro_engine_runs_total", "Engine runs started.").inc(
+        **labels
+    )
+    if ticks:
+        registry.counter(
+            "repro_engine_ticks_total", "Ticks executed by the engine."
+        ).inc(ticks, **labels)
+    if checks:
+        registry.counter("repro_engine_checks_total", "Error checks run.").inc(
+            checks, **labels
+        )
+        registry.gauge(
+            "repro_engine_error", "Normalized error at the last check."
+        ).set(error, **labels)
+    if faults_before is None:
+        return
+    after = fault_counts(algorithm, counter.by_category)
+    moved = {key: after[key] - faults_before[key] for key in FAULT_SERIES}
+    churned = bool(moved["crashes"] or moved["recoveries"])
+    for key, (series, help_text) in FAULT_SERIES.items():
+        if moved[key] or (churned and key in ("crashes", "recoveries")):
+            registry.counter(series, help_text).inc(moved[key])
+    if churned:
+        registry.gauge(*LIVE_FRACTION_GAUGE).set(after["live_fraction"])
+
+
 def drive_ticks(
     algorithm: AsynchronousGossip,
     initial_values: np.ndarray,
@@ -592,10 +641,11 @@ def drive_ticks(
       the protocol stream; every window ends with a check.
 
     Windows, checks, spans, metrics and trace events all live here, so
-    every stride is instrumented alike.  Metrics and spans are
-    window-granular — a few registry updates and two spans per window,
-    never per tick — which keeps their enabled overhead inside E22's
-    ≤1.05× bar.
+    every stride is instrumented alike.  Spans are window-granular (two
+    per window, never per tick).  The loop keeps its tick and check
+    counts in locals, and an active metrics registry receives them,
+    with a fault-wrapped run's fault counters, once, when the run ends
+    (:func:`_publish_run`).
     """
     budget = algorithm.tick_budget(epsilon) if max_ticks is None else max_ticks
     n = algorithm.n
@@ -632,25 +682,11 @@ def drive_ticks(
         recorder.emit(
             _events.start_event(algorithm, initial_values, epsilon, check_stride)
         )
-    # Spans and labelled series are resolved once, out here; the loop
-    # only enters and updates them.
+    # Spans are resolved once, out here; the loop only enters them.
     window_span, check_span = _profile.span("window"), _profile.span("check")
     registry = _metrics.active()
-    if registry is not None:
-        labels = {"algorithm": algorithm.name}
-        registry.counter("repro_engine_runs_total", "Engine runs started.").inc(
-            **labels
-        )
-        ticks_counter = registry.counter(
-            "repro_engine_ticks_total", "Ticks executed by the engine."
-        ).series(**labels)
-        checks_counter = registry.counter(
-            "repro_engine_checks_total", "Error checks run."
-        ).series(**labels)
-        error_gauge = registry.gauge(
-            "repro_engine_error", "Normalized error at the last check."
-        ).series(**labels)
-    ticks = 0
+    faults_before = None if registry is None else fault_counts(algorithm)
+    ticks = checks = 0
     converged = error <= epsilon
     try:
         while not converged and ticks < budget:
@@ -658,12 +694,11 @@ def drive_ticks(
             with window_span:
                 advance(window)
             ticks += window
-            if registry is not None:
-                ticks_counter.inc(window)
             if window < period and check_stride == 1:
                 break  # the per-tick loop checked on period boundaries only
             with check_span:
                 error = normalized_error(values, initial_values)
+            checks += 1
             trace.record(counter.total, ticks, error)
             converged = error <= epsilon
             if recorder is not None:
@@ -675,12 +710,13 @@ def drive_ticks(
                         "error": error,
                     }
                 )
-            if registry is not None:
-                checks_counter.inc()
-                error_gauge.set(error)
     finally:
         if exact is not None:
             exact.close()
+        if registry is not None:
+            _publish_run(
+                registry, algorithm, ticks, checks, error, counter, faults_before
+            )
     error = normalized_error(values, initial_values)
     converged = error <= epsilon
     trace.force_record(counter.total, ticks, error)

@@ -26,11 +26,11 @@ Three pieces make engine runs debuggable and independently checkable:
 Three more pieces make a *running* sweep observable live:
 
 * :mod:`repro.observability.metrics` — an opt-in metrics registry
-  (labelled counters, gauges, fixed-bucket histograms) with Prometheus
-  text-exposition rendering.  The engine updates it once per window,
-  and the route cache's counts reach it once per run, so the same
-  bit-identity and ``is None``-when-off guarantees as tracing hold
-  (benchmark E22 gates the enabled overhead at 1.05×).
+  (labelled counters and gauges) with Prometheus text-exposition
+  rendering.  The engine's, the faults' and the route cache's counts
+  reach it once per run, so the same bit-identity and
+  ``is None``-when-off guarantees as tracing hold (benchmark E22 gates
+  the enabled overhead at 1.05×).
 * :mod:`repro.observability.profile` — a nestable span profiler on
   :func:`time.perf_counter` aggregating into a per-phase hotpath table
   (count, total, mean, p50/p99), surfaced by ``repro profile``.
@@ -56,7 +56,6 @@ from repro.observability.server import MetricsServer
 from repro.observability.telemetry import (
     cache_stats,
     collect_telemetry,
-    metric_deltas,
     service_telemetry,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "capture",
     "collect_telemetry",
     "events",
-    "metric_deltas",
     "metrics",
     "profile",
     "server",

@@ -1,4 +1,4 @@
-"""The metrics registry: labelled counters, gauges, histograms.
+"""The metrics registry: labelled counters and gauges.
 
 Where :mod:`repro.observability.events` answers "what happened, in
 order", this module answers "how much, right now": live operational
@@ -14,13 +14,14 @@ engine's bit-identity guarantees intact:
   never changes a code path, so metrics-on runs are bit-identical to
   metrics-off runs in values, ticks, and transmissions (golden-suite
   tested; benchmark E22 gates the wall-clock cost at ≤1.05×).
-* **Coarse updates only.**  No site updates the registry per tick or
-  per route.  Layers that already count per operation keep their own
-  plain counters and publish the movement once: the route cache's
-  ``hits``/``misses``… reach ``repro_route_cache_*_total`` once per run,
-  from :func:`repro.engine.batching.run_batched`.  :meth:`Counter.inc`
-  calls elsewhere sit at rare sites (per-window engine checks, lease
-  operations, fault epochs, shard merges).
+* **Once per run.**  No site updates the registry per tick, window,
+  route or event.  Layers keep their own plain counts and publish the
+  movement once, when the run ends: the engine's ticks, checks and last
+  error, and a faulted run's fault counters, from
+  :func:`repro.gossip.base.drive_ticks`; the route cache's
+  ``hits``/``misses``… from :func:`repro.engine.batching.run_batched`.
+  The sweep coordinator re-derives its series from queue state and
+  landed records (:mod:`repro.engine.service`).
 
 Naming follows the Prometheus conventions: ``repro_`` prefix, base
 units, ``_total`` suffix on counters, labels for bounded dimensions only
@@ -62,11 +63,8 @@ from contextlib import contextmanager
 __all__ = [
     "CONTENT_TYPE",
     "Counter",
-    "DEFAULT_BUCKETS",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "Series",
     "active",
     "disable",
     "enable",
@@ -76,11 +74,6 @@ __all__ = [
 #: HTTP content type of the exposition format ``render_prometheus``
 #: emits, advertised by the ``/metrics`` endpoint.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Default histogram buckets, tuned for the sub-second spans this repo
-#: measures (cell execution, lease hold times).  Upper bounds are
-#: inclusive, matching Prometheus ``le`` semantics.
-DEFAULT_BUCKETS = (0.005, 0.025, 0.1, 0.25, 1.0, 2.5, 10.0, 30.0)
 
 _METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
@@ -182,7 +175,7 @@ class _Metric:
 
     def _key(self, labels: dict) -> tuple:
         # Memoised per label set: an update site repeats the same few
-        # (the engine updates its series once per check window).
+        # (the coordinator republishes its series on every refresh).
         items = tuple(labels.items())
         key = self._keys.get(items)
         if key is None:
@@ -191,15 +184,6 @@ class _Metric:
                     raise ValueError(f"invalid label name {label!r}")
             key = self._keys[items] = _label_key(labels)
         return key
-
-    def series(self, **labels) -> "Series":
-        """The series for ``labels``, resolved once.
-
-        A site that updates the same labels over and over (the tick
-        driver, once per window) keeps the handle and skips the label
-        lookup on every update.
-        """
-        return Series(self, self._key(labels))
 
     def labels(self) -> list[tuple]:
         """The label sets observed so far (sorted for stable output)."""
@@ -292,106 +276,6 @@ class Gauge(_Metric):
             return self._series.get(self._key(labels), 0.0)
 
 
-class Series:
-    """One labelled series of a counter or gauge (:meth:`_Metric.series`).
-
-    >>> registry = MetricsRegistry()
-    >>> ticks = registry.counter("repro_ticks_total").series(algorithm="x")
-    >>> ticks.inc(5)
-    >>> registry.counter("repro_ticks_total").value(algorithm="x")
-    5.0
-    """
-
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: _Metric, key: tuple):
-        self._metric = metric
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        """:meth:`Counter.inc` / :meth:`Gauge.inc` on this series."""
-        self._metric._add(self._key, amount)
-
-    def set(self, value: float) -> None:
-        """:meth:`Gauge.set` on this series (gauges only)."""
-        self._metric._set(self._key, value)
-
-
-class Histogram(_Metric):
-    """A fixed-bucket labelled histogram (cumulative ``le`` buckets).
-
-    Bucket upper bounds are inclusive and fixed at construction; a
-    ``+Inf`` bucket, ``_sum``, and ``_count`` series are implicit, as in
-    the Prometheus exposition format.
-
-    >>> registry = MetricsRegistry()
-    >>> hist = registry.histogram(
-    ...     "repro_cell_seconds", "Cell wall clock.", buckets=(0.1, 1.0))
-    >>> hist.observe(0.1)   # on the edge: le="0.1" is inclusive
-    >>> hist.observe(0.5)
-    >>> hist.observe(30.0)  # overflows into +Inf only
-    >>> hist.bucket_counts()
-    {0.1: 1, 1.0: 2, inf: 3}
-    >>> hist.count(), round(hist.sum(), 10)
-    (3, 30.6)
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        lock: threading.Lock,
-        buckets: tuple = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help_text, lock)
-        bounds = tuple(float(bound) for bound in buckets)
-        if not bounds or sorted(bounds) != list(bounds):
-            raise ValueError("histogram buckets must be sorted and non-empty")
-        if math.inf in bounds:
-            bounds = bounds[:-1]
-        self.buckets = bounds
-        # Per label set: [bucket counts..., +Inf count, sum].
-        self._series: dict[tuple, list] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation into the series for ``labels``."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = [0] * (len(self.buckets) + 1) + [0.0]
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series[index] += 1
-            series[len(self.buckets)] += 1
-            series[-1] += float(value)
-
-    def bucket_counts(self, **labels) -> dict:
-        """Cumulative counts per upper bound, ``inf`` last."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            counts = list(series[:-1]) if series else [0] * (len(self.buckets) + 1)
-        bounds = list(self.buckets) + [math.inf]
-        return dict(zip(bounds, counts))
-
-    def count(self, **labels) -> int:
-        """Total number of observations for ``labels``."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return int(series[len(self.buckets)]) if series else 0
-
-    def sum(self, **labels) -> float:
-        """Sum of all observed values for ``labels``."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return float(series[-1]) if series else 0.0
-
-
 class MetricsRegistry:
     """A thread-safe collection of named metrics.
 
@@ -414,11 +298,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
 
-    def _instrument(self, cls, name: str, help_text: str, **kwargs) -> _Metric:
+    def _instrument(self, cls, name: str, help_text: str) -> _Metric:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, help_text, self._lock, **kwargs)
+                metric = cls(name, help_text, self._lock)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise ValueError(
@@ -434,45 +318,24 @@ class MetricsRegistry:
         """Get or create the :class:`Gauge` called ``name``."""
         return self._instrument(Gauge, name, help_text)
 
-    def histogram(
-        self, name: str, help_text: str = "", buckets: tuple = DEFAULT_BUCKETS
-    ) -> Histogram:
-        """Get or create the :class:`Histogram` called ``name``."""
-        return self._instrument(Histogram, name, help_text, buckets=buckets)
-
     def snapshot(self) -> dict:
-        """Flat ``{series: value}`` map of every scalar series.
+        """Flat ``{series: value}`` map of every series.
 
-        Histograms contribute their ``_sum`` and
-        ``_count`` series.  Series names are rendered exactly as in the
-        exposition format, so snapshots diff cleanly against scrapes.
+        Series names are rendered exactly as in the exposition format,
+        so snapshots diff cleanly against scrapes.
         """
         out: dict[str, float] = {}
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         for metric in metrics:
-            if isinstance(metric, Histogram):
-                for key in metric.labels():
-                    labels = dict(key)
-                    out[_series_name(metric.name + "_count", key)] = float(
-                        metric.count(**labels)
-                    )
-                    out[_series_name(metric.name + "_sum", key)] = metric.sum(
-                        **labels
-                    )
-            else:
-                for key in metric.labels():
-                    out[_series_name(metric.name, key)] = metric.value(
-                        **dict(key)
-                    )
+            for key in metric.labels():
+                out[_series_name(metric.name, key)] = metric.value(**dict(key))
         return out
 
     def counter_totals(self) -> dict:
         """Flat ``{series: value}`` map of counter series only.
 
-        This is what
-        :func:`repro.observability.telemetry.metric_deltas` diffs to
-        attribute counter movement to one executed cell.
+        ``repro profile`` prints it as its ``counters:`` section.
         """
         out: dict[str, float] = {}
         with self._lock:
@@ -498,32 +361,9 @@ class MetricsRegistry:
             if metric.help:
                 lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for key in metric.labels():
-                    labels = dict(key)
-                    counts = metric.bucket_counts(**labels)
-                    for bound, count in counts.items():
-                        le = "+Inf" if bound == math.inf else _format_value(bound)
-                        bucket_key = key + (("le", le),)
-                        # ``le`` sorts inside the label set alphabetically
-                        # in real exposition too; keep insertion order so
-                        # buckets stay grouped and ascending.
-                        lines.append(
-                            f"{_series_name(metric.name + '_bucket', bucket_key)}"
-                            f" {count}"
-                        )
-                    lines.append(
-                        f"{_series_name(metric.name + '_sum', key)} "
-                        f"{_format_value(metric.sum(**labels))}"
-                    )
-                    lines.append(
-                        f"{_series_name(metric.name + '_count', key)} "
-                        f"{metric.count(**labels)}"
-                    )
-            else:
-                for key in metric.labels():
-                    value = metric.value(**dict(key))
-                    lines.append(
-                        f"{_series_name(metric.name, key)} {_format_value(value)}"
-                    )
+            for key in metric.labels():
+                value = metric.value(**dict(key))
+                lines.append(
+                    f"{_series_name(metric.name, key)} {_format_value(value)}"
+                )
         return "\n".join(lines) + "\n" if lines else ""

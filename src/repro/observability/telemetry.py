@@ -19,9 +19,11 @@ from __future__ import annotations
 
 __all__ = [
     "CACHE_SERIES",
+    "FAULT_SERIES",
+    "LIVE_FRACTION_GAUGE",
     "cache_stats",
     "collect_telemetry",
-    "metric_deltas",
+    "fault_counts",
     "service_telemetry",
 ]
 
@@ -60,6 +62,57 @@ CACHE_SERIES = {
 }
 
 
+#: A faulted run's counters, one row each: the count the run keeps
+#: (the :class:`~repro.dynamics.overlay.DynamicSubstrate` churn counts,
+#: the wrapper's ``wasted_ticks``, and ``route_lost``, the transmission
+#: category severed routes are charged under), mapped to the registry
+#: series and help text its movement is published as, once per run, by
+#: :func:`~repro.gossip.base.drive_ticks`.
+FAULT_SERIES = {
+    "crashes": ("repro_fault_crashes_total", "Nodes crashed by churn."),
+    "recoveries": ("repro_fault_recoveries_total", "Nodes recovered by churn."),
+    "wasted_ticks": (
+        "repro_fault_dead_ticks_total",
+        "Ticks owned by crashed nodes (wasted).",
+    ),
+    "route_lost": (
+        "repro_fault_lost_transmissions_total",
+        "Transmissions charged to dropped routes.",
+    ),
+}
+
+#: The gauge a run whose churn moved sets to its live fraction.
+LIVE_FRACTION_GAUGE = (
+    "repro_fault_live_fraction",
+    "Fraction of nodes live after the last churn epoch.",
+)
+
+
+def fault_counts(
+    algorithm, transmissions: "dict | None" = None
+) -> "dict[str, float] | None":
+    """The :data:`FAULT_SERIES` counts of a fault-wrapped protocol.
+
+    ``algorithm`` duck-types
+    :class:`~repro.dynamics.overlay.DynamicGossip` (a ``substrate`` and
+    ``wasted_ticks``); anything else returns ``None``.  The churn and
+    dead-tick counts are cumulative over the wrapper's life, while
+    ``route_lost`` is read from ``transmissions``, one run's categories
+    (``0`` when not given).  ``live_fraction`` rides along for
+    :data:`LIVE_FRACTION_GAUGE`.
+    """
+    substrate = getattr(algorithm, "substrate", None)
+    if substrate is None:
+        return None
+    return {
+        "crashes": float(substrate.crashes),
+        "recoveries": float(substrate.recoveries),
+        "wasted_ticks": float(algorithm.wasted_ticks),
+        "route_lost": float((transmissions or {}).get("route_lost", 0)),
+        "live_fraction": float(substrate.live.mean()),
+    }
+
+
 def cache_stats(algorithm) -> "dict[str, float] | None":
     """Route-cache counters of ``algorithm``'s memoized router, if any.
 
@@ -90,7 +143,6 @@ def collect_telemetry(
     multifield_fallback: bool = False,
     multifield_runs: "int | None" = None,
     trace_events: "int | None" = None,
-    metrics: "dict[str, float] | None" = None,
     cache_baseline: "dict[str, float] | None" = None,
 ) -> dict[str, float]:
     """One cell's flat telemetry mapping.
@@ -105,9 +157,7 @@ def collect_telemetry(
     number of nested runs a per-column fallback cell executed on *one*
     protocol instance, which is the factor by which its cumulative
     counters (the route-cache hits/misses above) are inflated relative
-    to a single run.  ``metrics`` (from :func:`metric_deltas`) merges
-    registry counter movement attributed to this cell, each entry
-    prefixed ``metric_``.
+    to a single run.
 
     Route caches are shared by the protocols of one graph, so their
     counters are cumulative across cells; ``cache_baseline`` (a
@@ -132,36 +182,7 @@ def collect_telemetry(
         telemetry.update(stats)
     if trace_events is not None:
         telemetry["trace_events"] = float(trace_events)
-    if metrics:
-        telemetry.update(metrics)
     return telemetry
-
-
-def metric_deltas(
-    after: "dict[str, float]", before: "dict[str, float]"
-) -> dict[str, float]:
-    """Counter movement between two registry snapshots, per series.
-
-    When a registry is active in the process that runs a cell, the
-    sweep executor snapshots
-    :meth:`~repro.observability.metrics.MetricsRegistry.counter_totals`
-    around the cell and stores the nonzero deltas on the cell's record.
-    They describe that process only.  Fleet workers run no registry, so
-    their records carry no ``metric_*`` keys: the coordinator's
-    route-cache totals are sums of the records' ``cache_*`` keys, and
-    engine counters stay in the worker that ran the cell.
-
-    >>> metric_deltas(
-    ...     {"repro_x_total": 5.0, "repro_y_total": 2.0},
-    ...     {"repro_x_total": 3.0})
-    {'metric_repro_x_total': 2.0, 'metric_repro_y_total': 2.0}
-    """
-    deltas: dict[str, float] = {}
-    for series, value in after.items():
-        delta = value - before.get(series, 0.0)
-        if delta:
-            deltas[f"metric_{series}"] = delta
-    return deltas
 
 
 def service_telemetry(stats, done_log, service=None) -> dict:

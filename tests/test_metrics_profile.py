@@ -7,8 +7,8 @@ collection is *purely observational*.  A run under an active
 values, ticks, and transmissions to the same run with both off (neither
 ever consumes RNG; the off path is one ``is None`` branch).  This module
 asserts that across the golden protocol registry, plus the registry
-battery itself (label cardinality, histogram bucket edges, thread-safety
-under concurrent increments, the disabled-mode zero-allocation path),
+battery itself (label cardinality, thread-safety under concurrent
+increments, the disabled-mode zero-allocation path),
 the span profiler, the Prometheus text exposition, the scrape endpoint,
 and the live ``serve-sweep --metrics-port`` integration.
 """
@@ -20,7 +20,7 @@ import re
 import threading
 import urllib.error
 import urllib.request
-from math import inf
+from collections import Counter
 
 import pytest
 
@@ -28,13 +28,18 @@ from protocol_equivalence import (
     CASES,
     assert_results_identical,
     case_names,
+    initial_values,
     run_engine,
 )
 from repro.dynamics import DynamicGossip, DynamicSubstrate, FaultSpec
 from repro.engine.batching import run_batched
 from repro.engine.executor import execute_cell, expand_grid
 from repro.engine.queue import LeaseQueue
-from repro.engine.service import diff_stores, run_distributed_sweep
+from repro.engine.service import (
+    _update_service_metrics,
+    diff_stores,
+    run_distributed_sweep,
+)
 from repro.engine.store import ResultStore, atomic_write_text
 from repro.experiments import ExperimentConfig
 from repro.gossip.geographic import GeographicGossip
@@ -47,8 +52,9 @@ from repro.observability.profile import SpanProfiler, render_table
 from repro.observability.server import MetricsServer
 from repro.observability.telemetry import (
     CACHE_SERIES,
+    FAULT_SERIES,
+    LIVE_FRACTION_GAUGE,
     cache_stats,
-    metric_deltas,
 )
 
 import numpy as np
@@ -79,7 +85,7 @@ def assert_valid_exposition(text: str) -> dict:
         if line.startswith("# TYPE "):
             _, _, rest = line.partition("# TYPE ")
             name, kind = rest.rsplit(" ", 1)
-            assert kind in {"counter", "gauge", "histogram", "untyped"}
+            assert kind in {"counter", "gauge", "untyped"}
             typed.add(name)
             continue
         if line.startswith("#"):
@@ -87,10 +93,7 @@ def assert_valid_exposition(text: str) -> dict:
         assert _SAMPLE_LINE.match(line), f"malformed sample line: {line!r}"
         series, _, value = line.rpartition(" ")
         family = series.split("{", 1)[0]
-        base = re.sub(r"_(bucket|sum|count)$", "", family)
-        assert family in typed or base in typed, (
-            f"sample {series!r} precedes its # TYPE"
-        )
+        assert family in typed, f"sample {series!r} precedes its # TYPE"
         samples[series] = float(value)
     return samples
 
@@ -134,21 +137,6 @@ class TestRegistryBattery:
         gauge.inc(-3, state="pending")
         assert gauge.value(state="pending") == 4.0
 
-    def test_resolved_series_update_the_labelled_series(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_x_total", "X.")
-        ticks = counter.series(algorithm="randomized")
-        ticks.inc(3)
-        ticks.inc()
-        counter.inc(algorithm="randomized")
-        assert counter.value(algorithm="randomized") == 5.0
-        with pytest.raises(ValueError, match="cannot decrease"):
-            ticks.inc(-1)
-        depth = registry.gauge("repro_depth", "Depth.").series(state="p")
-        depth.set(7)
-        depth.inc(-2)
-        assert registry.gauge("repro_depth").value(state="p") == 5.0
-
     def test_get_or_create_by_name(self):
         registry = MetricsRegistry()
         assert registry.counter("repro_x_total") is registry.counter(
@@ -174,43 +162,16 @@ class TestRegistryBattery:
         assert counter.value(algorithm="a", worker="1") == 4.0
         assert counter.labels() == [(("algorithm", "a"), ("worker", "1"))]
 
-    def test_histogram_bucket_edges_are_inclusive(self):
-        """``le`` semantics: a sample on the bound lands in its bucket."""
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_s", "S.", buckets=(0.1, 1.0, 2.5))
-        for value in (0.1, 1.0, 2.5):
-            hist.observe(value)
-        assert hist.bucket_counts() == {0.1: 1, 1.0: 2, 2.5: 3, inf: 3}
-
-    def test_histogram_overflow_and_sums(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_s", "S.", buckets=(0.1, 1.0))
-        hist.observe(50.0, worker="w0")
-        hist.observe(0.05, worker="w0")
-        assert hist.bucket_counts(worker="w0") == {0.1: 1, 1.0: 1, inf: 2}
-        assert hist.count(worker="w0") == 2
-        assert hist.sum(worker="w0") == pytest.approx(50.05)
-        assert hist.count(worker="w1") == 0
-
-    def test_histogram_rejects_unsorted_or_empty_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="sorted and non-empty"):
-            registry.histogram("repro_a", "A.", buckets=(1.0, 0.1))
-        with pytest.raises(ValueError, match="sorted and non-empty"):
-            registry.histogram("repro_b", "B.", buckets=())
-
     def test_thread_safety_under_concurrent_increments(self):
         """W worker threads × N increments lose nothing: exact totals."""
         registry = MetricsRegistry()
         counter = registry.counter("repro_hits_total", "Hits.")
-        hist = registry.histogram("repro_s", "S.", buckets=(0.5,))
         workers, per_worker = 8, 2500
 
         def work(worker: int) -> None:
             for _ in range(per_worker):
                 counter.inc(worker=str(worker))
                 counter.inc()
-                hist.observe(0.25)
 
         threads = [
             threading.Thread(target=work, args=(w,)) for w in range(workers)
@@ -222,8 +183,6 @@ class TestRegistryBattery:
         assert counter.value() == workers * per_worker
         for worker in range(workers):
             assert counter.value(worker=str(worker)) == per_worker
-        assert hist.count() == workers * per_worker
-        assert hist.sum() == pytest.approx(0.25 * workers * per_worker)
 
     def test_render_prometheus_is_valid_exposition(self):
         registry = MetricsRegistry()
@@ -231,15 +190,10 @@ class TestRegistryBattery:
             3, algorithm="geographic"
         )
         registry.gauge("repro_queue_depth", "Depth.").set(5)
-        registry.histogram("repro_s", "Secs.", buckets=(0.1, 1.0)).observe(0.5)
         text = registry.render_prometheus()
         samples = assert_valid_exposition(text)
         assert samples['repro_cells_total{algorithm="geographic"}'] == 3.0
         assert samples["repro_queue_depth"] == 5.0
-        assert samples['repro_s_bucket{le="0.1"}'] == 0.0
-        assert samples['repro_s_bucket{le="1"}'] == 1.0
-        assert samples['repro_s_bucket{le="+Inf"}'] == 1.0
-        assert samples["repro_s_count"] == 1.0
         assert "# HELP repro_queue_depth Depth." in text
 
     def test_render_escapes_label_values(self):
@@ -256,19 +210,11 @@ class TestRegistryBattery:
     def test_snapshot_matches_rendered_scalars(self):
         registry = MetricsRegistry()
         registry.counter("repro_x_total", "X.").inc(2, algorithm="spatial")
-        registry.histogram("repro_s", "S.", buckets=(1.0,)).observe(0.5)
+        registry.gauge("repro_depth", "Depth.").set(0.5)
         snap = registry.snapshot()
-        assert snap['repro_x_total{algorithm="spatial"}'] == 2.0
-        assert snap["repro_s_count"] == 1.0
-        assert snap["repro_s_sum"] == 0.5
-
-    def test_metric_deltas_attributes_movement(self):
-        before = {"repro_a_total": 3.0, "repro_b_total": 1.0}
-        after = {"repro_a_total": 5.0, "repro_b_total": 1.0, "repro_c_total": 4.0}
-        assert metric_deltas(after, before) == {
-            "metric_repro_a_total": 2.0,
-            "metric_repro_c_total": 4.0,
-        }
+        assert snap == {'repro_x_total{algorithm="spatial"}': 2.0,
+                        "repro_depth": 0.5}
+        assert assert_valid_exposition(registry.render_prometheus()) == snap
 
 
 class TestDisabledMode:
@@ -568,16 +514,194 @@ def test_every_stride_records_spans_and_engine_metrics(check_stride):
     assert spans["window"] >= checks and spans["check"] == checks
 
 
-@pytest.mark.parametrize("name", ["path-averaging-faulted", "randomized-faulted"])
+def test_engine_series_update_once_per_run(monkeypatch):
+    """Each ``repro_engine_*`` series is written once per run, however
+    many windows the run takes: the loop keeps its counts in locals."""
+    writes = []
+    for cls, method in (
+        (metrics.Counter, "_add"),
+        (metrics.Gauge, "_add"),
+        (metrics.Gauge, "_set"),
+    ):
+        original = getattr(cls, method)
+
+        def counted(self, key, value, _original=original):
+            writes.append(self.name)
+            _original(self, key, value)
+
+        monkeypatch.setattr(cls, method, counted)
+    windows = []
+    for epsilon in (0.3, 0.02):
+        writes.clear()
+        with metrics.expose(), profile.capture() as profiler:
+            run_batched(
+                CASES["randomized"].factory(),
+                initial_values(),
+                epsilon,
+                np.random.default_rng(7),
+            )
+        spans = {row["span"]: row["count"] for row in profiler.hotpath_table()}
+        windows.append(spans["window"])
+        assert Counter(writes) == {
+            "repro_engine_runs_total": 1,
+            "repro_engine_ticks_total": 1,
+            "repro_engine_checks_total": 1,
+            "repro_engine_error": 1,
+        }
+    assert 1 < windows[0] < windows[1]
+
+
+def _churned_geographic():
+    substrate = DynamicSubstrate(
+        TestRouteCachePublish.GRAPH,
+        FaultSpec(
+            churn_rate=0.1, recover_rate=0.3, loss_prob=0.08, epoch_ticks=64
+        ),
+        seed=1312,
+    )
+    return DynamicGossip(
+        GeographicGossip(substrate, target_mode="uniform"), substrate
+    )
+
+
+#: name -> factory of a fault-wrapped protocol whose churn moves.
+FAULTED = {
+    "geographic-churned": _churned_geographic,
+    "path-averaging-faulted": CASES["path-averaging-faulted"].factory,
+    "randomized-faulted": CASES["randomized-faulted"].factory,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTED))
 def test_fault_counters_populate_under_churn(name):
+    """A faulted run's ``repro_fault_*`` series are exactly the counts
+    the run keeps: its fault metrics and its ``route_lost`` category."""
+    algorithm = FAULTED[name]()
     with metrics.expose() as registry:
-        run_engine(CASES[name], seed=7, check_stride=4)
-        snap = registry.snapshot()
-    moved = [series for series in snap if series.startswith("repro_fault_")]
-    assert moved, f"no fault series recorded for {name}"
+        result = run_batched(
+            algorithm,
+            initial_values(),
+            0.1,
+            np.random.default_rng(7),
+            check_stride=4,
+        )
+    faults = algorithm.fault_metrics(result.values, result.initial_values)
+    expected = {
+        "crashes": faults["crashes"],
+        "recoveries": faults["recoveries"],
+        "wasted_ticks": faults["wasted_ticks"],
+        "route_lost": result.transmissions.get("route_lost", 0),
+    }
+    assert expected["crashes"] > 0 and expected["wasted_ticks"] > 0
+    if name != "randomized-faulted":  # randomized loses single hops only
+        assert expected["route_lost"] > 0
+    for key, (series, _) in FAULT_SERIES.items():
+        assert registry.counter(series).value() == expected[key], key
+    live = registry.gauge(LIVE_FRACTION_GAUGE[0]).value()
+    assert live == faults["live_fraction"] < 1.0
 
 
-class TestQueueMetrics:
+def _families(registry, prefix: str) -> set:
+    return {
+        series.split("{", 1)[0]
+        for series in registry.snapshot()
+        if series.startswith(prefix)
+    }
+
+
+def test_run_that_makes_no_check_sets_no_engine_error():
+    """A run already within ε stops before a tick: it counts as a run
+    and writes no tick, check or error series."""
+    with metrics.expose() as registry:
+        result = run_batched(
+            GeographicGossip(TestRouteCachePublish.GRAPH, target_mode="uniform"),
+            TestRouteCachePublish.VALUES.copy(),
+            10.0,
+            np.random.default_rng(7),
+        )
+    assert result.ticks == 0
+    assert _families(registry, "repro_engine_") == {"repro_engine_runs_total"}
+    assert registry.counter("repro_engine_runs_total").value(
+        algorithm="geographic"
+    ) == 1.0
+
+
+def test_unfaulted_run_publishes_no_fault_series():
+    with metrics.expose() as registry:
+        result = run_batched(
+            GeographicGossip(TestRouteCachePublish.GRAPH, target_mode="uniform"),
+            TestRouteCachePublish.VALUES.copy(),
+            0.1,
+            np.random.default_rng(7),
+            check_stride=4,
+        )
+    assert result.ticks > 0
+    assert "repro_engine_ticks_total" in _families(registry, "repro_engine_")
+    assert _families(registry, "repro_fault_") == set()
+
+
+def test_loss_without_churn_publishes_only_lost_transmissions():
+    """With no churn, the lost-transmission counter alone moves: no
+    crash or recovery series and no live-fraction gauge appear."""
+    substrate = DynamicSubstrate(
+        TestRouteCachePublish.GRAPH,
+        FaultSpec(loss_prob=0.08, epoch_ticks=64),
+        seed=1312,
+    )
+    algorithm = DynamicGossip(
+        GeographicGossip(substrate, target_mode="uniform"), substrate
+    )
+    with metrics.expose() as registry:
+        result = run_batched(
+            algorithm,
+            TestRouteCachePublish.VALUES.copy(),
+            0.1,
+            np.random.default_rng(7),
+            check_stride=4,
+        )
+    lost = result.transmissions.get("route_lost", 0)
+    assert lost > 0
+    assert substrate.crashes == substrate.recoveries == 0
+    assert _families(registry, "repro_fault_") == {
+        "repro_fault_lost_transmissions_total"
+    }
+    assert registry.counter("repro_fault_lost_transmissions_total").value() == lost
+
+
+def test_fault_counters_of_two_runs_add_up():
+    """The wrapper's churn and dead-tick counts are cumulative over its
+    life; each run publishes only its own movement, so two runs total
+    the wrapper's final counts, and lost transmissions total both runs'."""
+    algorithm = _churned_geographic()
+    lost, crashes = 0, []
+    with metrics.expose() as registry:
+        for seed in (7, 8):
+            result = run_batched(
+                algorithm,
+                initial_values(),
+                0.1,
+                np.random.default_rng(seed),
+                check_stride=4,
+            )
+            lost += result.transmissions.get("route_lost", 0)
+            crashes.append(algorithm.substrate.crashes)
+    faults = algorithm.fault_metrics(result.values, result.initial_values)
+    assert 0 < crashes[0] < crashes[1] == faults["crashes"]
+    for key, expected in (
+        ("crashes", faults["crashes"]),
+        ("recoveries", faults["recoveries"]),
+        ("wasted_ticks", faults["wasted_ticks"]),
+        ("route_lost", lost),
+    ):
+        assert registry.counter(FAULT_SERIES[key][0]).value() == expected, key
+    live = registry.gauge(LIVE_FRACTION_GAUGE[0]).value()
+    assert live == faults["live_fraction"]
+
+
+class TestQueueStatePublish:
+    """The lease queue writes no registry; the coordinator publishes
+    completions and reclamations from the queue's own state."""
+
     def _queue(self, tmp_path, clock):
         cells = expand_grid(
             ExperimentConfig(
@@ -586,7 +710,7 @@ class TestQueueMetrics:
         )
         return LeaseQueue.create(tmp_path / "q", cells, ttl=10.0, clock=clock)
 
-    def test_lease_lifecycle_counters(self, tmp_path):
+    def test_completion_is_published_from_queue_state(self, tmp_path):
         clock = FakeClock()
         with metrics.expose() as registry:
             queue = self._queue(tmp_path, clock)
@@ -594,23 +718,28 @@ class TestQueueMetrics:
             queue.heartbeat(lease)
             clock.now += 2.0
             queue.complete(lease)
+            assert registry.snapshot() == {}
+            _update_service_metrics(registry, queue, [], tmp_path / "shards")
             snap = registry.snapshot()
-        assert snap['repro_queue_claims_total{owner="w0"}'] == 1.0
-        assert snap['repro_queue_heartbeats_total{owner="w0"}'] == 1.0
-        assert snap['repro_queue_completions_total{owner="w0"}'] == 1.0
-        assert snap["repro_queue_cell_seconds_count"] == 1.0
-        assert snap["repro_queue_cell_seconds_sum"] == pytest.approx(2.0)
+        assert snap["repro_cells_completed_total"] == 1.0
+        assert snap['repro_worker_cells_total{worker="w0"}'] == 1.0
+        assert snap['repro_queue_cells{state="done"}'] == 1.0
+        assert snap['repro_queue_cells{state="pending"}'] == 1.0
+        assert snap["repro_queue_reclamations_total"] == 0.0
 
-    def test_reclaim_counter_names_the_winner(self, tmp_path):
+    def test_reclamation_is_published_from_queue_state(self, tmp_path):
         clock = FakeClock()
         with metrics.expose() as registry:
             queue = self._queue(tmp_path, clock)
             assert queue.claim("dead") is not None
             clock.now += 100.0  # way past ttl
-            lease = queue.claim("live")
-            assert lease is not None
+            assert queue.claim("live") is not None
+            assert registry.snapshot() == {}
+            _update_service_metrics(registry, queue, [], tmp_path / "shards")
             snap = registry.snapshot()
-        assert snap['repro_queue_reclaims_total{owner="live"}'] == 1.0
+        assert snap["repro_queue_reclamations_total"] == 1.0
+        assert snap['repro_queue_cells{state="leased"}'] == 1.0
+        assert snap["repro_cells_completed_total"] == 0.0
 
 
 class FakeClock:
@@ -676,29 +805,30 @@ class TestExecutorIntegration:
         sizes=(32,), epsilon=0.3, trials=1, algorithms=("geographic",)
     )
 
-    def test_cell_record_is_equal_and_telemetry_enriched(self):
+    def test_cell_record_under_a_registry_is_the_plain_record(self):
         (cell,) = expand_grid(self.CONFIG)
         plain = execute_cell(self.CONFIG, cell, check_stride=4)
         with metrics.expose() as registry:
             instrumented = execute_cell(self.CONFIG, cell, check_stride=4)
         assert instrumented == plain  # telemetry/timing excluded from ==
-        telemetry = instrumented.telemetry
-        assert telemetry["metric_repro_cells_executed_total"
-                         '{algorithm="geographic"}'] == 1.0
+        assert sorted(instrumented.telemetry) == sorted(plain.telemetry)
+        assert "metric_" not in str(instrumented.telemetry)
+        # The run itself still published to the registry, once.
         assert (
-            telemetry['metric_repro_engine_ticks_total{algorithm="geographic"}']
+            registry.counter("repro_engine_ticks_total").value(
+                algorithm="geographic"
+            )
             == instrumented.ticks
         )
         # Geographic's strided blocks route through the batched walk.
-        assert "metric_repro_route_cache_walks_total" in str(telemetry)
-        seconds = registry.snapshot()
-        assert seconds['repro_cell_seconds_count{algorithm="geographic"}'] == 1.0
-        assert "metric_" not in str(plain.telemetry)
+        walks = instrumented.telemetry["cache_walks"]
+        assert walks > 0
+        assert registry.counter("repro_route_cache_walks_total").value() == walks
 
     def test_trial_substrate_is_shared_across_registries(self, monkeypatch):
         """A cell run under a registry reuses the trial's substrate (and
-        route cache) that an unobserved cell built, and its registry
-        deltas are exactly its own ``cache_*`` movement."""
+        route cache) that an unobserved cell built, and the registry's
+        route-cache series are exactly its own ``cache_*`` movement."""
         from repro.engine import executor
 
         config = ExperimentConfig(
@@ -719,7 +849,7 @@ class TestExecutorIntegration:
         executor.clear_substrate()
         try:
             execute_cell(config, first)
-            with metrics.expose():
+            with metrics.expose() as registry:
                 record = execute_cell(config, second)
         finally:
             executor.clear_substrate()
@@ -728,7 +858,7 @@ class TestExecutorIntegration:
         # Stride-1 path averaging routes through next-hop columns.
         assert telemetry["cache_hits"] + telemetry["cache_misses"] > 0
         for key, (series, _) in CACHE_SERIES.items():
-            assert telemetry.get(f"metric_{series}", 0.0) == telemetry[key], key
+            assert registry.counter(series).value() == telemetry[key], key
 
 
 class TestServeSweepMetrics:
@@ -739,6 +869,23 @@ class TestServeSweepMetrics:
         radius_constant=3.0,
         algorithms=("randomized", "geographic"),
     )
+
+    #: Every family the coordinator's registry holds once a session has
+    #: merged: queue state, per-worker throughput, the record-summed
+    #: route-cache totals and the merge counters — and nothing else
+    #: (docs/observability.md lists the same set).
+    COORDINATOR_FAMILIES = {
+        "repro_cells_completed_total",
+        "repro_merge_appended_total",
+        "repro_merge_duplicates_total",
+        "repro_merge_traces_total",
+        "repro_queue_cells",
+        "repro_queue_depth",
+        "repro_queue_reclamations_total",
+        "repro_worker_cells_per_sec",
+        "repro_worker_cells_total",
+        *(series for series, _ in CACHE_SERIES.values()),
+    }
 
     def test_live_scrape_during_distributed_sweep(self, tmp_path):
         """The acceptance contract's service half: a live coordinator
@@ -799,6 +946,8 @@ class TestServeSweepMetrics:
         telemetry = json.loads((tmp_path / "queue" / "telemetry.json").read_text())
         assert telemetry["metrics"]["repro_cells_completed_total"] == len(grid)
         assert telemetry["metrics"]["repro_route_cache_walks_total"] > 0
+        families = {series.split("{", 1)[0] for series in telemetry["metrics"]}
+        assert families == self.COORDINATOR_FAMILIES
 
     def test_cli_serve_sweep_prints_metrics_url(self, tmp_path, capsys):
         from repro.cli import main
