@@ -2,8 +2,9 @@
 
 The fifth engine layer turns the process-pool executor into a *fleet*:
 sweep cells are enqueued as leases on a :class:`~repro.engine.queue.LeaseQueue`,
-N worker **processes** (:func:`run_worker`, spawned via the
-``repro serve-sweep`` / ``repro work`` CLI pair) pull cells, execute them
+N worker **processes** (:func:`run_worker`, forked by the
+``repro serve-sweep`` coordinator or attached by hand with
+``repro work``) pull cells, execute them
 through the exact per-cell paths the serial engine uses
 (:func:`~repro.engine.executor.execute_cell`), and append records to
 *per-worker sharded store directories*; a merger
@@ -50,13 +51,14 @@ per-worker throughput, via
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import signal
-import subprocess
-import sys
 import threading
 import time
+from multiprocessing.connection import wait as wait_for
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -556,20 +558,56 @@ def run_worker(
         completed += 1
 
 
+#: Fleet members are forked: they inherit the coordinator's imports.
+_FORK = multiprocessing.get_context("fork")
+#: The signals a member handles as a fresh interpreter would.
+_MEMBER_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _fleet_member(
+    queue_root: Path,
+    worker_id: str,
+    *,
+    heartbeat_interval: float,
+    poll_interval: float,
+    throttle: float,
+) -> None:
+    """A forked fleet member: what ``repro work`` runs, without the start-up.
+
+    Restores a fresh interpreter's SIGTERM and SIGINT handlers before
+    unblocking them, so a signal never runs the coordinator's drain
+    handler.  Touches no coordinator object (:func:`run_worker` opens
+    the queue by path); :mod:`multiprocessing` ends the process with
+    ``os._exit``, so no inherited buffer is flushed twice.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _MEMBER_SIGNALS)
+    completed = run_worker(
+        queue_root,
+        worker_id,
+        heartbeat_interval=heartbeat_interval,
+        poll_interval=poll_interval,
+        throttle=throttle,
+    )
+    print(f"worker {worker_id}: {completed} cells completed, queue drained")
+
+
 class _WorkerFleet:
-    """The coordinator's view of its worker subprocesses.
+    """The coordinator's view of its worker processes.
 
-    Tracks live members, SIGKILLs a provable lease-holder for chaos
-    injection, and — the robustness fix — respawns **individually**: any
-    member that exited while work remains is replaced against the shared
-    respawn budget, so one deterministically-crashing worker can no
-    longer silently degrade an N-worker fleet to N−1 forever.  Members
-    whose replacement the budget no longer covers are retired (kept for
-    the final wait/kill sweep, never respawned again).
-
-    Every launched process gets a daemon waiter thread that reaps it the
-    moment it exits and then sets :attr:`exited`, so the coordinator
-    loop wakes on a worker exit instead of on its next timer tick.
+    Every member, respawns included, is forked from the coordinator
+    (:func:`_fleet_member`), so it starts with NumPy and ``repro``
+    imported and claims within milliseconds.  The fleet tracks live
+    members, SIGKILLs a provable lease-holder for chaos injection, and —
+    the robustness fix — respawns **individually**: any member that
+    exited while work remains is replaced against the shared respawn
+    budget, so one deterministically-crashing worker can no longer
+    silently degrade an N-worker fleet to N−1 forever.  Members whose
+    replacement the budget no longer covers are retired (kept for the
+    final wait/kill sweep, never respawned again).  :meth:`wait` wakes
+    on the live members' sentinels, so the coordinator loop wakes on a
+    worker exit instead of on its next timer tick.
     """
 
     def __init__(
@@ -580,57 +618,61 @@ class _WorkerFleet:
         throttle: float,
         budget: int,
     ):
-        import repro
-
-        self.argv = [
-            sys.executable, "-m", "repro", "work",
-            "--queue-dir", str(queue_root),
-            "--heartbeat-interval", str(heartbeat_interval),
-            "--poll-interval", str(poll_interval),
-            "--throttle", str(throttle),
-        ]
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        self.env = dict(os.environ)
-        existing = self.env.get("PYTHONPATH", "")
-        if src_dir not in existing.split(os.pathsep):
-            self.env["PYTHONPATH"] = (
-                src_dir + (os.pathsep + existing if existing else "")
-            )
+        self.queue_root = queue_root
+        self.options = {
+            "heartbeat_interval": heartbeat_interval,
+            "poll_interval": poll_interval,
+            "throttle": throttle,
+        }
         self.budget = budget
         self.respawns = 0
-        self.members: list[tuple[str, subprocess.Popen]] = []
-        self.retired: list[tuple[str, subprocess.Popen]] = []
-        self.exited = threading.Event()
+        self.members: list[tuple[str, BaseProcess]] = []
+        self.retired: list[tuple[str, BaseProcess]] = []
 
-    def _launch(self, worker_id: str) -> tuple[str, subprocess.Popen]:
-        """Start one ``repro work`` subprocess and its waiter thread."""
-        argv = [*self.argv, "--worker-id", worker_id]
-        proc = subprocess.Popen(argv, env=self.env)
+    def _launch(self, worker_id: str) -> tuple[str, BaseProcess]:
+        """Fork one member running :func:`_fleet_member`.
 
-        def _reap() -> None:
-            proc.wait()  # sets returncode before the event fires
-            self.exited.set()
-
-        threading.Thread(target=_reap, daemon=True).start()
+        SIGTERM and SIGINT stay blocked across the fork, so a signal
+        sent to a newborn member is delivered only once the member has
+        restored the default handlers, never to the coordinator's.
+        """
+        proc = _FORK.Process(
+            target=_fleet_member,
+            args=(self.queue_root, worker_id),
+            kwargs=self.options,
+            name=worker_id,
+        )
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _MEMBER_SIGNALS)
+        try:
+            proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return worker_id, proc
 
     def spawn(self, worker_id: str) -> None:
         self.members.append(self._launch(worker_id))
 
     def alive_count(self) -> int:
-        return sum(1 for _, proc in self.members if proc.poll() is None)
+        return sum(1 for _, proc in self.members if proc.exitcode is None)
+
+    def wait(self, timeout: float) -> None:
+        """Block until a live member exits or ``timeout`` seconds pass."""
+        wait_for(
+            [proc.sentinel for _, proc in self.members if proc.exitcode is None],
+            timeout,
+        )
 
     def kill_lease_holder(self, queue: LeaseQueue) -> bool:
         """SIGKILL one member that provably holds a live lease.
 
         Returns whether a victim was found — the chaos knob retries
         every poll until one exists, so the injected death always
-        exercises reclamation (a victim still importing NumPy would die
-        without leaving work behind).
+        exercises reclamation (a victim that has not claimed yet would
+        die without leaving work behind).
         """
         holders = queue.lease_owners()
         for worker_id, proc in self.members:
-            if worker_id in holders and proc.poll() is None:
+            if worker_id in holders and proc.exitcode is None:
                 proc.kill()  # SIGKILL: no cleanup, beats stop
                 return True
         return False
@@ -643,9 +685,9 @@ class _WorkerFleet:
         and the telemetry worker table stay readable across respawns.
         """
         replaced = 0
-        kept: list[tuple[str, subprocess.Popen]] = []
+        kept: list[tuple[str, BaseProcess]] = []
         for worker_id, proc in self.members:
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 kept.append((worker_id, proc))
                 continue
             if self.respawns >= self.budget:
@@ -657,7 +699,7 @@ class _WorkerFleet:
         self.members = kept
         return replaced
 
-    def stop_idle(self, queue: LeaseQueue) -> list[subprocess.Popen]:
+    def stop_idle(self, queue: LeaseQueue) -> list[BaseProcess]:
         """SIGTERM every live member that holds no lease; return the rest.
 
         Called once the queue is finished.  A member without a live
@@ -671,7 +713,7 @@ class _WorkerFleet:
         holders = queue.lease_owners()
         busy = []
         for worker_id, proc in self.members:
-            if proc.poll() is not None:
+            if proc.exitcode is not None:
                 continue
             if worker_id in holders:
                 busy.append(proc)
@@ -681,35 +723,31 @@ class _WorkerFleet:
 
     def wait_all(
         self,
-        procs: "Iterable[subprocess.Popen] | None" = None,
+        procs: "Iterable[BaseProcess] | None" = None,
         timeout: float = 30.0,
     ) -> None:
         """Wait until ``procs`` (default: every process launched) exit.
 
-        Wakes on :attr:`exited`, so it returns as soon as the last one
-        has been reaped.  Whatever still runs after ``timeout`` seconds
-        is SIGKILLed.
+        Wakes on their sentinels, so it returns as soon as the last one
+        has exited.  Whatever still runs after ``timeout`` seconds is
+        SIGKILLed.
         """
         if procs is None:
             procs = [proc for _, proc in [*self.members, *self.retired]]
         procs = list(procs)
         deadline = time.monotonic() + timeout
-        while True:
-            self.exited.clear()
-            running = [proc for proc in procs if proc.poll() is None]
-            if not running:
-                return
+        while running := [proc for proc in procs if proc.exitcode is None]:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for proc in running:
                     proc.kill()
-                    proc.wait(timeout=10)
+                    proc.join(timeout=10)
                 return
-            self.exited.wait(remaining)
+            wait_for([proc.sentinel for proc in running], remaining)
 
     def kill_all(self) -> None:
         for _, proc in [*self.members, *self.retired]:
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 proc.kill()
 
 
@@ -834,24 +872,25 @@ def _serve(
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous_handlers[signum] = signal.signal(signum, _on_signal)
     try:
-        if registry is not None:
-            server = MetricsServer(registry, port=metrics_port, health=_health)
-            server.start()
-            # Seed every series before the first completion, so a scrape
-            # that races the fleet spawn already parses cleanly.
-            _update_service_metrics(registry, queue, stores.values(), shards)
-            if on_metrics_url is not None:
-                on_metrics_url(server.url)
+        # Fork the fleet before the server's thread starts: only a
+        # respawn under a metrics server forks beside that thread.
         for index in range(workers):
             fleet.spawn(f"w{index}")
+        if registry is not None:
+            # Seed every series before the server starts, so its first
+            # scrape already parses cleanly.
+            _update_service_metrics(registry, queue, stores.values(), shards)
+            server = MetricsServer(registry, port=metrics_port, health=_health)
+            server.start()
+            if on_metrics_url is not None:
+                on_metrics_url(server.url)
         chaos_started = monotonic()
         chaos_done = chaos_kill_after is None
         last_published: "tuple | None" = None
         while not queue.finished():
             # A worker exit ends the wait early: the worker that lands
             # the last cell exits at once, and so does a crashed one.
-            fleet.exited.wait(poll_interval)
-            fleet.exited.clear()
+            fleet.wait(poll_interval)
             if (
                 not chaos_done
                 and monotonic() - chaos_started >= chaos_kill_after

@@ -64,8 +64,9 @@ CACHE_SERIES = {
 
 #: A faulted run's counters, one row each: the count the run keeps
 #: (the :class:`~repro.dynamics.overlay.DynamicSubstrate` churn counts,
-#: the wrapper's ``wasted_ticks``, and ``route_lost``, the transmission
-#: category severed routes are charged under), mapped to the registry
+#: the wrapper's ``wasted_ticks``, and ``lost_transmissions``, the
+#: transmissions charged under ``route_lost`` by severed routes and
+#: under ``near_lost`` by lost single-hop sends), mapped to the registry
 #: series and help text its movement is published as, once per run, by
 #: :func:`~repro.gossip.base.drive_ticks`.
 FAULT_SERIES = {
@@ -75,9 +76,9 @@ FAULT_SERIES = {
         "repro_fault_dead_ticks_total",
         "Ticks owned by crashed nodes (wasted).",
     ),
-    "route_lost": (
+    "lost_transmissions": (
         "repro_fault_lost_transmissions_total",
-        "Transmissions charged to dropped routes.",
+        "Transmissions charged to dropped routes and lost single-hop sends.",
     ),
 }
 
@@ -97,18 +98,21 @@ def fault_counts(
     :class:`~repro.dynamics.overlay.DynamicGossip` (a ``substrate`` and
     ``wasted_ticks``); anything else returns ``None``.  The churn and
     dead-tick counts are cumulative over the wrapper's life, while
-    ``route_lost`` is read from ``transmissions``, one run's categories
-    (``0`` when not given).  ``live_fraction`` rides along for
-    :data:`LIVE_FRACTION_GAUGE`.
+    ``lost_transmissions`` sums the ``route_lost`` and ``near_lost``
+    categories of ``transmissions``, one run's (``0`` when not given).
+    ``live_fraction`` rides along for :data:`LIVE_FRACTION_GAUGE`.
     """
     substrate = getattr(algorithm, "substrate", None)
     if substrate is None:
         return None
+    lost = transmissions or {}
     return {
         "crashes": float(substrate.crashes),
         "recoveries": float(substrate.recoveries),
         "wasted_ticks": float(algorithm.wasted_ticks),
-        "route_lost": float((transmissions or {}).get("route_lost", 0)),
+        "lost_transmissions": float(
+            lost.get("route_lost", 0) + lost.get("near_lost", 0)
+        ),
         "live_fraction": float(substrate.live.mean()),
     }
 

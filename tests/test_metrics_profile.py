@@ -575,7 +575,7 @@ FAULTED = {
 @pytest.mark.parametrize("name", sorted(FAULTED))
 def test_fault_counters_populate_under_churn(name):
     """A faulted run's ``repro_fault_*`` series are exactly the counts
-    the run keeps: its fault metrics and its ``route_lost`` category."""
+    the run keeps: its fault metrics and its lost transmissions."""
     algorithm = FAULTED[name]()
     with metrics.expose() as registry:
         result = run_batched(
@@ -590,15 +590,34 @@ def test_fault_counters_populate_under_churn(name):
         "crashes": faults["crashes"],
         "recoveries": faults["recoveries"],
         "wasted_ticks": faults["wasted_ticks"],
-        "route_lost": result.transmissions.get("route_lost", 0),
+        "lost_transmissions": result.transmissions.get("route_lost", 0)
+        + result.transmissions.get("near_lost", 0),
     }
     assert expected["crashes"] > 0 and expected["wasted_ticks"] > 0
-    if name != "randomized-faulted":  # randomized loses single hops only
-        assert expected["route_lost"] > 0
+    assert expected["lost_transmissions"] > 0
     for key, (series, _) in FAULT_SERIES.items():
         assert registry.counter(series).value() == expected[key], key
     live = registry.gauge(LIVE_FRACTION_GAUGE[0]).value()
     assert live == faults["live_fraction"] < 1.0
+
+
+def test_lost_single_hop_sends_are_published():
+    """Randomized gossip charges a lost send under ``near_lost``, not
+    ``route_lost``; the lost-transmission series counts it all the same."""
+    with metrics.expose() as registry:
+        result = run_batched(
+            FAULTED["randomized-faulted"](),
+            initial_values(),
+            0.1,
+            np.random.default_rng(7),
+            check_stride=4,
+        )
+    near_lost = result.transmissions.get("near_lost", 0)
+    assert near_lost > 0 and "route_lost" not in result.transmissions
+    assert (
+        registry.counter("repro_fault_lost_transmissions_total").value()
+        == near_lost
+    )
 
 
 def _families(registry, prefix: str) -> set:
@@ -691,7 +710,7 @@ def test_fault_counters_of_two_runs_add_up():
         ("crashes", faults["crashes"]),
         ("recoveries", faults["recoveries"]),
         ("wasted_ticks", faults["wasted_ticks"]),
-        ("route_lost", lost),
+        ("lost_transmissions", lost),
     ):
         assert registry.counter(FAULT_SERIES[key][0]).value() == expected, key
     live = registry.gauge(LIVE_FRACTION_GAUGE[0]).value()
@@ -948,6 +967,72 @@ class TestServeSweepMetrics:
         assert telemetry["metrics"]["repro_route_cache_walks_total"] > 0
         families = {series.split("{", 1)[0] for series in telemetry["metrics"]}
         assert families == self.COORDINATOR_FAMILIES
+
+    def test_chaos_respawn_forks_beside_the_metrics_server(
+        self, tmp_path, monkeypatch
+    ):
+        """A respawn under ``metrics_port`` is the one member forked while
+        the server's thread runs.  It must claim and finish cells, the
+        store must equal the serial one, ``/metrics`` must still parse
+        after it, and no member may keep the port once the session ends."""
+        import socket
+
+        from repro.engine.service import _WorkerFleet
+
+        launched: dict = {}
+        launch = _WorkerFleet._launch
+
+        def _recording_launch(self, worker_id):
+            member = launch(self, worker_id)
+            launched[worker_id] = member[1]
+            return member
+
+        monkeypatch.setattr(_WorkerFleet, "_launch", _recording_launch)
+        serial = ResultStore(tmp_path / "serial", self.CONFIG).open()
+        for cell in expand_grid(self.CONFIG):
+            serial.append(execute_cell(self.CONFIG, cell))
+        urls: list[str] = []
+        scrapes: list[tuple[int, dict]] = []
+
+        def scrape(stats) -> None:
+            with urllib.request.urlopen(f"{urls[0]}/healthz", timeout=10) as r:
+                respawns = json.loads(r.read().decode("utf-8"))["service"][
+                    "respawns"
+                ]
+            with urllib.request.urlopen(f"{urls[0]}/metrics", timeout=10) as r:
+                text = r.read().decode("utf-8")
+            scrapes.append((respawns, assert_valid_exposition(text)))
+
+        store = ResultStore(tmp_path / "dist", self.CONFIG)
+        records = run_distributed_sweep(
+            self.CONFIG,
+            store=store,
+            queue_dir=tmp_path / "queue",
+            workers=2,
+            ttl=0.6,
+            heartbeat_interval=0.05,
+            poll_interval=0.05,
+            worker_throttle=0.3,
+            chaos_kill_after=0.0,  # kill as soon as any lease is held
+            metrics_port=0,
+            on_metrics_url=urls.append,
+            on_progress=scrape,
+        )
+        assert set(records) == {cell.key for cell in expand_grid(self.CONFIG)}
+        assert diff_stores(serial.root, store.root) == []
+        respawned = [worker for worker in launched if "r" in worker]
+        assert len(respawned) == 1
+        assert launched[respawned[0]].exitcode is not None
+        done_log = LeaseQueue.open(tmp_path / "queue").done_log()
+        # The respawn claimed and landed cells, not just started.
+        assert respawned[0] in {entry["owner"] for entry in done_log}
+        after = [samples for respawns, samples in scrapes if respawns >= 1]
+        assert after and "repro_queue_depth" in after[-1]
+        port = int(urls[0].rsplit(":", 1)[1])
+        with socket.socket() as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", port))
+            probe.listen()
 
     def test_cli_serve_sweep_prints_metrics_url(self, tmp_path, capsys):
         from repro.cli import main

@@ -20,6 +20,7 @@ Three layers on top of ``test_sweep_service.py``'s chaos battery:
 """
 
 import json
+import signal
 import subprocess
 import sys
 import threading
@@ -495,7 +496,8 @@ class TestOneCoordinator:
         daemon_urls: list[str] = []
 
         def drain_up_front(url: str) -> None:
-            # Called once the queue exists, before any worker spawns.
+            # Called once the queue exists and the fleet is forked,
+            # before the coordinator's first poll.
             daemon_urls.append(url)
             LeaseQueue.open(tmp_path / "q2").request_drain()
 
@@ -543,3 +545,120 @@ class TestOneCoordinator:
         for mode in ("q1", "q2"):
             report = (tmp_path / mode / "partial_report.md").read_text()
             assert report.startswith(f"## Grid `{KEY_A}`")
+
+
+def _record_launches(monkeypatch) -> dict:
+    """Record every member the fleet forks, by worker id."""
+    from repro.engine.service import _WorkerFleet
+
+    launched: dict = {}
+    launch = _WorkerFleet._launch
+
+    def recording(self, worker_id):
+        member = launch(self, worker_id)
+        launched[worker_id] = member[1]
+        return member
+
+    monkeypatch.setattr(_WorkerFleet, "_launch", recording)
+    return launched
+
+
+class TestForkedMembers:
+    """Members are forked from the coordinator, so they must not keep
+    what the coordinator installed: its SIGTERM/SIGINT drain handlers."""
+
+    def test_sigterm_stops_an_idle_member_without_draining(
+        self, tmp_path, monkeypatch
+    ):
+        """``stop_idle`` relies on SIGTERM stopping a member.  A member
+        that kept the daemon's handler would request a drain instead."""
+        launched = _record_launches(monkeypatch)
+        queue_dir = tmp_path / "queue"
+        seen: dict = {}
+
+        def operator() -> None:
+            try:
+                _wait_for(
+                    lambda: "w0" in launched
+                    and (queue_dir / "manifest.json").exists(),
+                    timeout=30,
+                    message="the first member",
+                )
+                queue = LeaseQueue.open(queue_dir)
+                victim = launched["w0"]
+                victim.terminate()  # idle: the daemon queue is empty
+                _wait_for(
+                    lambda: victim.exitcode is not None,
+                    timeout=30,
+                    message="the member to stop",
+                )
+                seen["exitcode"] = victim.exitcode
+                seen["draining"] = queue.drain_requested()
+            finally:
+                LeaseQueue.open(queue_dir).request_drain()
+
+        thread = threading.Thread(target=operator, daemon=True)
+        thread.start()
+        results = run_sweep_daemon(
+            tmp_path / "store",
+            queue_dir=queue_dir,
+            workers=1,
+            poll_interval=0.05,
+            handle_signals=True,
+        )
+        thread.join(timeout=30)
+        assert results == {}
+        assert seen == {"exitcode": -signal.SIGTERM, "draining": False}
+
+    def test_member_restores_the_default_handlers(self, tmp_path, monkeypatch):
+        """A member handles SIGINT and SIGTERM as a fresh interpreter
+        would, not with the daemon coordinator's drain handler."""
+        import repro.engine.service as service
+
+        launched = _record_launches(monkeypatch)
+        handlers = tmp_path / "handlers.json"
+
+        def report_handlers(queue_dir, worker_id, **options) -> int:
+            handlers.write_text(
+                json.dumps(
+                    {
+                        "sigint": signal.getsignal(signal.SIGINT)
+                        is signal.default_int_handler,
+                        "sigterm": signal.getsignal(signal.SIGTERM)
+                        == signal.SIG_DFL,
+                    }
+                )
+            )
+            return 0
+
+        monkeypatch.setattr(service, "run_worker", report_handlers)
+
+        def drain_once_reported() -> None:
+            try:
+                _wait_for(
+                    lambda: "w0" in launched
+                    and launched["w0"].exitcode is not None,
+                    timeout=30,
+                    message="the member to report and exit",
+                )
+            finally:
+                LeaseQueue.open(tmp_path / "queue").request_drain()
+
+        thread = threading.Thread(target=drain_once_reported, daemon=True)
+        thread.start()
+        results = run_sweep_daemon(
+            tmp_path / "store",
+            queue_dir=tmp_path / "queue",
+            workers=1,
+            max_respawns=0,
+            poll_interval=0.05,
+            handle_signals=True,
+        )
+        thread.join(timeout=30)
+        assert results == {}
+        assert json.loads(handlers.read_text()) == {
+            "sigint": True,
+            "sigterm": True,
+        }
+        assert launched["w0"].exitcode == 0
+

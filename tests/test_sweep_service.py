@@ -549,12 +549,9 @@ class TestCoordinatorRecovery:
 class _FakeProc:
     """A fleet member stand-in that records the signals it receives."""
 
-    def __init__(self, returncode=None):
-        self.returncode = returncode
+    def __init__(self, exitcode=None):
+        self.exitcode = exitcode
         self.signals = []
-
-    def poll(self):
-        return self.returncode
 
     def terminate(self):
         self.signals.append("SIGTERM")
@@ -603,10 +600,10 @@ class TestSessionTail:
         try:
             assert elapsed < 15.0, f"session took {elapsed:.1f}s"
             assert len(launched) == 2
-            assert [proc.poll() is None for proc in launched] == [False] * 2
+            assert [proc.exitcode is None for proc in launched] == [False] * 2
         finally:
             for proc in launched:
-                if proc.poll() is None:
+                if proc.exitcode is None:
                     proc.kill()
         assert set(records) == {cell.key for cell in expand_grid(CONFIG)}
         assert diff_stores(serial_store.root, store.root) == []
@@ -615,7 +612,7 @@ class TestSessionTail:
         from repro.engine.service import _WorkerFleet
 
         fleet = _WorkerFleet(tmp_path, 1.0, 0.2, 0.0, budget=0)
-        busy, idle, gone = _FakeProc(), _FakeProc(), _FakeProc(returncode=0)
+        busy, idle, gone = _FakeProc(), _FakeProc(), _FakeProc(exitcode=0)
         fleet.members = [("w0", busy), ("w1", idle), ("w2", gone)]
         assert fleet.stop_idle(_FakeQueue({"w0"})) == [busy]
         assert busy.signals == []
