@@ -42,16 +42,14 @@ FAST_STRIDE = 16
 FAST_PATH_PROTOCOLS = ("randomized", "geographic", "spatial")
 
 #: Routed protocols and the stride-1 speedup their cached router (a
-#: batched walk per window for geographic, next-hop columns for spatial)
-#: must show over the plain greedy walk, which swaps in the per-tick
-#: loop.
+#: batched walk per window) must show over the plain greedy walk, which
+#: swaps in the per-tick loop.
 ROUTE_TABLE_GATES = {"geographic": 2.0, "spatial": 1.5}
 
 #: Floor on the routed protocols' stride-16 over stride-1 speedup.  Both
-#: strides batch their routes for geographic (a walk per stride-1 window
-#: and per block); spatial walks its blocks at stride 16 and routes
-#: through columns at stride 1.  The floor leaves room for timing noise
-#: and still fails a strided path that costs real time.
+#: strides batch their routes (a walk per stride-1 window and per
+#: block).  The floor leaves room for timing noise and still fails a
+#: strided path that costs real time.
 TICK_BLOCK_FLOOR = 0.8
 
 #: Runs per timing; the gates compare best-of-``REPEATS`` seconds, so
@@ -222,8 +220,8 @@ def test_e08_fast_path_speedup(benchmark):
 
     # Randomized gossip gains from pre-sampled owners and partners in
     # the batched path; the routed protocols gain from the cached
-    # router's batched walks and columns, at stride 1 as much as at
-    # stride 16.  Asserted with margin.
+    # router's batched walks, at stride 1 as much as at stride 16.
+    # Asserted with margin.
     assert speedups["randomized"] >= 1.5, speedups
     for name, gate in ROUTE_TABLE_GATES.items():
         assert speedups[f"{name}_route_table"] >= gate, (name, speedups)

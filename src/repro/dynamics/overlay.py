@@ -8,8 +8,8 @@ scenario any tick-driven protocol can run on unchanged:
   the *current* adjacency view: crashed nodes and down links are masked
   out of the neighbour arrays (in place, so routers holding the list see
   every epoch transition), positions may jitter, and every registered
-  :class:`~repro.routing.cache.CachedGreedyRouter` is invalidated exactly
-  at the nodes whose adjacency changed.
+  :class:`~repro.routing.cache.CachedGreedyRouter` is invalidated once
+  per epoch that changed any node's adjacency.
 * :class:`LossyRouter` — wraps a router with per-hop message loss from
   the schedule's :class:`~repro.dynamics.schedule.LossChannel`.  A lost
   transmission severs the route: the hops attempted are charged under
@@ -189,10 +189,10 @@ class DynamicSubstrate:
     def register_cache(self, cache: CachedGreedyRouter) -> None:
         """Invalidate ``cache`` whenever this substrate's adjacency changes.
 
-        The cache must have been built over this substrate (its columns
-        snapshot ``self.neighbors``); on every epoch transition it is
-        patched at exactly the changed nodes, or dropped wholesale after
-        a jitter rebuild.  Registration is idempotent per cache object:
+        The cache must have been built over this substrate (its memo and
+        walk tables mirror ``self.neighbors``); every epoch transition
+        that changed an adjacency row, or moved the nodes, drops them.
+        Registration is idempotent per cache object:
         protocols built on a substrate that shares its cache
         (:meth:`CachedGreedyRouter.share`) all register that one cache,
         which must be invalidated once per epoch transition, not once per
@@ -244,19 +244,12 @@ class DynamicSubstrate:
         if changed is not None:
             changed.update(link_changed)
 
-        if changed is None:
-            self._refresh_mask(None)
+        # Adjacency arrays can survive a toggle untouched (e.g. a link
+        # failing between two already-crashed nodes); only an epoch that
+        # changed a row invalidates the caches.
+        if self._refresh_mask(changed):
             for cache in self._caches:
-                cache.invalidate(None)
-        elif changed:
-            # Adjacency arrays can survive a toggle untouched (e.g. a link
-            # failing between two already-crashed nodes); only genuinely
-            # changed rows need cache repair.
-            actually_changed = self._refresh_mask(changed)
-            if actually_changed:
-                rows = sorted(actually_changed)
-                for cache in self._caches:
-                    cache.invalidate(rows)
+                cache.invalidate()
 
     def _apply_jitter(self, jitter: np.ndarray) -> None:
         """Move every node and rebuild the base adjacency and grid."""
@@ -318,20 +311,19 @@ class DynamicSubstrate:
                 affected.add(int(self._edge_v[edge]))
         return affected
 
-    def _refresh_mask(self, nodes: set[int] | None) -> set[int] | None:
+    def _refresh_mask(self, nodes: set[int] | None) -> bool:
         """Recompute masked adjacency (for ``nodes``, or everywhere).
 
-        Returns the set of nodes whose masked array actually changed, or
-        ``None`` when the refresh was global.
+        Returns whether any masked array actually changed (always
+        ``True`` for a global refresh).
         """
-        targets = range(self.n) if nodes is None else sorted(nodes)
-        changed: set[int] | None = None if nodes is None else set()
-        for i in targets:
+        if nodes is None:
+            self.neighbors[:] = [self._masked_adjacency(i) for i in range(self.n)]
+            return True
+        changed = False
+        for i in sorted(nodes):
             new = self._masked_adjacency(i)
-            if changed is not None and not np.array_equal(
-                new, self.neighbors[i]
-            ):
-                changed.add(i)
+            changed = changed or not np.array_equal(new, self.neighbors[i])
             self.neighbors[i] = new
         return changed
 
@@ -383,7 +375,7 @@ class LossyRouter:
     Wraps any object with the :class:`~repro.routing.greedy.GreedyRouter`
     routing surface — in a :class:`DynamicGossip`, the protocol's
     memoized :class:`~repro.routing.cache.CachedGreedyRouter`, whose
-    columns the substrate keeps current.  The wrapped
+    route memo the substrate invalidates.  The wrapped
     router computes the intended path as usual; the
     :class:`~repro.dynamics.schedule.LossChannel` then decides the fate
     of each hop in order.  On a loss at transmission ``k`` the packet

@@ -372,7 +372,7 @@ def execute_cell(
         algorithm = build_cell_algorithm(
             config, graph, cell.algorithm, cell.n, cell.trial
         )
-    # The route cache may already hold columns (and counts) from the
+    # The route cache may already hold routes (and counts) from the
     # trial's earlier protocols: the cell reports only its own movement.
     cache_before = cache_stats(algorithm)
     run_rng = spawn_rng(config.root_seed, "run", cell.algorithm, cell.n, cell.trial)

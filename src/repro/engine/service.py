@@ -95,7 +95,6 @@ __all__ = [
     "diff_stores",
     "enqueue_grid",
     "merge_shards",
-    "publish_partial_report",
     "run_distributed_sweep",
     "run_sweep_daemon",
     "run_worker",
@@ -285,27 +284,6 @@ def _landed_records(
             ):
                 records.setdefault(record.key, record)
     return records
-
-
-def publish_partial_report(
-    config: "ExperimentConfig",
-    store: ResultStore,
-    shards: "str | os.PathLike",
-    out_path: "str | os.PathLike",
-) -> int:
-    """Render the partial sweep table from everything landed so far.
-
-    The streaming aggregator: the union of the canonical store and every
-    shard's records (:func:`_landed_records`) is aggregated through the
-    standard reporting path and written atomically as Markdown
-    (:func:`~repro.engine.store.atomic_write_text` — a reader never sees
-    a torn report).  Returns the number of cells the report covers.
-    """
-    from repro.experiments.report import render_partial_markdown
-
-    records = _landed_records(store, shards)
-    atomic_write_text(out_path, render_partial_markdown(config, records))
-    return len(records)
 
 
 def _write_service_telemetry(

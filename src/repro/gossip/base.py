@@ -566,7 +566,6 @@ def _publish_run(
     ticks: int,
     checks: int,
     error: float,
-    counter: TransmissionCounter,
     faults_before: "dict[str, float] | None",
 ) -> None:
     """Publish one run's engine and fault counters to ``registry``.
@@ -594,7 +593,7 @@ def _publish_run(
         ).set(error, **labels)
     if faults_before is None:
         return
-    after = fault_counts(algorithm, counter.by_category)
+    after = fault_counts(algorithm)
     moved = {key: after[key] - faults_before[key] for key in FAULT_SERIES}
     churned = bool(moved["crashes"] or moved["recoveries"])
     for key, (series, help_text) in FAULT_SERIES.items():
@@ -715,7 +714,7 @@ def drive_ticks(
             exact.close()
         if registry is not None:
             _publish_run(
-                registry, algorithm, ticks, checks, error, counter, faults_before
+                registry, algorithm, ticks, checks, error, faults_before
             )
     error = normalized_error(values, initial_values)
     converged = error <= epsilon

@@ -94,7 +94,7 @@ def round_trip_block(
                 {
                     "e": "pairs",
                     "op": "avg",
-                    "pairs": np.column_stack((owners, targets)).tolist(),
+                    "pairs": np.column_stack((owners, targets)),
                 }
             )
     return failed

@@ -51,7 +51,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.base import (
+    AsynchronousGossip,
+    DrawStream,
+    LegacyDrawStream,
+    draw_pairs,
+)
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
 from repro.routing.cache import CachedGreedyRouter
@@ -135,6 +140,41 @@ class PathAveragingGossip(AsynchronousGossip):
             route = self.router.route_to_position(node, rng.random(2), counter)
         self._apply_route(route, values, counter)
 
+    def _walks_blocks(self) -> bool:
+        """Whether the window and block hooks may batch: uniform targets
+        over the plain memoized router with a lossless flash (position
+        targets and a faulted cell's ``LossyRouter`` and
+        :attr:`flash_channel` run the per-tick loop)."""
+        return (
+            self.target_mode == "uniform"
+            and type(self.router) is CachedGreedyRouter
+            and self.flash_channel is None
+        )
+
+    def tick_window(
+        self,
+        count: int,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        draws: LegacyDrawStream | np.random.Generator,
+    ) -> None:
+        """A stride-1 window: one decode of its draws, one batched walk.
+
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        tick: each tick draws its owner ``integers(n)`` and its target
+        index ``integers(n - 1)``, decoded for the whole window by
+        :func:`~repro.gossip.base.draw_pairs`; the routes then run
+        through :meth:`_average_walks`.
+        """
+        if not self._walks_blocks():
+            super().tick_window(count, values, counter, draws)
+            return
+        owners, picks = draw_pairs(draws, count, self.n, [self.n - 1] * self.n)
+        owners = np.array(owners, dtype=np.int64)
+        targets = np.array(picks, dtype=np.int64)
+        targets += targets >= owners
+        self._average_walks(owners, targets, values, counter)
+
     def tick_block(
         self,
         owners: np.ndarray,
@@ -147,23 +187,31 @@ class PathAveragingGossip(AsynchronousGossip):
         Equal, bit for bit, to the base loop running :meth:`tick` per
         owner on the same :class:`~repro.gossip.base.DrawStream`: each
         owner takes the next double ``u`` and targets ``int(u · (n −
-        1))``, shifted past itself.  The block's routes are walked at
-        once by :meth:`~repro.routing.cache.CachedGreedyRouter.walk`
-        with their paths, their forward hops are charged (and emitted)
-        as one sum, and each route is then averaged or aborted in tick
-        order, as :meth:`tick` does.  Position targets, a router other
-        than the plain memoized one and a :attr:`flash_channel` run the
-        per-tick loop.
+        1))``, shifted past itself; the routes then run through
+        :meth:`_average_walks`.
         """
-        if (
-            self.target_mode != "uniform"
-            or type(self.router) is not CachedGreedyRouter
-            or self.flash_channel is not None
-        ):
+        if not self._walks_blocks():
             super().tick_block(owners, values, counter, rng)
             return
         targets = (rng.random(len(owners)) * (self.n - 1)).astype(np.int64)
         targets += targets >= owners
+        self._average_walks(owners, targets, values, counter)
+
+    def _average_walks(
+        self,
+        owners: np.ndarray,
+        targets: np.ndarray,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+    ) -> None:
+        """Run ``owners[i]``'s operation towards ``targets[i]``, in order.
+
+        The routes are walked at once by
+        :meth:`~repro.routing.cache.CachedGreedyRouter.walk` with their
+        paths, their forward hops are charged (and emitted) as one sum,
+        and each route is then averaged or aborted in tick order, as
+        :meth:`tick` does.
+        """
         walk = self.router.walk(owners, targets, paths=True)
         hops = int(walk.hops.sum())
         if hops:

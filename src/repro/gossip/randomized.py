@@ -205,7 +205,7 @@ class RandomizedGossip(AsynchronousGossip):
                     "e": "pairs",
                     "op": "avg",
                     "cat": "near",
-                    "pairs": np.column_stack((owners, partners)).tolist(),
+                    "pairs": np.column_stack((owners, partners)),
                 }
             )
 

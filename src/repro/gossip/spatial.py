@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.base import AsynchronousGossip, DrawStream
+from repro.gossip.base import AsynchronousGossip, DrawStream, LegacyDrawStream
 from repro.gossip.geographic import round_trip_block
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.observability import events as _events
@@ -52,10 +52,10 @@ class SpatialGossip(AsynchronousGossip):
 
     The CDFs are one ``(n, n)`` table, row ``u`` holding node ``u``'s
     cumulative target distribution.  :meth:`tick` finds its target with
-    ``np.searchsorted`` on its own row; :meth:`tick_block` finds a whole
-    block's targets in one batched lower-bound search over the flattened
-    table (:meth:`_search_targets`), with the same ``side="left"``
-    answers.
+    ``np.searchsorted`` on its own row; :meth:`tick_window` and
+    :meth:`tick_block` find a whole window's or block's targets in one
+    batched lower-bound search over the flattened table
+    (:meth:`_search_targets`), with the same ``side="left"`` answers.
     """
 
     name = "spatial"
@@ -197,6 +197,35 @@ class SpatialGossip(AsynchronousGossip):
                 {"e": "pairs", "op": "avg", "pairs": [[node, target]]}
             )
 
+    def tick_window(
+        self,
+        count: int,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+        draws: LegacyDrawStream | np.random.Generator,
+    ) -> None:
+        """A stride-1 window: its draws in tick order, one batched walk.
+
+        Equal, bit for bit, to the base loop running :meth:`tick` per
+        tick: each tick draws its owner ``integers(n)`` and then its
+        double ``random()``, read here for the whole window before the
+        exchanges run as in :meth:`tick_block`.  A router other than the
+        plain memoized one (a faulted cell's ``LossyRouter``) runs the
+        base loop.
+        """
+        if type(self.router) is not CachedGreedyRouter:
+            super().tick_window(count, values, counter, draws)
+            return
+        integers, random, n = draws.integers, draws.random, self.n
+        owners: list[int] = []
+        picks: list[float] = []
+        for _ in range(count):
+            owners.append(integers(n))
+            picks.append(random())
+        self._exchange(
+            np.array(owners, dtype=np.int64), np.array(picks), values, counter
+        )
+
     def tick_block(
         self,
         owners: np.ndarray,
@@ -208,18 +237,32 @@ class SpatialGossip(AsynchronousGossip):
 
         Equal, bit for bit, to the base loop running :meth:`tick` per
         owner on the same :class:`~repro.gossip.base.DrawStream`: each
-        owner takes the next double and finds its target in its own CDF
-        by the same ``searchsorted`` rule, for the whole block in one
-        batched search (:meth:`_search_targets`); owners that drew
-        themselves skip their exchange, and the rest run through
-        :func:`~repro.gossip.geographic.round_trip_block`.  A router
-        other than the plain memoized one (a faulted cell's
-        ``LossyRouter``) runs the per-tick loop.
+        owner takes the next double, and the block's exchanges run
+        through :meth:`_exchange`.  A router other than the plain
+        memoized one (a faulted cell's ``LossyRouter``) runs the
+        per-tick loop.
         """
         if type(self.router) is not CachedGreedyRouter:
             super().tick_block(owners, values, counter, rng)
             return
-        targets = self._search_targets(owners, rng.random(len(owners)))
+        self._exchange(owners, rng.random(len(owners)), values, counter)
+
+    def _exchange(
+        self,
+        owners: np.ndarray,
+        picks: np.ndarray,
+        values: np.ndarray,
+        counter: TransmissionCounter,
+    ) -> None:
+        """Run ``owners[i]``'s tick on its double ``picks[i]``, in order.
+
+        Each owner finds its target in its own CDF by :meth:`tick`'s
+        ``searchsorted`` rule, for all owners in one batched search
+        (:meth:`_search_targets`); owners that drew themselves skip
+        their exchange, and the rest run through
+        :func:`~repro.gossip.geographic.round_trip_block`.
+        """
+        targets = self._search_targets(owners, picks)
         np.minimum(targets, self.n - 1, out=targets)
         routed = targets != owners
         self.failed_exchanges += round_trip_block(

@@ -19,7 +19,7 @@ Three pieces make engine runs debuggable and independently checkable:
   live results — a cheap independent cross-check of the whole engine,
   run in CI on every golden-trace configuration.
 * :mod:`repro.observability.telemetry` — lightweight per-cell counters
-  and timers (ticks/sec, route-cache hit/repair/drop counts, fallback
+  and timers (ticks/sec, route-cache hit/walk/drop counts, fallback
   occurrences) surfaced in
   :class:`~repro.engine.executor.CellRecord` and the sweep report.
 

@@ -20,7 +20,11 @@ keep the stream trustworthy:
   exactly (the replay engine asserts this).
 * **Plain JSON types only.**  Values are Python ints/floats/lists —
   ``json`` round-trips float64 exactly (shortest-repr serialisation),
-  which is what lets replay re-derive errors *bitwise*.
+  which is what lets replay re-derive errors *bitwise*.  The one
+  exception is a batched ``pairs`` event's integer ``(m, 2)`` array,
+  which :meth:`TraceRecorder.write` serialises as its ``tolist()``: the
+  written bytes are those of the nested list, and building that list
+  only when a trace is written keeps it off the run.
 
 One run is one well-formed trace: a ``start`` event, a body of updates
 and checks, one ``end`` event.  Round-based protocols, whose
@@ -104,9 +108,19 @@ class TraceRecorder:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
-                handle.write(json.dumps(event, separators=(",", ":")))
+                handle.write(
+                    json.dumps(event, separators=(",", ":"), default=_tolist)
+                )
                 handle.write("\n")
         return path
+
+
+def _tolist(value):
+    """JSON fallback for the arrays a batched event carries."""
+    tolist = getattr(value, "tolist", None)
+    if tolist is None:
+        raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+    return tolist()
 
 
 def active() -> "TraceRecorder | None":

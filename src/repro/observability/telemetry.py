@@ -37,27 +37,23 @@ __all__ = [
 CACHE_SERIES = {
     "cache_hits": (
         "repro_route_cache_hits_total",
-        "Column routes served by an existing column.",
+        "Single routes served from the route memo.",
     ),
     "cache_misses": (
         "repro_route_cache_misses_total",
-        "Column routes that built their column.",
+        "Single routes computed by the scalar greedy router and memoised.",
     ),
     "cache_walks": (
         "repro_route_cache_walks_total",
-        "Routes served by batched walks (no column).",
+        "Routes served by batched walks (no memo).",
     ),
     "cache_invalidations": (
         "repro_route_cache_invalidations_total",
         "Route-cache invalidation events.",
     ),
-    "cache_repairs": (
-        "repro_route_cache_repairs_total",
-        "Cached columns repaired in place on invalidation.",
-    ),
     "cache_drops": (
         "repro_route_cache_drops_total",
-        "Cached columns dropped on invalidation (past repair budget).",
+        "Memoised routes dropped on invalidation.",
     ),
 }
 
@@ -65,10 +61,10 @@ CACHE_SERIES = {
 #: A faulted run's counters, one row each: the count the run keeps
 #: (the :class:`~repro.dynamics.overlay.DynamicSubstrate` churn counts,
 #: the wrapper's ``wasted_ticks``, and ``lost_transmissions``, the
-#: transmissions charged under ``route_lost`` by severed routes and
-#: under ``near_lost`` by lost single-hop sends), mapped to the registry
-#: series and help text its movement is published as, once per run, by
-#: :func:`~repro.gossip.base.drive_ticks`.
+#: losses its :class:`~repro.dynamics.schedule.LossChannel` counted at
+#: every loss site — the number a cell record's fault metrics carry),
+#: mapped to the registry series and help text its movement is
+#: published as, once per run, by :func:`~repro.gossip.base.drive_ticks`.
 FAULT_SERIES = {
     "crashes": ("repro_fault_crashes_total", "Nodes crashed by churn."),
     "recoveries": ("repro_fault_recoveries_total", "Nodes recovered by churn."),
@@ -78,7 +74,7 @@ FAULT_SERIES = {
     ),
     "lost_transmissions": (
         "repro_fault_lost_transmissions_total",
-        "Transmissions charged to dropped routes and lost single-hop sends.",
+        "Transmissions lost on the loss channel (one per severed send).",
     ),
 }
 
@@ -89,30 +85,25 @@ LIVE_FRACTION_GAUGE = (
 )
 
 
-def fault_counts(
-    algorithm, transmissions: "dict | None" = None
-) -> "dict[str, float] | None":
+def fault_counts(algorithm) -> "dict[str, float] | None":
     """The :data:`FAULT_SERIES` counts of a fault-wrapped protocol.
 
     ``algorithm`` duck-types
     :class:`~repro.dynamics.overlay.DynamicGossip` (a ``substrate`` and
-    ``wasted_ticks``); anything else returns ``None``.  The churn and
-    dead-tick counts are cumulative over the wrapper's life, while
-    ``lost_transmissions`` sums the ``route_lost`` and ``near_lost``
-    categories of ``transmissions``, one run's (``0`` when not given).
-    ``live_fraction`` rides along for :data:`LIVE_FRACTION_GAUGE`.
+    ``wasted_ticks``); anything else returns ``None``.  Every count is
+    cumulative over the wrapper's life; ``lost_transmissions`` is the
+    substrate's ``channel.losses``, the same count the record's fault
+    metrics and replay carry.  ``live_fraction`` rides along for
+    :data:`LIVE_FRACTION_GAUGE`.
     """
     substrate = getattr(algorithm, "substrate", None)
     if substrate is None:
         return None
-    lost = transmissions or {}
     return {
         "crashes": float(substrate.crashes),
         "recoveries": float(substrate.recoveries),
         "wasted_ticks": float(algorithm.wasted_ticks),
-        "lost_transmissions": float(
-            lost.get("route_lost", 0) + lost.get("near_lost", 0)
-        ),
+        "lost_transmissions": float(substrate.channel.losses),
         "live_fraction": float(substrate.live.mean()),
     }
 

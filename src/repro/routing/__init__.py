@@ -12,11 +12,11 @@ Three mechanisms from the paper and its predecessor (Dimakis et al. 2006):
   node to a uniform location" (biased by Voronoi cell areas) into a nearly
   uniform distribution over nodes.
 
-Greedy routing additionally has an exact memoized form
-(:mod:`repro.routing.cache`): greedy hops are deterministic per
-``(node, target)``, so every routed protocol replays cached next-hop
-chains instead of re-walking paths, at every check stride, with
-identical results.
+Greedy routing additionally has an exact fast form
+(:mod:`repro.routing.cache`): every routed protocol walks its windows
+and blocks of routes in one batch, and serves single routes from a
+``(source, target)`` memo of the plain router's routes, at every check
+stride, with identical results.
 
 All primitives charge their cost to a shared
 :class:`~repro.routing.cost.TransmissionCounter`.

@@ -252,9 +252,10 @@ class TestDynamicSubstrate:
         assert substrate.epoch >= 2
         assert result.values.sum() == pytest.approx(values.sum(), abs=1e-9)
 
-    def test_shared_cache_is_repaired_once_per_epoch(self, graph):
+    def test_shared_cache_is_invalidated_once_per_epoch(self, graph):
         """Two protocols on one substrate share its route cache, which
-        must be registered (and so repaired) once, not once per wrapper."""
+        must be registered (and so invalidated) once, not once per
+        wrapper."""
         spec = FaultSpec(churn_rate=0.2, recover_rate=0.0, epoch_ticks=16)
         substrate = DynamicSubstrate(graph, spec, seed=5)
         cache = CachedGreedyRouter.share(substrate)
@@ -264,7 +265,8 @@ class TestDynamicSubstrate:
         assert averaging.router is cache
         DynamicGossip(geographic, substrate)
         DynamicGossip(averaging, substrate)
-        for target in (0, 11, 23, 47):
+        targets = (0, 11, 23, 47)
+        for target in targets:
             cache.route_to_node(5, target)
         before = [adj.copy() for adj in substrate.neighbors]
         substrate.advance_to(spec.epoch_ticks)
@@ -274,8 +276,10 @@ class TestDynamicSubstrate:
         )
         assert changed > 0, "churn should have crashed someone"
         assert cache.invalidations == 1
-        assert cache.drops == 0
-        assert cache.repairs == changed * len(cache)
+        assert cache.drops == len(targets)
+        # The memo refills from the masked adjacency.
+        cache.route_to_node(5, 0)
+        assert cache.misses == len(targets) + 1
 
     def test_jitter_moves_positions_and_rebuilds(self, graph):
         spec = FaultSpec(jitter_sigma=0.05, epoch_ticks=16)

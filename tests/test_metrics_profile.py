@@ -575,7 +575,7 @@ FAULTED = {
 @pytest.mark.parametrize("name", sorted(FAULTED))
 def test_fault_counters_populate_under_churn(name):
     """A faulted run's ``repro_fault_*`` series are exactly the counts
-    the run keeps: its fault metrics and its lost transmissions."""
+    the run keeps: its fault metrics."""
     algorithm = FAULTED[name]()
     with metrics.expose() as registry:
         result = run_batched(
@@ -590,8 +590,7 @@ def test_fault_counters_populate_under_churn(name):
         "crashes": faults["crashes"],
         "recoveries": faults["recoveries"],
         "wasted_ticks": faults["wasted_ticks"],
-        "lost_transmissions": result.transmissions.get("route_lost", 0)
-        + result.transmissions.get("near_lost", 0),
+        "lost_transmissions": faults["lost_transmissions"],
     }
     assert expected["crashes"] > 0 and expected["wasted_ticks"] > 0
     assert expected["lost_transmissions"] > 0
@@ -603,21 +602,48 @@ def test_fault_counters_populate_under_churn(name):
 
 def test_lost_single_hop_sends_are_published():
     """Randomized gossip charges a lost send under ``near_lost``, not
-    ``route_lost``; the lost-transmission series counts it all the same."""
+    ``route_lost``; the loss channel counts it all the same, and the
+    lost-transmission series is that count."""
+    algorithm = FAULTED["randomized-faulted"]()
     with metrics.expose() as registry:
         result = run_batched(
-            FAULTED["randomized-faulted"](),
+            algorithm,
             initial_values(),
             0.1,
             np.random.default_rng(7),
             check_stride=4,
         )
-    near_lost = result.transmissions.get("near_lost", 0)
-    assert near_lost > 0 and "route_lost" not in result.transmissions
-    assert (
-        registry.counter("repro_fault_lost_transmissions_total").value()
-        == near_lost
+    assert result.transmissions.get("near_lost", 0) > 0
+    assert "route_lost" not in result.transmissions
+    lost = algorithm.substrate.channel.losses
+    assert lost > 0
+    assert registry.counter("repro_fault_lost_transmissions_total").value() == lost
+
+
+def test_run_and_profile_report_one_lost_transmission_count(capsys):
+    """``run`` prints the record's ``lost_transmissions`` fault metric
+    and ``profile`` publishes ``repro_fault_lost_transmissions_total``;
+    under one name they are one number, the loss channel's count."""
+    from repro.cli import main
+
+    args = [
+        "--algorithm", "randomized", "--n", "128", "--epsilon", "0.1",
+        "--check-stride", "4",
+        "--faults", "churn=0.05,recover=0.3,loss=0.05,epoch=128",
+    ]
+    assert main(["run", *args]) == 0
+    printed = re.search(
+        r"^\s*lost_transmissions\s+\|\s+(\S+)", capsys.readouterr().out, re.M
     )
+    assert main(["profile", *args]) == 0
+    published = re.search(
+        r"^\s*repro_fault_lost_transmissions_total\s+(\S+)",
+        capsys.readouterr().out,
+        re.M,
+    )
+    assert printed and published
+    assert float(printed.group(1)) > 0
+    assert float(printed.group(1)) == float(published.group(1))
 
 
 def _families(registry, prefix: str) -> set:
@@ -678,7 +704,8 @@ def test_loss_without_churn_publishes_only_lost_transmissions():
             np.random.default_rng(7),
             check_stride=4,
         )
-    lost = result.transmissions.get("route_lost", 0)
+    assert result.transmissions.get("route_lost", 0) > 0
+    lost = substrate.channel.losses
     assert lost > 0
     assert substrate.crashes == substrate.recoveries == 0
     assert _families(registry, "repro_fault_") == {
@@ -688,11 +715,11 @@ def test_loss_without_churn_publishes_only_lost_transmissions():
 
 
 def test_fault_counters_of_two_runs_add_up():
-    """The wrapper's churn and dead-tick counts are cumulative over its
-    life; each run publishes only its own movement, so two runs total
-    the wrapper's final counts, and lost transmissions total both runs'."""
+    """The wrapper's fault counts are cumulative over its life; each run
+    publishes only its own movement, so two runs total the wrapper's
+    final counts."""
     algorithm = _churned_geographic()
-    lost, crashes = 0, []
+    crashes, losses = [], []
     with metrics.expose() as registry:
         for seed in (7, 8):
             result = run_batched(
@@ -702,17 +729,13 @@ def test_fault_counters_of_two_runs_add_up():
                 np.random.default_rng(seed),
                 check_stride=4,
             )
-            lost += result.transmissions.get("route_lost", 0)
             crashes.append(algorithm.substrate.crashes)
+            losses.append(algorithm.substrate.channel.losses)
     faults = algorithm.fault_metrics(result.values, result.initial_values)
     assert 0 < crashes[0] < crashes[1] == faults["crashes"]
-    for key, expected in (
-        ("crashes", faults["crashes"]),
-        ("recoveries", faults["recoveries"]),
-        ("wasted_ticks", faults["wasted_ticks"]),
-        ("lost_transmissions", lost),
-    ):
-        assert registry.counter(FAULT_SERIES[key][0]).value() == expected, key
+    assert 0 < losses[0] < losses[1] == faults["lost_transmissions"]
+    for key, (series, _) in FAULT_SERIES.items():
+        assert registry.counter(series).value() == faults[key], key
     live = registry.gauge(LIVE_FRACTION_GAUGE[0]).value()
     assert live == faults["live_fraction"]
 
@@ -874,8 +897,8 @@ class TestExecutorIntegration:
             executor.clear_substrate()
         assert len(builds) == 1
         telemetry = record.telemetry
-        # Stride-1 path averaging routes through next-hop columns.
-        assert telemetry["cache_hits"] + telemetry["cache_misses"] > 0
+        # Stride-1 path averaging walks each window's routes in one batch.
+        assert telemetry["cache_walks"] > 0
         for key, (series, _) in CACHE_SERIES.items():
             assert registry.counter(series).value() == telemetry[key], key
 

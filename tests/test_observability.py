@@ -132,10 +132,19 @@ def test_multifield_replay_matches_column_errors(name, check_stride):
 
 
 def test_trace_round_trips_through_jsonl(tmp_path):
-    """write → load_trace → replay: the file is the trace, exactly."""
+    """write → load_trace → replay: the file is the trace, exactly.
+
+    Batched ``pairs`` events hold their pairs as an array in memory; the
+    file holds its nested list, so the file equals the JSON-normalised
+    events."""
     _, result, recorder = run_traced(CASES["randomized"], check_stride=4)
+    assert any(isinstance(e.get("pairs"), np.ndarray) for e in recorder.events)
     path = recorder.write(tmp_path / "trace.jsonl")
-    assert load_trace(path) == recorder.events
+    normalised = [
+        json.loads(json.dumps(event, default=np.ndarray.tolist))
+        for event in recorder.events
+    ]
+    assert load_trace(path) == normalised
     validate_result(replay_file(path), result)
 
 
@@ -246,24 +255,24 @@ def test_replay_rejects_interleaved_traces():
 
 @pytest.mark.parametrize("check_stride", [1, 4])
 def test_cache_stats_reaches_the_route_cache(check_stride):
-    # The memoized router is the protocol's one router: the per-tick
-    # path routes through its columns, the strided blocks through its
-    # batched walk, and the ledger tells them apart.
+    # The memoized router is the protocol's one router: its stride-1
+    # windows and strided blocks go through the batched walk, the
+    # per-tick loop of a faulted cell through the route memo, and the
+    # ledger tells them apart.
     algorithm, _, _ = run_traced(
         CASES["path-averaging"], check_stride=check_stride
     )
     stats = cache_stats(algorithm)
     assert stats is not None
-    columns = stats["cache_hits"] + stats["cache_misses"]
-    if check_stride == 1:
-        assert columns > 0 and stats["cache_walks"] == 0
-    else:
-        assert stats["cache_walks"] > 0 and columns == 0
+    assert stats["cache_walks"] > 0
+    assert stats["cache_hits"] + stats["cache_misses"] == 0
     # Through the DynamicGossip + LossyRouter wrappers too.
     faulted, _, _ = run_traced(
         CASES["path-averaging-faulted"], check_stride=check_stride
     )
-    assert cache_stats(faulted) is not None
+    stats = cache_stats(faulted)
+    assert stats is not None
+    assert stats["cache_misses"] > 0 and stats["cache_walks"] == 0
     # Cache-less protocols report nothing rather than zeros.
     assert cache_stats(CASES["randomized"].factory()) is None
 

@@ -1,4 +1,4 @@
-"""Unit tests for repro.routing.cache (memoized greedy routing)."""
+"""Unit tests for repro.routing.cache (the route memo and batched walk)."""
 
 import weakref
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamics import DynamicSubstrate, FaultSpec
 from repro.graphs.generators import TOPOLOGIES, grid2d_graph
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.routing import CachedGreedyRouter, GreedyRouter, TransmissionCounter
@@ -76,23 +77,19 @@ class TestCacheBehaviour:
     def test_repeated_routes_hit_the_cache(self, graph):
         cached = CachedGreedyRouter(graph)
         cached.route_to_node(0, graph.n - 1)
-        assert (cached.hits, cached.misses) == (0, 1)  # one column build
+        assert (cached.hits, cached.misses) == (0, 1)  # one scalar route
         cached.route_to_node(0, graph.n - 1)
         assert (cached.hits, cached.misses) == (1, 1)
         assert cached.hit_rate == pytest.approx(0.5)
 
-    def test_one_column_serves_every_source(self, graph):
+    def test_each_pair_is_memoised_once(self, graph):
         cached = CachedGreedyRouter(graph)
         first = cached.route_to_node(0, graph.n - 1)
-        assert len(cached) == 1  # one target column
-        # Any route towards the same target — from mid-path or any other
-        # source — re-uses the column: no new misses.
-        suffix = cached.route_to_node(int(first.path[1]), graph.n - 1)
-        assert suffix.path == first.path[1:]
-        for source in range(1, graph.n, 7):
-            cached.route_to_node(source, graph.n - 1)
-        assert cached.misses == 1
-        assert len(cached) == 1
+        # Another source towards the same target is a pair of its own.
+        cached.route_to_node(int(first.path[1]), graph.n - 1)
+        assert (cached.hits, cached.misses) == (0, 2)
+        assert cached.route_to_node(0, graph.n - 1) is first
+        assert (cached.hits, cached.misses) == (1, 2)
 
     def test_counter_optional_and_charged_once_per_hop(self, graph):
         cached = CachedGreedyRouter(graph)
@@ -102,22 +99,16 @@ class TestCacheBehaviour:
             "route": result.hops,
             "total": result.hops,
         }
+        # A memo hit is charged like the route it replays.
+        cached.route_to_node(0, graph.n - 1, counter, "far")
+        assert counter.snapshot() == {
+            "route": result.hops,
+            "far": result.hops,
+            "total": 2 * result.hops,
+        }
 
     def test_hit_rate_defined_before_any_route(self, graph):
         assert CachedGreedyRouter(graph).hit_rate == 0.0
-
-    def test_columns_share_one_int_per_node(self):
-        # Memory: a column holds pointers to the table's node ints, not
-        # a fresh int object per entry.  Past n=256, where Python's
-        # small-int cache ends, fresh ints would not be these objects.
-        rng = np.random.default_rng(29)
-        graph = RandomGeometricGraph.sample_connected(400, rng, radius_constant=3.0)
-        cached = CachedGreedyRouter(graph)
-        cached.route_to_node(0, graph.n - 1)
-        cached.route_stats(1)
-        assert len(cached) == 2
-        for column in cached._columns.values():
-            assert all(hop is cached._node_ints[hop] for hop in column)
 
 
 class TestInvalidate:
@@ -131,61 +122,40 @@ class TestInvalidate:
 
     @staticmethod
     def _crash(graph, node):
-        """Mask ``node`` out of the adjacency in place; returns changed rows."""
-        changed = [node] + [int(v) for v in graph.neighbors[node]]
+        """Mask ``node`` out of the adjacency in place."""
         for v in graph.neighbors[node]:
             adj = graph.neighbors[int(v)]
             graph.neighbors[int(v)] = adj[adj != node]
         graph.neighbors[node] = np.empty(0, dtype=np.int64)
-        return changed
 
-    def test_patched_columns_match_fresh_builds(self):
-        graph = self._mutable_graph()
-        cached = CachedGreedyRouter(graph)
-        targets = [0, 17, 41, 59]
-        for target in targets:
-            cached.route_to_node(3, target)
-        changed = self._crash(graph, 29)
-        assert cached.invalidate(changed) == len(targets)
-        fresh = CachedGreedyRouter(graph)
-        rng = np.random.default_rng(29)
-        for target in targets:
-            for source in rng.integers(graph.n, size=20):
-                got = cached.route_to_node(int(source), target)
-                expected = fresh.route_to_node(int(source), target)
-                assert got.path == expected.path
-                assert got.delivered == expected.delivered
-
-    def test_invalidate_none_drops_every_column(self):
+    def test_invalidate_drops_every_route(self):
         graph = self._mutable_graph()
         cached = CachedGreedyRouter(graph)
         cached.route_to_node(0, 10)
         cached.route_to_node(0, 20)
-        assert len(cached) == 2
-        assert cached.invalidate(None) == 2
-        assert len(cached) == 0
-        assert cached.invalidations == 1
-        # Routing afterwards rebuilds from the current adjacency.
+        assert cached.invalidate() == 2
+        assert (cached.invalidations, cached.drops) == (1, 2)
+        # Routing afterwards follows the current adjacency.
         self._crash(graph, 10)
-        cached.invalidate(None)
+        cached.invalidate()
         route = cached.route_to_node(0, 10)
         assert not route.delivered  # node 10 is unreachable now
+        assert cached.misses == 3
 
-    def test_invalidate_with_no_columns_is_cheap_and_safe(self):
+    def test_invalidate_with_an_empty_memo_drops_nothing(self):
+        cached = CachedGreedyRouter(self._mutable_graph())
+        assert cached.invalidate() == 0
+        assert (cached.invalidations, cached.drops) == (1, 0)
+
+    def test_memoised_routes_never_enter_a_masked_node(self):
         graph = self._mutable_graph()
         cached = CachedGreedyRouter(graph)
-        assert cached.invalidate([1, 2, 3]) == 0
-        assert cached.invalidate([]) == 0
-
-    def test_routes_never_enter_a_masked_node(self):
-        graph = self._mutable_graph()
-        cached = CachedGreedyRouter(graph)
-        # Populate a column that (likely) routes through the middle.
+        # Memoise routes that (likely) pass through the middle.
         for source in range(0, graph.n, 5):
             cached.route_to_node(source, 59)
         victim = int(cached.route_to_node(0, 59).path[1])
-        changed = self._crash(graph, victim)
-        cached.invalidate(changed)
+        self._crash(graph, victim)
+        cached.invalidate()
         for source in range(graph.n):
             path = cached.route_to_node(source, 59).path
             assert victim not in path[1:], (source, path)
@@ -233,30 +203,40 @@ class TestSharedCache:
         assert protocol.router.graph is graph
 
 
-class TestColumnBuildAfterResize:
-    """Column builds after ``invalidate`` re-sized the pad buffers."""
+def _assert_routes_match_scalar_rule(cache, graph):
+    """Every pair's walk and memoised route equal the plain router's."""
+    plain = GreedyRouter(graph)
+    pairs = [(s, t) for s in range(graph.n) for t in range(graph.n)]
+    sources, targets = map(list, zip(*pairs))
+    walk = cache.walk(sources, targets, paths=True)
+    for (source, target), path in zip(pairs, walk.paths):
+        expected = plain.route_to_node(source, target)
+        assert tuple(path) == expected.path, (source, target)
+        route = cache.route_to_node(source, target)
+        assert (route.path, route.delivered) == (
+            expected.path,
+            expected.delivered,
+        )
 
-    @staticmethod
-    def _assert_columns_match_scalar_rule(cache, graph):
-        positions = graph.positions
-        for target in range(graph.n):
-            column = cache._build_column(target)
-            expected = [
-                cache._next_hop(u, positions[target]) for u in range(graph.n)
-            ]
-            assert column.tolist() == expected, target
+
+def _edges(cache):
+    """The edges in the walk's neighbour table (sentinel slots hold n)."""
+    neighbors = cache._walk_tables()[0]
+    return int((neighbors < cache.graph.n).sum())
+
+
+class TestRoutesAfterResize:
+    """Walks and memoised routes after ``invalidate`` on an adjacency
+    that shrank or grew."""
 
     @staticmethod
     def _isolate(graph, nodes):
-        """Cut ``nodes`` out of the adjacency in place; returns changed rows."""
-        changed = set(nodes)
+        """Cut ``nodes`` out of the adjacency in place."""
         for node in nodes:
             for v in graph.neighbors[node]:
                 adj = graph.neighbors[int(v)]
                 graph.neighbors[int(v)] = adj[adj != node]
-                changed.add(int(v))
             graph.neighbors[node] = np.empty(0, dtype=np.int64)
-        return sorted(changed)
 
     def _graph(self):
         return RandomGeometricGraph.sample_connected(
@@ -266,44 +246,35 @@ class TestColumnBuildAfterResize:
     def test_shrink_with_isolated_trailing_nodes(self):
         graph = self._graph()
         cache = CachedGreedyRouter(graph)
-        edges = cache._flat.size
-        changed = self._isolate(graph, [graph.n - 1, graph.n - 2, 7])
-        cache.invalidate(changed)
-        assert cache._flat.size < edges
-        assert cache._neighbor_sq.size == cache._flat.size + 1
-        self._assert_columns_match_scalar_rule(cache, graph)
+        edges = _edges(cache)
+        self._isolate(graph, [graph.n - 1, graph.n - 2, 7])
+        cache.invalidate()
+        assert _edges(cache) < edges
+        _assert_routes_match_scalar_rule(cache, graph)
 
     def test_grow_back_from_isolated_trailing_nodes(self):
         graph = self._graph()
         pristine = list(graph.neighbors)
-        changed = self._isolate(graph, [graph.n - 1, graph.n - 3, 0])
+        self._isolate(graph, [graph.n - 1, graph.n - 3, 0])
         cache = CachedGreedyRouter(graph)
         for target in (1, 20, graph.n - 2):
             cache.route_to_node(5, target)
-        edges = cache._flat.size
+        edges = _edges(cache)
         graph.neighbors[:] = pristine
-        cache.invalidate(changed)
-        assert cache._flat.size > edges
-        assert cache._neighbor_sq.size == cache._flat.size + 1
-        self._assert_columns_match_scalar_rule(cache, graph)
-        # The columns repaired in place agree with fresh builds too.
-        fresh = CachedGreedyRouter(graph)
-        for target in (1, 20, graph.n - 2):
-            for source in range(graph.n):
-                assert (
-                    cache.route_to_node(source, target).path
-                    == fresh.route_to_node(source, target).path
-                )
+        cache.invalidate()
+        assert _edges(cache) > edges
+        _assert_routes_match_scalar_rule(cache, graph)
 
 
-class TestColumnTiesAndIsolation:
-    """Every column entry equals the scalar rule where ties and holes are.
+class TestTiesAndIsolation:
+    """Every walk and memoised route equals the scalar rule where ties
+    and holes are.
 
     On a square lattice a node's neighbours are often *exactly*
-    equidistant from the target, so the column must pick the first
-    minimal neighbour in adjacency order, as ``np.argmin`` does; and
-    isolated nodes, mid-range and trailing, leave empty segments that
-    must neither steal nor truncate a neighbour's segment.
+    equidistant from the target, so a route must take the first minimal
+    neighbour in adjacency order, as ``np.argmin`` does; and isolated
+    nodes, mid-range and trailing, leave empty rows that must neither
+    steal nor truncate a neighbour's row.
     """
 
     @staticmethod
@@ -326,9 +297,7 @@ class TestColumnTiesAndIsolation:
     def test_lattice_ties_break_on_the_first_minimum(self):
         graph = grid2d_graph(49)
         assert self._tied_steps(graph) > 100  # ties are the common case
-        TestColumnBuildAfterResize._assert_columns_match_scalar_rule(
-            CachedGreedyRouter(graph), graph
-        )
+        _assert_routes_match_scalar_rule(CachedGreedyRouter(graph), graph)
 
     @pytest.mark.parametrize("lattice", [True, False], ids=["grid2d", "rgg"])
     def test_isolated_nodes_mid_range_and_trailing(self, lattice):
@@ -338,13 +307,11 @@ class TestColumnTiesAndIsolation:
             graph = RandomGeometricGraph.sample_connected(
                 48, np.random.default_rng(37), radius_constant=3.0
             )
-        TestColumnBuildAfterResize._isolate(
+        TestRoutesAfterResize._isolate(
             graph, [0, 9, 10, 24, graph.n - 2, graph.n - 1]
         )
         assert not graph.neighbors[graph.n - 1].size
-        TestColumnBuildAfterResize._assert_columns_match_scalar_rule(
-            CachedGreedyRouter(graph), graph
-        )
+        _assert_routes_match_scalar_rule(CachedGreedyRouter(graph), graph)
 
 
 class TestRouteStatsVectors:
@@ -367,26 +334,18 @@ class TestRouteStatsVectors:
                 assert dest[source] == walked.path[-1]
                 assert hops[source] == walked.hops
 
-    def test_accounting_one_hit_or_miss_per_call(self, cache):
-        _, router = cache
-        router.route_stats(3)
-        assert (router.hits, router.misses) == (0, 1)
-        router.route_stats(3)
-        assert (router.hits, router.misses) == (1, 1)
-        # A column warmed by the scalar API counts as a hit for stats.
-        router.route_to_node(0, 9)
-        hits, misses = router.hits, router.misses
-        router.route_stats(9)
-        assert (router.hits, router.misses) == (hits + 1, misses)
-
-    def test_invalidate_discards_stats(self, cache):
-        _, router = cache
-        hops_before, _ = router.route_stats(3)
+    def test_stats_follow_invalidate(self, cache):
+        graph, router = cache
+        _, dest_before = router.route_stats(3)
+        assert (dest_before == 3).all()
+        TestInvalidate._crash(graph, 3)
         router.invalidate()
-        hops_after, dest_after = router.route_stats(3)
-        assert hops_after is not hops_before
-        np.testing.assert_array_equal(hops_after, hops_before)
-        assert int(dest_after[3]) == 3
+        hops, dest = router.route_stats(3)
+        assert (dest == 3).tolist() == [u == 3 for u in range(graph.n)]
+        plain = GreedyRouter(graph)
+        for source in range(graph.n):
+            route = plain.route_to_node(source, 3)
+            assert (hops[source], dest[source]) == (route.hops, route.destination)
 
 
 def _walk_graph(family: str, n: int, seed: int) -> RandomGeometricGraph:
@@ -395,7 +354,7 @@ def _walk_graph(family: str, n: int, seed: int) -> RandomGeometricGraph:
     rng = np.random.default_rng(seed)
     if family == "isolated":
         graph = RandomGeometricGraph.build(rng.random((n, 2)), 0.35)
-        TestColumnBuildAfterResize._isolate(
+        TestRoutesAfterResize._isolate(
             graph, sorted({0, n // 2, n - 1, int(rng.integers(n))})
         )
         return graph
@@ -417,7 +376,7 @@ class TestBatchedWalk:
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_walk_equals_column_routes(self, family, n, seed, data):
+    def test_walk_equals_single_routes(self, family, n, seed, data):
         graph = _walk_graph(family, n, seed)
         count = data.draw(st.integers(1, 40), label="routes")
         node = st.integers(0, graph.n - 1)
@@ -488,27 +447,91 @@ class TestBatchedWalk:
                 walk = router.walk(sources, targets, paths=True)
                 assert [tuple(p) for p in walk.paths] == [r.path for r in routes]
 
-    def test_walk_counts_routes_and_builds_no_column(self, graph):
+    def test_walk_counts_routes_and_memoises_none(self, graph):
         router = CachedGreedyRouter(graph)
         walk = router.walk([0, 1, 2], [5, 5, 9])
         assert router.walks == 3
-        assert (router.hits, router.misses, len(router)) == (0, 0, 0)
+        assert (router.hits, router.misses, len(router._routes)) == (0, 0, 0)
         assert walk.hops.dtype == np.int64
         empty = router.walk([], [], paths=True)
         assert empty.paths == [] and router.walks == 3
 
-    @pytest.mark.parametrize("rows", ["changed", "all"])
-    def test_invalidate_drops_the_walk_tables(self, rows):
+    def test_invalidate_drops_the_walk_tables(self):
         graph = TestInvalidate()._mutable_graph()
         router = CachedGreedyRouter(graph)
         sources = list(range(graph.n))
         before = router.walk(sources, [59] * graph.n, paths=True)
         victim = before.paths[0][1]
         assert any(victim in path[1:] for path in before.paths)
-        changed = TestInvalidate._crash(graph, victim)
-        router.invalidate(changed if rows == "changed" else None)
+        TestInvalidate._crash(graph, victim)
+        router.invalidate()
         after = router.walk(sources, [59] * graph.n, paths=True)
-        fresh = CachedGreedyRouter(graph)
+        plain = GreedyRouter(graph)
         for source, path in zip(sources, after.paths):
             assert victim not in path[1:], (source, path)
-            assert tuple(path) == fresh.route_to_node(source, 59).path
+            assert tuple(path) == plain.route_to_node(source, 59).path
+
+
+class TestRouteMemo:
+    """``route_to_node`` serves the plain router's routes from its memo."""
+
+    @given(
+        family=st.sampled_from([*TOPOLOGIES, "isolated", "coincident"]),
+        n=st.integers(8, 70),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memo_equals_the_scalar_router(self, family, n, seed, data):
+        """On lattice ties, voids, isolated nodes and coincident sensors,
+        a memoised route is the plain router's path and flag, on the miss
+        that stores it and on every hit after."""
+        graph = _walk_graph(family, n, seed)
+        node = st.integers(0, graph.n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=40))
+        plain = GreedyRouter(graph)
+        router = CachedGreedyRouter(graph)
+        for _ in range(2):
+            for source, target in pairs:
+                got = router.route_to_node(source, target)
+                expected = plain.route_to_node(source, target)
+                assert (got.path, got.delivered) == (
+                    expected.path,
+                    expected.delivered,
+                )
+        assert router.misses == len(set(pairs))
+        assert router.hits == 2 * len(pairs) - len(set(pairs))
+
+    @given(seed=st.integers(0, 2**31 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_no_memoised_route_crosses_a_node_crashed_since(self, seed, data):
+        """On a churning substrate the epoch clock invalidates the memo,
+        so after each epoch every route is the plain router's over the
+        masked adjacency, and none passes through a node that crashed
+        after the route was first stored."""
+        graph = RandomGeometricGraph.sample_connected(
+            48, np.random.default_rng(seed), radius_constant=3.0
+        )
+        spec = FaultSpec(churn_rate=0.15, recover_rate=0.2, epoch_ticks=8)
+        substrate = DynamicSubstrate(graph, spec, seed=seed)
+        router = CachedGreedyRouter(substrate)
+        substrate.register_cache(router)
+        plain = GreedyRouter(substrate)
+        node = st.integers(0, graph.n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=30))
+        for epoch in range(1, 5):
+            for source, target in pairs:
+                router.route_to_node(source, target)
+            live = substrate.live.copy()
+            substrate.advance_to(epoch * spec.epoch_ticks)
+            crashed = set(np.flatnonzero(live & ~substrate.live).tolist())
+            for source, target in pairs:
+                got = router.route_to_node(source, target)
+                expected = plain.route_to_node(source, target)
+                assert (got.path, got.delivered) == (
+                    expected.path,
+                    expected.delivered,
+                )
+                assert not crashed.intersection(got.path[1:]), (crashed, got.path)
+        assert substrate.crashes > 0
+        assert router.invalidations > 0

@@ -25,11 +25,11 @@ import pytest
 from repro.engine.executor import CellRecord, execute_cell, expand_grid
 from repro.engine.queue import LeaseLost, LeaseQueue, cell_id
 from repro.engine.service import (
+    _publish_report,
     config_from_payload,
     config_payload,
     diff_stores,
     merge_shards,
-    publish_partial_report,
     run_distributed_sweep,
     service_manifest,
     shards_root,
@@ -497,11 +497,10 @@ class TestServiceHelpers:
         shard = worker_store(tmp_path / "queue", "w0", CONFIG).open()
         shard.append(held[grid[0].key])
         out = tmp_path / "report.md"
-        covered = publish_partial_report(
-            CONFIG, store, shards_root(tmp_path / "queue"), out
-        )
-        assert covered == 1
-        assert f"1/{len(grid)} cells complete" in out.read_text()
+        _publish_report({store.key: store}, shards_root(tmp_path / "queue"), out)
+        report = out.read_text()
+        assert report.startswith(f"## Grid `{store.key}`")
+        assert f"1/{len(grid)} cells complete" in report
 
 
 class TestCoordinatorRecovery:
